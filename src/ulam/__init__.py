@@ -11,8 +11,8 @@ from .couplings import (CoupledSample, estimate_expected_lis, group_heights,
                         poissonized_coupling_lower, poissonized_coupling_upper,
                         project_to_multiset)
 from .hammersley import (DynamicsRecord, ParticleState, ProcessRun, Witness,
-                         extract_witness, run_dynamics, run_process, step_strict,
-                         step_weak, verify_line_identity)
+                         batch_particle_counts, extract_witness, run_dynamics,
+                         run_process, step_strict, step_weak, verify_line_identity)
 from .montecarlo import (DepoissonizationReport, DeviationProfile, EstimateReport,
                          StationarityReport, depoissonization_report,
                          deviation_profile, estimate_mean_subsequence,
@@ -28,7 +28,8 @@ __all__ = [
     "BoundaryRates", "BoundarySample", "CoupledSample", "DepoissonizationReport",
     "DeviationProfile", "DynamicsRecord", "EstimateReport", "MeanBound",
     "MultisetWord", "ParticleState", "PlanarPointSet", "ProcessRun", "RngStream",
-    "StationarityReport", "Witness", "brute_force_longest_chain",
+    "StationarityReport", "Witness", "batch_particle_counts",
+    "brute_force_longest_chain",
     "depoissonization_report", "deviation_profile", "estimate_expected_lis",
     "estimate_mean_subsequence", "estimate_poissonized", "exact_expected_lis",
     "extract_witness", "group_heights", "lis_strict", "lnds_weak",

@@ -201,6 +201,137 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
     return DynamicsRecord(state, counts, exit_counts, events, visits)
 
 
+# --- replica-batched row steps ----------------------------------------------
+#
+# The particles after row i are the patience tails of rows 1..i (Hammersley
+# 1972; Aldous & Diaconis 1995), so the final particle count of a cloud is
+# its chain length.  The batched kernel runs the boundary-free dynamics of
+# many clouds at once, one row per step.  Each point is keyed by an integer
+#     key = (replica << shift) | (rank of the point in its cloud's chain order),
+# with 2**shift above every cloud's size.  Chain order is x ascending, ties
+# by row descending (as in `PlanarPointSet.chain_rows`), so keys are
+# distinct, an equal-x pair can never chain, and the dynamics on keys give
+# the chain lengths of the original clouds.  The particles of all replicas
+# then form one sorted array in which replica r holds the keys in
+# [r << shift, (r + 1) << shift), and one numpy call over it answers a
+# question for every replica at once.  Keys are int32 when they fit, which
+# halves the batch's memory, and int64 otherwise.
+
+
+def _chain_keys(clouds) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+    """Keys of each cloud's points, row bounds into them, and the shift.
+
+    Rows are laid out top-down within a cloud, so a stable sort ranks the
+    higher row first among equal x; the quicker unstable sort serves when
+    no two x are equal.  Row i (from 1) of a cloud is
+    ``keys[bounds[i]:bounds[i - 1]]``.  A cloud is dropped once keyed.
+    """
+    keys, bounds = [], []
+    for cloud in clouds:
+        rows = cloud.row_positions[::-1]
+        flat = np.concatenate(rows) if rows else np.empty(0)
+        if flat.size >= 1 << 31:
+            raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")
+        order = np.argsort(flat)
+        ordered = flat[order]
+        if np.any(ordered[1:] == ordered[:-1]):
+            order = np.argsort(flat, kind="stable")
+        rank = np.empty(flat.size, dtype=np.int32)
+        rank[order] = np.arange(flat.size, dtype=np.int32)
+        keys.append(rank)
+        bounds.append(np.cumsum([0] + [xs.size for xs in rows])[::-1])
+    shift = max((k.size for k in keys), default=0).bit_length()
+    if len(keys) << shift >= 1 << 63:
+        raise ValueError("too many points in one batch for int64 keys")
+    if len(keys) << shift >= 1 << 31:
+        keys = [k.astype(np.int64) for k in keys]
+    for r, k in enumerate(keys):
+        k |= r << shift
+    return keys, bounds, shift
+
+
+def _strict_row(y: np.ndarray, pts: np.ndarray, tops: np.ndarray, shift: int) -> np.ndarray:
+    """`step_strict` without sink, applied to every replica's segment.
+
+    A point with g particles below it lies in the gap of particle g when
+    that particle is in the point's replica, and above the replica's old
+    maximum otherwise.  The first point of each (g, replica) group moves
+    particle g there, or is the replica's one birth.
+    """
+    g = np.searchsorted(y, pts)
+    rep = pts >> shift
+    first = np.ones(pts.size, dtype=bool)
+    first[1:] = (g[1:] != g[:-1]) | (rep[1:] != rep[:-1])
+    g, pts, rep = g[first], pts[first], rep[first]
+    moves = np.append(y, tops[-1])[g] < tops[rep]
+    new_y = y.copy()
+    new_y[g[moves]] = pts[moves]
+    # both runs are sorted and replicas never interleave, so a stable sort
+    # (a merge of two runs) restores the order
+    return np.sort(np.concatenate((new_y, pts[~moves])), kind="stable")
+
+
+def _weak_row(y: np.ndarray, pts: np.ndarray, tops: np.ndarray, shift: int) -> np.ndarray:
+    """`step_weak` without sink, applied to every replica's segment.
+
+    In one replica let particles y_1 < ... < y_n meet row points
+    p_1 < ... < p_r, and let c_j be the number of points below y_j.  The
+    greedy left-to-right matching moves y_j to the next unused point
+    exactly when that point lies below y_j, so with u_0 = 0 the number of
+    points used by particles 1..j is
+        u_j = u_{j-1} + [u_{j-1} < c_j] = min(u_{j-1} + 1, c_j),
+    the second form because u_{j-1} <= c_{j-1} <= c_j.  Unrolled,
+        u_j = j + min(0, min_{i<=j} (c_i - i)),
+    one cumulative minimum per replica.  Particle j moves to p_{u_j} when
+    u_j > u_{j-1}, and every point from p_{u_n + 1} on is born.
+
+    Below, indices are global: ``at`` is the index in ``pts`` of p_{u_j},
+    and the replica's first point has index first_p, so at = first_p - 1
+    means no point is used yet.
+    """
+    base = tops - tops[0]
+    first_y = np.searchsorted(y, base)
+    first_p = np.searchsorted(pts, base)
+    rep = y >> shift
+    idx = np.arange(y.size)
+    c = np.cumsum(np.bincount(np.searchsorted(y, pts), minlength=y.size + 1))[:-1]
+    q = (first_p - first_y)[rep]
+    # c_i - i is c - idx - 1 - q; subtracting ``lift`` puts each replica
+    # below all earlier ones, so the running minimum restarts at its first
+    # particle
+    lift = rep.astype(np.int64) * (y.size + pts.size + 1)
+    run = np.minimum.accumulate(c - idx - 1 - q - lift) + lift
+    at = idx + q + np.minimum(0, run)
+    floor = first_p - 1
+    moved = at > np.maximum(np.append(-1, at[:-1]), floor[rep])
+    new_y = np.where(moved, pts[at], y)
+    last = np.maximum(np.append(-1, at)[np.searchsorted(y, tops)], floor)
+    born = np.arange(pts.size) > last[pts >> shift]
+    return np.sort(np.concatenate((new_y, pts[born])), kind="stable")
+
+
+def batch_particle_counts(clouds, variant: str) -> np.ndarray:
+    """Final particle count of the boundary-free dynamics on each cloud.
+
+    All clouds advance together, one row step per numpy call for the whole
+    batch, and the counts equal ``run_dynamics(cloud, None, variant)``'s,
+    i.e. ``lis_strict`` or ``lnds_weak`` of each cloud.  ``clouds`` may be
+    any iterable, such as a generator that samples them one by one; each is
+    dropped once keyed, so memory stays at one key per point.
+    """
+    _check_variant(variant)
+    keys, bounds, shift = _chain_keys(clouds)
+    dtype = keys[0].dtype if keys else np.int32
+    tops = np.arange(1, len(keys) + 1, dtype=dtype) << shift
+    step = _strict_row if variant == "strict" else _weak_row
+    y = np.empty(0, dtype=dtype)
+    for i in range(1, max((b.size for b in bounds), default=1)):
+        pts = np.concatenate([k[b[i]:b[i - 1]] for k, b in zip(keys, bounds) if i < b.size])
+        if pts.size:
+            y = step(y, pts, tops, shift)
+    return np.diff(np.searchsorted(y, tops), prepend=0)
+
+
 @dataclass(frozen=True, eq=False)
 class ProcessRun:
     state: ParticleState

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as _st
 
-from .bounds import BoundaryRates, _check_variant, augmented_tail_rate, mean_bound, predicted_mean
-from .hammersley import run_process
-from .sampling import make_rng, sample_poisson_cloud, sample_uniform_multiset_permutation
+from .bounds import (BoundaryRates, _check_variant, augmented_tail_rate, mean_bound,
+                     optimal_rates_strict, optimal_rates_weak, predicted_mean)
+from .hammersley import batch_particle_counts, run_process
+from .sampling import (make_rng, sample_boundary, sample_poisson_cloud,
+                       sample_uniform_multiset_permutation)
 from .subsequences import lis_strict, lnds_weak
 
 # Disjoint stream-id blocks per operation; replica r of op with tag g uses
@@ -27,10 +30,24 @@ _TAG_WORD = 1
 _TAG_POISSON = 2
 _TAG_STATIONARY = 3
 _TAG_DEVIATION = 4
+_MAX_REPS = 1 << 32
+
+# Poisson-cloud replicas run in chunks of about this many expected points
+# plus rows (13 replicas at x = t = 100), so the batched kernel holds about
+# 0.5 MB of keys.  It depends on the geometry only, never on --jobs.
+_POINT_BUDGET = 1 << 17
 
 
 def _stream(tag: int, rep: int) -> int:
     return (tag << 32) | rep
+
+
+def _check_reps(reps: int) -> None:
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
+    if reps > _MAX_REPS:
+        # replica 2**32 of tag g would draw stream (g + 1) << 32
+        raise ValueError(f"reps must be <= 2**32, got {reps}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +91,11 @@ class EstimateReport:
 
 
 def _parallel_map(fn, argses: list, jobs: int) -> list:
-    if jobs <= 1 or len(argses) < 2:
+    workers = min(jobs, os.cpu_count() or 1, len(argses))
+    if workers <= 1:
         return [fn(a) for a in argses]
-    chunk = max(1, len(argses) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(argses) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, argses, chunksize=chunk))
 
 
@@ -90,11 +108,11 @@ def _word_replica(args) -> float:
     return float(lis_strict(word) if order == "strict" else lnds_weak(word))
 
 
-def _poisson_replica(args) -> float:
-    seed, rep, x, t, lam, order = args
-    rng = make_rng(seed, _stream(_TAG_POISSON, rep))
-    cloud = sample_poisson_cloud(x, t, lam, rng)
-    return float(lis_strict(cloud) if order == "strict" else lnds_weak(cloud))
+def _poisson_chunk(args) -> np.ndarray:
+    seed, reps, x, t, lam, order = args
+    clouds = (sample_poisson_cloud(x, t, lam, make_rng(seed, _stream(_TAG_POISSON, r)))
+              for r in reps)
+    return batch_particle_counts(clouds, order)
 
 
 def _stationary_replica(args) -> int:
@@ -105,7 +123,6 @@ def _stationary_replica(args) -> int:
     else:
         rates = BoundaryRates.weak_from_beta(lam, source_rate)
     if t == 0:
-        from .sampling import sample_boundary
         return int(sample_boundary(x, 1, rates, rng).sources.size)
     run = run_process(x, t, lam, variant, rates, rng)
     return run.state.count
@@ -114,10 +131,20 @@ def _stationary_replica(args) -> int:
 def _augmented_replica(args) -> float:
     seed, rep, x, t, lam, order = args
     rng = make_rng(seed, _stream(_TAG_DEVIATION, rep))
-    from .bounds import optimal_rates_strict, optimal_rates_weak
     rates, _ = (optimal_rates_strict if order == "strict" else optimal_rates_weak)(x, t, lam)
     run = run_process(x, t, lam, order, rates, rng)
     return float(run.state.count + run.boundary.total_sinks)
+
+
+def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: int,
+                   parallelism: int) -> np.ndarray:
+    """Chain lengths of the clouds of replicas 0..reps-1, in replica order."""
+    # a geometry the sampler rejects still gets a chunk size, so that the
+    # sampler's own check reports it
+    size = max(1, int(_POINT_BUDGET // max(1.0, x * t * lam + t)))
+    argses = [(seed, range(lo, min(lo + size, reps)), x, t, lam, order)
+              for lo in range(0, reps, size)]
+    return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism)).astype(float)
 
 
 # --- estimators ------------------------------------------------------------
@@ -126,8 +153,7 @@ def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
                               parallelism: int = 1) -> EstimateReport:
     """Mean chain length of uniform multiset words against 2*sqrt(nk) -/+ k."""
     _check_variant(order)
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
+    _check_reps(reps)
     argses = [(seed, r, n, k, order) for r in range(reps)]
     vals = np.asarray(_parallel_map(_word_replica, argses, parallelism))
     return EstimateReport.from_values(
@@ -140,12 +166,10 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
     """Mean chain length of Poisson clouds; ``predicted`` is the first-order
     value 2*sqrt(x*t*lam) -/+ x*lam, an upper bound for the mean."""
     _check_variant(order)
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
+    _check_reps(reps)
     if order == "strict" and t < x * lam:
         raise ValueError("strict comparison requires t >= x*lam")
-    argses = [(seed, r, x, t, lam, order) for r in range(reps)]
-    vals = np.asarray(_parallel_map(_poisson_replica, argses, parallelism))
+    vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)
     mb = mean_bound(x, t, lam)
     predicted = mb.strict_mean if order == "strict" else mb.weak_mean
     return EstimateReport.from_values(
@@ -210,8 +234,7 @@ def stationarity_test(x: float, lam: float, source_rate: float, variant: str,
     """Run the boundary process to time t over replicas and compare the
     final particle count with its exact stationary law Poisson(x * rate)."""
     _check_variant(variant)
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
+    _check_reps(reps)
     argses = [(seed, r, x, t, lam, variant, source_rate) for r in range(reps)]
     sample = np.asarray(_parallel_map(_stationary_replica, argses, parallelism),
                         dtype=np.int64)
@@ -263,6 +286,7 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
     """Exceedance frequencies of the chain length (or, with ``augmented``,
     of the boundary-augmented statistic particle count + total sinks)."""
     _check_variant(order)
+    _check_reps(reps)
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(not 0.0 < e < 1.0 for e in eps_grid):
         raise ValueError("eps grid must lie in (0, 1)")
@@ -276,8 +300,7 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
         argses = [(seed, r, x, t, lam, order) for r in range(reps)]
         vals = np.asarray(_parallel_map(_augmented_replica, argses, parallelism))
     else:
-        argses = [(seed, r, x, t, lam, order) for r in range(reps)]
-        vals = np.asarray(_parallel_map(_poisson_replica, argses, parallelism))
+        vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)
     mb = mean_bound(x, t, lam)
     center = mb.strict_mean if order == "strict" else mb.weak_mean
     upper = tuple(float(np.mean(vals > (1 + e) * center)) for e in eps_grid)

@@ -17,7 +17,7 @@ import numpy as np
 # the type used throughout the package.
 RngStream = np.random.Generator
 
-_U64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 
 
 def make_rng(seed: int, stream_id: int = 0) -> RngStream:
@@ -26,11 +26,15 @@ def make_rng(seed: int, stream_id: int = 0) -> RngStream:
     The Philox key is the first 128 bits of SHA-256 over the two values
     packed as little-endian u64, so distinct stream ids derived from one
     master seed share no state, and the mapping is a documented pure
-    function of its inputs.
+    function of its inputs.  Both values must lie in [0, 2**64): a larger
+    one would otherwise alias the stream of its low 64 bits.
     """
     if seed < 0 or stream_id < 0:
         raise ValueError("seed and stream_id must be nonnegative")
-    digest = hashlib.sha256(struct.pack("<QQ", seed & _U64, stream_id & _U64)).digest()
+    if seed >= _SEED_LIMIT or stream_id >= _SEED_LIMIT:
+        raise ValueError(f"seed and stream_id must be below 2**64, got seed={seed}, "
+                         f"stream_id={stream_id}")
+    digest = hashlib.sha256(struct.pack("<QQ", seed, stream_id)).digest()
     key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -76,16 +80,28 @@ class PlanarPointSet:
     def __post_init__(self) -> None:
         if self.x_max <= 0:
             raise ValueError("x_max must be positive")
-        for i, xs in enumerate(self.row_positions):
-            if xs.ndim != 1:
-                raise ValueError("row positions must be 1-d arrays")
-            if xs.size and (xs[0] <= 0 or xs[-1] > self.x_max):
-                raise ValueError(f"row {i + 1}: positions must lie in (0, x_max]")
-            if xs.size > 1:
-                if np.any(np.diff(xs) < 0):
-                    raise ValueError(f"row {i + 1}: positions must be sorted ascending")
-                if np.any(np.diff(xs) == 0):
-                    raise ValueError(f"row {i + 1}: duplicate (x, row) point")
+        rows = self.row_positions
+        if any(xs.ndim != 1 for xs in rows):
+            raise ValueError("row positions must be 1-d arrays")
+        # All rows are checked at once on their concatenation; a bad pair
+        # counts only when both of its points lie on the same row.
+        flat = np.concatenate(rows) if rows else np.empty(0)
+        if not flat.size:
+            return
+        ends = np.cumsum([xs.size for xs in rows])
+        if flat.min() <= 0 or flat.max() > self.x_max:
+            i = int(np.flatnonzero((flat <= 0) | (flat > self.x_max))[0])
+            row = int(np.searchsorted(ends, i, side="right")) + 1
+            raise ValueError(f"row {row}: positions must lie in (0, x_max]")
+        bad = np.flatnonzero(np.diff(flat) <= 0)
+        bad = bad[np.searchsorted(ends, bad, side="right")
+                  == np.searchsorted(ends, bad + 1, side="right")]
+        if bad.size:
+            row = int(np.searchsorted(ends, bad[0], side="right"))
+            lo, hi = (0 if row == 0 else ends[row - 1]), ends[row]
+            if np.any(np.diff(flat[lo:hi]) < 0):
+                raise ValueError(f"row {row + 1}: positions must be sorted ascending")
+            raise ValueError(f"row {row + 1}: duplicate (x, row) point")
 
     @property
     def t_max(self) -> int:
@@ -195,14 +211,26 @@ def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> Planar
     """Independent rows: row i carries Poisson(lam*x) points, i.i.d. uniform in (0, x].
 
     Draw order is fixed (all counts first, then positions row by row) so a
-    given stream always yields the same cloud.
+    given stream always yields the same cloud.  The positions of all rows
+    come from one ``random`` call, which draws exactly what one call per row
+    would; the rows are views of that buffer.  An exact tie between
+    neighbours (a 2**-53 event per pair) rewinds the stream and replays the
+    per-row draws, whose re-draw of duplicates fixes the stream from there.
     """
     if x <= 0 or lam <= 0:
         raise ValueError("x and lam must be positive")
     if t < 1:
         raise ValueError("t must be >= 1")
     counts = rng.poisson(lam * x, size=t)
-    rows = tuple(_uniform_positions(rng, int(c), x) for c in counts)
+    before = rng.bit_generator.state
+    flat = x * (1.0 - rng.random(int(counts.sum())))
+    ends = np.cumsum(counts)
+    rows = tuple(flat[e - c:e] for c, e in zip(counts, ends))
+    for xs in rows:
+        xs.sort()
+    if np.any(flat[1:] == flat[:-1]):
+        rng.bit_generator.state = before
+        rows = tuple(_uniform_positions(rng, int(c), x) for c in counts)
     return PlanarPointSet(rows, float(x))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -225,7 +226,6 @@ def brute_force_longest_chain(obj, boundary: BoundarySample | None = None,
 # Exact expectations by enumeration
 
 _ENUM_CAP = 9
-_exact_cache: dict[tuple[int, ...], Fraction] = {}
 
 
 def _multiset_words(counts: list[int]):
@@ -261,16 +261,18 @@ def exact_expected_lis(row_counts) -> Fraction:
     total = sum(counts)
     if total > _ENUM_CAP:
         raise ValueError(f"enumeration capped at {_ENUM_CAP} points, got {total}")
-    key = tuple(counts)
-    if key in _exact_cache:
-        return _exact_cache[key]
-    if total == 0:
+    return _exact_mean(tuple(counts))
+
+
+# Tuples of positive counts summing to at most _ENUM_CAP = 9 number
+# 1 + 1 + 2 + ... + 2**8 = 512, so this cache holds every key.
+@lru_cache(maxsize=512)
+def _exact_mean(counts: tuple[int, ...]) -> Fraction:
+    if not counts:
         return Fraction(0)
     n_words = 0
     acc = 0
-    for word in _multiset_words(counts):
+    for word in _multiset_words(list(counts)):
         n_words += 1
         acc += _patience_length(word, strict=True)
-    result = Fraction(acc, n_words)
-    _exact_cache[key] = result
-    return result
+    return Fraction(acc, n_words)

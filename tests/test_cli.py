@@ -112,6 +112,22 @@ class TestEstimate:
         plot = (d / "plot.csv").read_text().splitlines()
         assert plot[0] == "n,k,mean,stderr,predicted"
 
+    def test_reps_beyond_stream_block_exits_2(self, tmp_path, capsys):
+        for mode in (["--n", "2", "--k", "2"],
+                     ["--mode", "poisson", "--x", "1", "--t", "4", "--lambda", "1"]):
+            assert main(["estimate", *mode, "--reps", str(2**32 + 1),
+                         "--out-dir", str(tmp_path / "e")]) == 2
+            assert "reps must be <= 2**32" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_poisson_mode_bad_geometry_exits_2(self, tmp_path, capsys):
+        for geometry, message in ((["--x", "1", "--t", "0"], "t must be >= 1"),
+                                  (["--x", "-2", "--t", "3"], "x and lam must be positive")):
+            assert main(["estimate", "--mode", "poisson", *geometry, "--lambda", "1",
+                         "--order", "weak", "--reps", "2",
+                         "--out-dir", str(tmp_path / "e")]) == 2
+            assert message in capsys.readouterr().err
+
     def test_poisson_mode(self, tmp_path):
         d = tmp_path / "estp"
         assert main(["estimate", "--mode", "poisson", "--x", "1", "--t", "4",
@@ -167,6 +183,16 @@ class TestReproducibility:
         assert man["command"] == "simulate"
         assert man["finished"] is not None
         assert str(d / "counts.csv") in man["output_paths"]
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        big = str(2**64)
+        assert main(["sample", "--n", "2", "--k", "2", "--count", "1",
+                     "--seed", big]) == 2
+        assert "below 2**64" in capsys.readouterr().err
+        assert main(["estimate", "--mode", "poisson", "--x", "1", "--t", "4",
+                     "--lambda", "1", "--reps", "4", "--seed", big,
+                     "--out-dir", str(tmp_path / "e")]) == 2
+        assert "below 2**64" in capsys.readouterr().err
 
     def test_env_seed_default(self, tmp_path):
         res1 = run_cli("sample", "--n", "3", "--k", "1", "--count", "2",

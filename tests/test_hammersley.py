@@ -2,11 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ulam import hammersley, montecarlo
 from ulam.bounds import BoundaryRates
-from ulam.hammersley import (ParticleState, empty_state, extract_witness,
-                             run_dynamics, run_process, step_strict, step_weak,
-                             verify_line_identity)
+from ulam.hammersley import (ParticleState, batch_particle_counts, empty_state,
+                             extract_witness, run_dynamics, run_process,
+                             step_strict, step_weak, verify_line_identity)
 from ulam.sampling import (BoundarySample, PlanarPointSet, make_rng,
                            sample_boundary, sample_poisson_cloud)
 from ulam.subsequences import lis_strict, lnds_weak, longest_chain_with_boundary
@@ -197,6 +200,85 @@ class TestWitness:
         kinds = {e[3] for e in run.events}
         assert kinds <= {"move", "stay", "birth", "exit"}
         assert "birth" in kinds
+
+
+# Clouds on a grid of 6 x values: equal x on different rows is common, and
+# rows or whole clouds are often empty.
+grid_cloud = st.integers(min_value=1, max_value=6).flatmap(
+    lambda t: st.sets(st.tuples(st.integers(min_value=1, max_value=6),
+                                st.integers(min_value=1, max_value=t)), max_size=18)
+    .map(lambda pts: PlanarPointSet.from_points(
+        [(x / 2, r) for x, r in sorted(pts)], 3.0, t)))
+
+sampled_cloud = st.tuples(st.integers(min_value=0, max_value=10_000),
+                          st.floats(min_value=0.2, max_value=12.0),
+                          st.integers(min_value=1, max_value=12),
+                          st.floats(min_value=0.05, max_value=2.0)).map(
+    lambda a: sample_poisson_cloud(a[1], a[2], a[3], make_rng(a[0], 30)))
+
+
+def distinct_x(cloud) -> bool:
+    xs = [x for x, _ in cloud.points()]
+    return len(set(xs)) == len(xs)
+
+
+class TestBatchParticleCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(grid_cloud, sampled_cloud), max_size=6))
+    def test_counts_match_both_oracles(self, clouds):
+        for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
+            counts = batch_particle_counts(iter(clouds), variant)
+            assert counts.tolist() == [chain(c) for c in clouds]
+            for cloud, count in zip(clouds, counts):
+                # the scalar weak step cannot place a point on a particle's
+                # own x, so equal x across rows is checked by lnds_weak only
+                if variant == "strict" or distinct_x(cloud):
+                    assert count == run_dynamics(cloud, None, variant).state.count
+
+    @pytest.mark.parametrize("variant", ["strict", "weak"])
+    def test_empty_inputs(self, variant):
+        assert batch_particle_counts([], variant).tolist() == []
+        empty = [PlanarPointSet((), 1.0), PlanarPointSet((np.empty(0),) * 4, 1.0)]
+        assert batch_particle_counts(empty, variant).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("variant", ["strict", "weak"])
+    def test_single_full_size_replica(self, variant):
+        cloud = sample_poisson_cloud(100.0, 100, 1.0, make_rng(31))
+        chain = lis_strict if variant == "strict" else lnds_weak
+        assert batch_particle_counts([cloud], variant).tolist() == [chain(cloud)]
+
+    def test_int64_keys_when_int32_cannot_hold_them(self):
+        # 2**14 replicas of 2**17 keys each end at 2**31, past int32
+        big = sample_poisson_cloud(22_000.0, 3, 1.0, make_rng(33))
+        assert 1 << 16 <= big.size < 1 << 17
+        clouds = [PlanarPointSet((), 1.0)] * ((1 << 14) - 1) + [big]
+        assert hammersley._chain_keys(clouds[-2:])[0][0].dtype == np.int32
+        assert hammersley._chain_keys(clouds)[0][0].dtype == np.int64
+        for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
+            counts = batch_particle_counts(clouds, variant)
+            assert counts[-1] == chain(big) and not counts[:-1].any()
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError):
+            batch_particle_counts([], "lax")
+
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_estimate_split_into_small_chunks(self, monkeypatch, order):
+        whole = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
+        # x*t*lam + t = 54 cells per replica, so a budget of 120 makes
+        # chunks of 2 replicas, the last one cut short
+        chunks = []
+        run_chunk = montecarlo._poisson_chunk
+        monkeypatch.setattr(montecarlo, "_POINT_BUDGET", 120)
+        monkeypatch.setattr(montecarlo, "_poisson_chunk",
+                            lambda args: chunks.append(list(args[1])) or run_chunk(args))
+        split = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
+        assert chunks == [[0, 1], [2, 3], [4, 5], [6]]
+        assert split == whole
+        chain = lis_strict if order == "strict" else lnds_weak
+        values = [chain(sample_poisson_cloud(5.0, 9, 1.0, make_rng(32, (2 << 32) | r)))
+                  for r in range(7)]
+        assert whole.mean == float(np.mean(np.asarray(values, dtype=float)))
 
 
 @pytest.mark.perf

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import P_FOUR_SIGMA, assert_within_sigma
+from ulam import montecarlo
 from ulam.montecarlo import (depoissonization_report, deviation_profile,
                              estimate_mean_subsequence, estimate_poissonized,
                              stationarity_test)
@@ -63,6 +64,67 @@ class TestEstimatePoissonized:
     def test_strict_domain_guard(self):
         with pytest.raises(ValueError):
             estimate_poissonized(10.0, 5, 1.0, "strict", 10, seed=0)
+
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_parallelism_is_result_invariant(self, monkeypatch, order):
+        # a small budget gives several chunks to spread over the workers
+        monkeypatch.setattr(montecarlo, "_POINT_BUDGET", 400)
+        serial = estimate_poissonized(6.0, 12, 1.0, order, 40, seed=68, parallelism=1)
+        parallel = estimate_poissonized(6.0, 12, 1.0, order, 40, seed=68, parallelism=2)
+        assert serial == parallel
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so no process is started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        FakePool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, argses, chunksize=1):
+        return map(fn, argses)
+
+
+class TestParallelMap:
+    # an unknown cpu count (None) runs in this process
+    @pytest.mark.parametrize("jobs, cpus, tasks, workers", [
+        (10_000, 2, 50, 2), (3, 8, 50, 3), (64, 16, 5, 5), (8, None, 50, None)])
+    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, jobs, cpus, tasks, workers):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        FakePool.started = []
+        out = montecarlo._parallel_map(abs, list(range(-tasks, 0)), jobs)
+        assert out == list(range(tasks, 0, -1))
+        assert FakePool.started == ([workers] if workers else [])
+
+    def test_one_task_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        FakePool.started = []
+        assert montecarlo._parallel_map(abs, [-3], 8) == [3]
+        assert FakePool.started == []
+
+
+class TestReplicaBounds:
+    def test_reps_above_stream_block_rejected(self):
+        # checked at entry, before any replica runs
+        too_many = 2**32 + 1
+        calls = [
+            lambda: estimate_mean_subsequence(2, 2, "strict", too_many, seed=0),
+            lambda: estimate_poissonized(1.0, 4, 1.0, "weak", too_many, seed=0),
+            lambda: stationarity_test(1.0, 1.0, 1.0, "strict", 2, too_many, seed=0),
+            lambda: deviation_profile(1.0, 4, 1.0, "weak", [0.5], too_many, seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="reps must be <= 2\\*\\*32"):
+                call()
 
 
 class TestStationarity:
@@ -125,6 +187,11 @@ class TestDeviationProfile:
         assert bound < 1.0
         slack = 4 * math.sqrt(bound * (1 - bound) / prof.reps)
         assert prof.upper_freq[0] <= bound + slack
+
+    def test_reps_validation(self):
+        for reps in (0, 1):
+            with pytest.raises(ValueError, match="reps must be >= 2"):
+                deviation_profile(10.0, 20, 1.0, "strict", [0.5], reps=reps, seed=0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

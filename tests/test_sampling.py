@@ -7,9 +7,33 @@ import pytest
 from conftest import assert_cellwise_four_sigma, assert_chi_square_pmf, assert_within_sigma
 from ulam.bounds import BoundaryRates
 from ulam.sampling import (BoundarySample, MultisetWord, PlanarPointSet,
-                           make_rng, sample_boundary, sample_poisson_cloud,
-                           sample_uniform_multiset_permutation,
+                           _uniform_positions, make_rng, sample_boundary,
+                           sample_poisson_cloud, sample_uniform_multiset_permutation,
                            sample_uniform_permutation)
+
+
+def per_row_cloud(x, t, lam, rng):
+    """The cloud sampler as one draw per row: the reference for the
+    single-draw sampler."""
+    counts = rng.poisson(lam * x, size=t)
+    return [_uniform_positions(rng, int(c), x) for c in counts]
+
+
+class QuantizedRng:
+    """A generator whose uniforms sit on a grid of 64 values, so rows hold
+    exact duplicates; it shares the stream state of the generator it wraps."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.random_calls = 0
+
+    def poisson(self, *args, **kwargs):
+        return self.rng.poisson(*args, **kwargs)
+
+    def random(self, size):
+        self.random_calls += 1
+        return np.floor(self.rng.random(size) * 64) / 64
 
 
 class TestRngStream:
@@ -35,6 +59,13 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             make_rng(-1, 0)
+
+    def test_seed_and_stream_id_below_2_64(self):
+        # masked to 64 bits, 2**64 would replay the stream of 0
+        make_rng(2**64 - 1, 2**64 - 1)
+        for seed, stream_id in ((2**64, 0), (0, 2**64), (2**70, 3)):
+            with pytest.raises(ValueError, match="below 2\\*\\*64"):
+                make_rng(seed, stream_id)
 
     def test_sample_serialization_roundtrip(self):
         w1 = sample_uniform_multiset_permutation(6, 3, make_rng(9, 4))
@@ -96,6 +127,33 @@ class TestPoissonCloud:
         for bad in [(-1, 1, 1), (1, 1, -2), (1, 0, 1)]:
             with pytest.raises(ValueError):
                 sample_poisson_cloud(*bad, rng)
+
+    @pytest.mark.parametrize("x, t, lam", [(100.0, 100, 1.0), (1.0, 1, 1.0),
+                                           (0.5, 6, 1.0), (2.0, 3, 0.3)])
+    def test_single_draw_matches_per_row_draws(self, x, t, lam):
+        # the tiny geometries give t = 1 and rows with 0 or 1 point
+        for seed in range(200):
+            rng, ref = make_rng(seed, 9), make_rng(seed, 9)
+            cloud = sample_poisson_cloud(x, t, lam, rng)
+            rows = per_row_cloud(x, t, lam, ref)
+            assert len(cloud.row_positions) == t
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(cloud.row_positions, rows))
+            # both leave the stream at the same place
+            assert rng.random() == ref.random()
+
+    def test_duplicate_draw_replays_per_row_stream(self):
+        replayed = 0
+        for seed in range(40):
+            rng = QuantizedRng(make_rng(seed, 10))
+            ref = QuantizedRng(make_rng(seed, 10))
+            cloud = sample_poisson_cloud(1.0, 5, 4.0, rng)
+            rows = per_row_cloud(1.0, 5, 4.0, ref)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(cloud.row_positions, rows))
+            assert rng.rng.random() == ref.rng.random()
+            replayed += rng.random_calls > 1
+        assert replayed > 0
 
     def test_rows_sorted_in_range(self):
         cloud = sample_poisson_cloud(3.0, 3, 5.0, make_rng(8))
@@ -189,6 +247,20 @@ class TestDomainTypes:
             PlanarPointSet((np.asarray([1.5]),), 1.0)
         with pytest.raises(ValueError):
             PlanarPointSet((np.asarray([0.0]),), 1.0)
+
+    def test_point_set_names_the_bad_row(self):
+        with pytest.raises(ValueError, match="row 2: positions must be sorted"):
+            PlanarPointSet((np.asarray([0.1, 0.2]), np.asarray([0.6, 0.3])), 1.0)
+        with pytest.raises(ValueError, match="row 3: duplicate"):
+            PlanarPointSet((np.asarray([0.1]), np.empty(0), np.asarray([0.4, 0.4])), 1.0)
+        with pytest.raises(ValueError, match="row 2: positions must lie"):
+            PlanarPointSet((np.asarray([0.1]), np.asarray([0.5, 1.5])), 1.0)
+
+    def test_point_set_accepts_equal_x_on_other_rows(self):
+        # neighbours across a row boundary may be equal or decrease
+        ps = PlanarPointSet((np.asarray([0.2, 0.5]), np.asarray([0.5]),
+                             np.asarray([0.1, 0.9])), 1.0)
+        assert ps.size == 5
 
     def test_chain_rows_tie_break(self):
         # equal x, rows listed descending so equal-x pairs can never chain
