@@ -10,9 +10,9 @@ from .bounds import (BoundaryRates, MeanBound, mean_bound, optimal_rates_strict,
 from .couplings import (CoupledSample, estimate_expected_lis, group_heights,
                         poissonized_coupling_lower, poissonized_coupling_upper,
                         project_to_multiset)
-from .hammersley import (DynamicsRecord, ParticleState, ProcessRun, Witness,
-                         batch_particle_counts, extract_witness, run_dynamics,
-                         run_process, step_strict, step_weak, verify_line_identity)
+from .hammersley import (DynamicsRecord, ParticleState, Witness, batch_particle_counts,
+                         extract_witness, run_dynamics, run_process, step_strict,
+                         step_weak, verify_line_identity)
 from .montecarlo import (DepoissonizationReport, DeviationProfile, EstimateReport,
                          StationarityReport, depoissonization_report,
                          deviation_profile, estimate_mean_subsequence,
@@ -27,7 +27,7 @@ from .subsequences import (brute_force_longest_chain, exact_expected_lis,
 __all__ = [
     "BoundaryRates", "BoundarySample", "CoupledSample", "DepoissonizationReport",
     "DeviationProfile", "DynamicsRecord", "EstimateReport", "MeanBound",
-    "MultisetWord", "ParticleState", "PlanarPointSet", "ProcessRun", "RngStream",
+    "MultisetWord", "ParticleState", "PlanarPointSet", "RngStream",
     "StationarityReport", "Witness", "batch_particle_counts",
     "brute_force_longest_chain",
     "depoissonization_report", "deviation_profile", "estimate_expected_lis",

@@ -2,10 +2,10 @@
 
 Subcommands: sample, lis, simulate, estimate, verify, tails.  Every command
 accepts --seed (default from ULAM_SEED, then 0) and --config with key=value
-lines (flags override config).  Commands that write files record a
-RunManifest next to their outputs before the results are written; ``ulam
---manifest FILE`` replays a recorded run and reproduces its outputs
-byte for byte.
+lines, each key an option of that command (flags override config).
+Commands that write files record a RunManifest next to their outputs before
+the results are written; ``ulam --manifest FILE`` replays a recorded run and
+reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 verification or certificate failure, 2 usage or
 domain error.
@@ -129,7 +129,7 @@ def _parse_word_text(text: str):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         return None
-    if len(lines) == 1 and "," in lines[0]:
+    if len(lines) == 1:
         cells = [c.strip() for c in lines[0].split(",")]
         try:
             return [int(c) for c in cells]
@@ -317,7 +317,23 @@ def _default_seed() -> int:
     return int(os.environ.get("ULAM_SEED", "0"))
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+def _config_defaults(sub: argparse.ArgumentParser, command: str, config: dict) -> dict:
+    """Config values by destination; a key names an option of the subcommand
+    (``lambda``, ``max-x``) or its destination (``lam``, ``max_x``)."""
+    dests = {name.lstrip("-").replace("-", "_"): a.dest for a in sub._actions
+             for name in (*a.option_strings, a.dest) if a.dest not in ("help", "config")}
+    unknown = [key for key in config if key not in dests]
+    if unknown:
+        raise UsageError(f"config key {unknown[0]!r} is not an option of {command!r}")
+    return {dests[key]: val for key, val in config.items()}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ulam", description=__doc__)
     parser.add_argument("--manifest", help="replay a recorded run manifest")
     sub = parser.add_subparsers(dest="_command")
@@ -325,7 +341,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--config", default=None)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("sample", help="sample uniform multiset words")
     common(p)
@@ -365,6 +380,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--order", choices=("strict", "weak"), default="strict")
     p.add_argument("--reps", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", default="ulam-estimate")
     p.set_defaults(func=cmd_estimate)
 
@@ -380,25 +396,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", default="all",
                    help="poisson | binomial | geomsum | all | a specific kind")
-    p.add_argument("--grid", default="default", choices=("default",))
     p.add_argument("--out", default="tails.csv")
     p.set_defaults(func=cmd_tails)
-
-    if config:
-        for sp in sub.choices.values():
-            sp.set_defaults(**config)
     return parser
 
 
 def _replay(manifest_path: str) -> int:
     data = json.loads(Path(manifest_path).read_text())
-    parser = build_parser()
-    sub_actions = next(a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction))
+    commands = _subcommands(build_parser())
     command = data["command"]
-    if command not in sub_actions.choices:
+    if command not in commands:
         raise UsageError(f"manifest names unknown command {command!r}")
-    args = sub_actions.choices[command].parse_args([])
+    args = commands[command].parse_args([])
     for key, val in data["parameters"].items():
         setattr(args, key, val)
     args._command = command
@@ -412,17 +421,16 @@ def main(argv=None) -> int:
             if len(argv) != 2:
                 raise UsageError("--manifest takes exactly one file argument")
             return _replay(argv[1])
-        config = {}
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise UsageError("--config needs a file argument")
-            config = _read_config(argv[idx + 1])
-        parser = build_parser(config)
+        parser = build_parser()
         args = parser.parse_args(argv)
         if getattr(args, "_command", None) is None:
             parser.print_usage(sys.stderr)
             return 2
+        if args.config is not None:
+            sub = _subcommands(parser)[args._command]
+            sub.set_defaults(**_config_defaults(sub, args._command,
+                                                _read_config(args.config)))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

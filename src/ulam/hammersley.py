@@ -17,12 +17,16 @@ strict step (one row, optional sink):
 weak step (one row, sink multiplicity s):
   * min(s, #particles) leftmost particles exit; no points are invalidated;
   * each remaining particle, left to right, moves to the smallest
-    still-available row point strictly below its old position, consuming
-    only that point;
+    still-available row point below its old position, consuming only that
+    point;
   * every unconsumed row point spawns a new particle.  (Points below the old
     maximum can be born too: a pair of same-row points left of a particle
     already forms a weak chain of length two, so both locations must carry
     particles afterwards.)
+
+Equal x follows the chain order of `PlanarPointSet.chain_rows` (ties by row
+descending): a row point at the x of a particle, which comes from an earlier
+row or is a source, ranks below it.  "Below" a particle includes its x.
 
 With boundary data, sources are the initial particle configuration and the
 particle count plus the total sink multiplicity equals the boundary chain
@@ -54,11 +58,10 @@ class ParticleState:
         if self.exits < 0:
             raise ValueError("exits must be nonnegative")
         p = self.positions
-        if p.size:
-            if p[0] < 0 or p[-1] > self.x_max:
-                raise ValueError("positions must lie in [0, x_max]")
-            if p.size > 1 and np.any(np.diff(p) <= 0):
-                raise ValueError("positions must be strictly increasing")
+        if p.size and not (p[0] >= 0 and p[-1] <= self.x_max):
+            raise ValueError("positions must lie in [0, x_max]")
+        if p.size > 1 and not np.all(np.diff(p) > 0):
+            raise ValueError("positions must be strictly increasing")
 
     @property
     def count(self) -> int:
@@ -71,23 +74,21 @@ def empty_state(x_max: float) -> ParticleState:
 
 def _check_row_points(pts: np.ndarray, x_max: float) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
-    if pts.size:
-        if pts[0] <= 0 or pts[-1] > x_max:
-            raise ValueError("row points must lie in (0, x_max]")
-        if pts.size > 1 and np.any(np.diff(pts) < 0):
-            raise ValueError("row points must be sorted")
+    if pts.size and not (pts[0] > 0 and pts[-1] <= x_max):
+        raise ValueError("row points must lie in (0, x_max]")
+    if pts.size > 1 and not np.all(np.diff(pts) >= 0):
+        raise ValueError("row points must be sorted")
     return pts
 
 
-def step_strict(state: ParticleState, row_points, sink_present: bool) -> ParticleState:
-    pts = _check_row_points(row_points, state.x_max)
-    y = state.positions
-    exits = state.exits
+def _strict_rule(y: np.ndarray, pts: np.ndarray, sink: bool) -> tuple[np.ndarray, int]:
+    """One strict step on plain arrays: (new positions, number of exits)."""
+    n_exit = 0
     old_max = float(y[-1]) if y.size else 0.0
-    if sink_present:
+    if sink:
         if y.size:
-            exits += 1
-            pts = pts[pts >= y[0]]  # exit swallows everything below the old position
+            n_exit = 1
+            pts = pts[pts > y[0]]  # exit swallows everything below the old position
             y = y[1:]
         else:
             # A sink with no particle to absorb still swallows the whole row:
@@ -107,29 +108,37 @@ def step_strict(state: ParticleState, row_points, sink_present: bool) -> Particl
         j = int(np.searchsorted(pts, old_max, side="right"))
         if j < pts.size:
             new_y = np.append(new_y, pts[j])
-    return ParticleState(new_y, exits, state.x_max)
+    return new_y, n_exit
+
+
+def _weak_rule(y: np.ndarray, pts: np.ndarray, sink: int) -> tuple[np.ndarray, int]:
+    """One weak step on plain arrays: (new positions, number of exits)."""
+    n_exit = min(sink, y.size)
+    pt_list = pts.tolist()
+    i, r = 0, len(pt_list)
+    new_pos: list[float] = []
+    for pos in y[n_exit:].tolist():
+        if i < r and pt_list[i] <= pos:
+            new_pos.append(pt_list[i])
+            i += 1
+        else:
+            new_pos.append(pos)
+    new_pos.extend(pt_list[i:])  # every unconsumed point is born
+    return np.asarray(new_pos, dtype=float), n_exit
+
+
+def step_strict(state: ParticleState, row_points, sink_present: bool) -> ParticleState:
+    pts = _check_row_points(row_points, state.x_max)
+    new_y, n_exit = _strict_rule(state.positions, pts, bool(sink_present))
+    return ParticleState(new_y, state.exits + n_exit, state.x_max)
 
 
 def step_weak(state: ParticleState, row_points, sink_multiplicity: int) -> ParticleState:
     if sink_multiplicity < 0:
         raise ValueError("sink multiplicity must be nonnegative")
     pts = _check_row_points(row_points, state.x_max)
-    y = state.positions
-    n_exit = min(int(sink_multiplicity), y.size)
-    exits = state.exits + n_exit
-    remaining = y[n_exit:].tolist()
-    pt_list = pts.tolist()
-    i = 0
-    r = len(pt_list)
-    new_pos: list[float] = []
-    for pos in remaining:
-        if i < r and pt_list[i] < pos:
-            new_pos.append(pt_list[i])
-            i += 1
-        else:
-            new_pos.append(pos)
-    new_pos.extend(pt_list[i:])  # every unconsumed point is born
-    return ParticleState(np.asarray(new_pos), exits, state.x_max)
+    new_y, n_exit = _weak_rule(state.positions, pts, int(sink_multiplicity))
+    return ParticleState(new_y, state.exits + n_exit, state.x_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,19 +148,18 @@ class DynamicsRecord:
     state: ParticleState
     counts: np.ndarray       # particle count after each step, length t_max
     exit_counts: np.ndarray  # cumulative exits after each step
+    cloud: PlanarPointSet
+    boundary: BoundarySample | None
     events: list | None = None       # (step, particle_index, position, event)
     line_visits: list | None = None  # per line: [(x, row), ...] points visited
 
 
-def _diff_events(step: int, old: ParticleState, new: ParticleState,
+def _diff_events(step: int, old_pos: np.ndarray, new_pos: np.ndarray, n_exit: int,
                  events: list, line_ids: list[int], visits: list[list]) -> None:
-    n_exit = new.exits - old.exits
-    old_pos = old.positions
     for j in range(n_exit):
         events.append((step, j, float(old_pos[j]), "exit"))
     del line_ids[:n_exit]
     rem = old_pos[n_exit:]
-    new_pos = new.positions
     for j in range(rem.size):
         if new_pos[j] != rem[j]:
             events.append((step, n_exit + j, float(new_pos[j]), "move"))
@@ -166,39 +174,39 @@ def _diff_events(step: int, old: ParticleState, new: ParticleState,
 
 def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
                  variant: str, trace: bool = False) -> DynamicsRecord:
-    """Apply the deterministic dynamics of one variant to a given cloud."""
+    """Apply the deterministic dynamics of one variant to a given cloud.
+
+    Input is checked once, here (the cloud checked its rows when built), and
+    the rows then step on plain arrays.
+    """
     _check_variant(variant)
     if boundary is not None:
         if boundary.sinks.size != cloud.t_max:
             raise ValueError("need one sink multiplicity per row")
         if variant == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
             raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
-        if boundary.sources.size and boundary.sources[-1] > cloud.x_max:
-            raise ValueError("sources must lie within [0, x_max]")
-        state = ParticleState(boundary.sources.astype(float), 0, cloud.x_max)
+        y = ParticleState(boundary.sources.astype(float), 0, cloud.x_max).positions
+        sinks = boundary.sinks.tolist()
     else:
-        state = empty_state(cloud.x_max)
-    events: list | None = [] if trace else None
-    visits: list[list] | None = None
-    line_ids: list[int] | None = None
-    if trace:
-        visits = [[(float(x), 0)] for x in state.positions]
-        line_ids = list(range(len(visits)))
+        y = np.empty(0)
+        sinks = [0] * cloud.t_max
+    rule = _strict_rule if variant == "strict" else _weak_rule
+    exits = 0
+    events = [] if trace else None
+    visits = [[(float(x), 0)] for x in y] if trace else None
+    line_ids = list(range(y.size)) if trace else None
     counts = np.empty(cloud.t_max, dtype=np.int64)
     exit_counts = np.empty(cloud.t_max, dtype=np.int64)
-    for step in range(1, cloud.t_max + 1):
-        pts = cloud.row(step)
-        sink = int(boundary.sinks[step - 1]) if boundary is not None else 0
-        if variant == "strict":
-            new_state = step_strict(state, pts, sink_present=bool(sink))
-        else:
-            new_state = step_weak(state, pts, sink_multiplicity=sink)
+    for step, (pts, sink) in enumerate(zip(cloud.row_positions, sinks), start=1):
+        new_y, n_exit = rule(y, pts, sink)
         if trace:
-            _diff_events(step, state, new_state, events, line_ids, visits)
-        state = new_state
-        counts[step - 1] = state.count
-        exit_counts[step - 1] = state.exits
-    return DynamicsRecord(state, counts, exit_counts, events, visits)
+            _diff_events(step, y, new_y, n_exit, events, line_ids, visits)
+        y = new_y
+        exits += n_exit
+        counts[step - 1] = y.size
+        exit_counts[step - 1] = exits
+    return DynamicsRecord(ParticleState(y, exits, cloud.x_max), counts, exit_counts,
+                          cloud, boundary, events, visits)
 
 
 # --- replica-batched row steps ----------------------------------------------
@@ -332,19 +340,9 @@ def batch_particle_counts(clouds, variant: str) -> np.ndarray:
     return np.diff(np.searchsorted(y, tops), prepend=0)
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessRun:
-    state: ParticleState
-    counts: np.ndarray
-    exit_counts: np.ndarray
-    cloud: PlanarPointSet
-    boundary: BoundarySample | None
-    events: list | None = None
-
-
 def run_process(x: float, t: int, lam: float, variant: str,
                 rates: BoundaryRates | None, rng: RngStream,
-                trace: bool = False) -> ProcessRun:
+                trace: bool = False) -> DynamicsRecord:
     """Sample a cloud (and boundary, if rates are given) and run the dynamics.
 
     Draw order is cloud first, then boundary, so runs are reproducible from
@@ -357,9 +355,7 @@ def run_process(x: float, t: int, lam: float, variant: str,
         if rates.variant != variant:
             raise ValueError("rates variant does not match process variant")
         boundary = sample_boundary(x, t, rates, rng)
-    rec = run_dynamics(cloud, boundary, variant, trace=trace)
-    return ProcessRun(rec.state, rec.counts, rec.exit_counts, cloud, boundary,
-                      rec.events)
+    return run_dynamics(cloud, boundary, variant, trace=trace)
 
 
 def verify_line_identity(cloud: PlanarPointSet, boundary: BoundarySample | None,

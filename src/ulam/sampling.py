@@ -78,8 +78,8 @@ class PlanarPointSet:
     x_max: float
 
     def __post_init__(self) -> None:
-        if self.x_max <= 0:
-            raise ValueError("x_max must be positive")
+        if not self.x_max > 0:  # range checks are written so that NaN fails them
+            raise ValueError(f"x_max must be positive, got {self.x_max}")
         rows = self.row_positions
         if any(xs.ndim != 1 for xs in rows):
             raise ValueError("row positions must be 1-d arrays")
@@ -89,9 +89,9 @@ class PlanarPointSet:
         if not flat.size:
             return
         ends = np.cumsum([xs.size for xs in rows])
-        if flat.min() <= 0 or flat.max() > self.x_max:
-            i = int(np.flatnonzero((flat <= 0) | (flat > self.x_max))[0])
-            row = int(np.searchsorted(ends, i, side="right")) + 1
+        outside = np.flatnonzero(~((flat > 0) & (flat <= self.x_max)))
+        if outside.size:
+            row = int(np.searchsorted(ends, outside[0], side="right")) + 1
             raise ValueError(f"row {row}: positions must lie in (0, x_max]")
         bad = np.flatnonzero(np.diff(flat) <= 0)
         bad = bad[np.searchsorted(ends, bad, side="right")

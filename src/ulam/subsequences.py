@@ -18,16 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bounds import _check_variant
 from .sampling import BoundarySample, MultisetWord, PlanarPointSet
 
-ORDERS = ("strict", "weak")
-
 _BRUTE_FORCE_CAP = 2000
-
-
-def _check_order(order: str) -> None:
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
 
 
 def _row_sequence(obj) -> np.ndarray:
@@ -124,7 +118,7 @@ def _boundary_nodes(points: PlanarPointSet, boundary: BoundarySample):
 
 def _boundary_chain(points: PlanarPointSet, boundary: BoundarySample, order: str,
                     witness: bool):
-    _check_order(order)
+    _check_variant(order)
     if order == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
         raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
     xs, rows, kinds = _boundary_nodes(points, boundary)
@@ -197,7 +191,7 @@ def brute_force_longest_chain(obj, boundary: BoundarySample | None = None,
     Kept deliberately separate from the patience machinery so the two code
     paths can certify each other.  Capped at 2000 elements.
     """
-    _check_order(order)
+    _check_variant(order)
     xs, ys, kinds = _as_nodes(obj, boundary)
     n = xs.size
     if n > _BRUTE_FORCE_CAP:

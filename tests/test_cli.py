@@ -67,6 +67,18 @@ class TestLis:
         res = run_cli("lis", "--word", "a,b,c")
         assert res.returncode == 2
 
+    def test_one_letter_word(self, capsys):
+        for order in ("strict", "weak"):
+            assert main(["lis", "--word", "5", "--order", order]) == 0
+            assert capsys.readouterr().out.strip() == "1"
+
+    def test_nan_point_exits_2(self, tmp_path, capsys):
+        assert main(["lis", "--word", "nan,1"]) == 2
+        f = tmp_path / "pts.csv"
+        f.write_text("0.5,1\nnan,2\n")
+        assert main(["lis", "--input", str(f)]) == 2
+        assert "must lie in" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_counts_non_decreasing(self, tmp_path):
@@ -208,6 +220,30 @@ class TestReproducibility:
         assert capsys.readouterr().out.strip() == "2"
         assert main(["lis", "--config", str(cfg), "--order", "strict"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sed = 3\n")
+        assert main(["sample", "--n", "2", "--k", "1", "--count", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "w.csv")]) == 2
+        assert "'sed'" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+        # an option of another subcommand is not one of this one
+        cfg.write_text("reps = 3\n")
+        assert main(["lis", "--word", "1,2", "--config", str(cfg)]) == 2
+        assert "'reps'" in capsys.readouterr().err
+
+    def test_config_keys_by_option_name(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = 2\nt = 5\nlambda = 1.5\nout-dir = %s\n" % (tmp_path / "s"))
+        assert main(["simulate", "--config", str(cfg), "--seed", "4"]) == 0
+        man = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert man["parameters"]["lam"] == 1.5 and man["seed"] == 4
+
+    def test_jobs_only_on_estimate(self, capsys):
+        for argv in (["verify", "--jobs", "2"], ["tails", "--grid", "default"]):
+            res = run_cli(*argv)
+            assert res.returncode == 2 and "unrecognized arguments" in res.stderr
 
     def test_jobs_flag_result_invariant(self, tmp_path):
         d1, d2 = tmp_path / "j1", tmp_path / "j8"

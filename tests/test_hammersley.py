@@ -12,7 +12,8 @@ from ulam.hammersley import (ParticleState, batch_particle_counts, empty_state,
                              step_strict, step_weak, verify_line_identity)
 from ulam.sampling import (BoundarySample, PlanarPointSet, make_rng,
                            sample_boundary, sample_poisson_cloud)
-from ulam.subsequences import lis_strict, lnds_weak, longest_chain_with_boundary
+from ulam.subsequences import (brute_force_longest_chain, lis_strict, lnds_weak,
+                               longest_chain_with_boundary)
 
 
 def state(*positions, exits=0, x_max=1.0):
@@ -58,6 +59,14 @@ class TestStepStrict:
     def test_rejects_out_of_range_points(self):
         with pytest.raises(ValueError):
             step_strict(state(0.5), [1.5], sink_present=False)
+        with pytest.raises(ValueError):
+            step_strict(state(0.5), [np.nan], sink_present=False)
+
+    def test_exit_swallows_point_at_its_x(self):
+        # the row point at the exiting particle's x ranks below it
+        s = step_strict(state(0.4, 0.7), [0.4, 0.5], sink_present=True)
+        assert s.positions.tolist() == [0.5]
+        assert s.exits == 1
 
 
 class TestStepWeak:
@@ -87,6 +96,12 @@ class TestStepWeak:
     def test_two_particles_share_row_points_in_order(self):
         s = step_weak(state(0.4, 0.5), [0.3], sink_multiplicity=0)
         assert s.positions.tolist() == [0.3, 0.5]
+
+    def test_point_at_particle_x_is_consumed(self):
+        # the row point at a particle's x ranks below it, so the particle
+        # takes it and nothing is born on top of the particle
+        s = step_weak(state(0.5, 0.8), [0.5, 0.8], sink_multiplicity=0)
+        assert s.positions.tolist() == [0.5, 0.8]
 
 
 class TestRunDynamics:
@@ -125,6 +140,42 @@ class TestRunDynamics:
         b = BoundarySample(np.empty(0), np.asarray([2], dtype=np.int64))
         with pytest.raises(ValueError):
             run_dynamics(cloud, b, "strict")
+
+    def test_rejects_sources_outside_the_range(self):
+        cloud = PlanarPointSet((np.empty(0),), 1.0)
+        for sources in ([0.5, 1.5], [np.nan]):
+            b = BoundarySample(np.asarray(sources), np.zeros(1, dtype=np.int64))
+            with pytest.raises(ValueError, match="positions must lie"):
+                run_dynamics(cloud, b, "weak")
+
+    def test_input_checked_once_per_run(self, monkeypatch):
+        # the rows step on plain arrays: a state is built for the sources at
+        # entry and for the result, and no row is re-checked
+        built = []
+        check = ParticleState.__post_init__
+        monkeypatch.setattr(ParticleState, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        monkeypatch.setattr(hammersley, "_check_row_points", None)
+        rng = make_rng(29)
+        for rates in (BoundaryRates.strict_from_alpha(1.0, 1.0),
+                      BoundaryRates.weak_from_beta(1.0, 2.0)):
+            built.clear()
+            run = run_process(6.0, 40, 1.0, rates.variant, rates, rng)
+            assert len(built) == 2 and built[-1] is run.state
+
+    def test_run_process_record_carries_its_input(self):
+        rates = BoundaryRates.weak_from_beta(1.0, 2.0)
+        run = run_process(4.0, 6, 1.0, "weak", rates, make_rng(30))
+        rng = make_rng(30)
+        cloud = sample_poisson_cloud(4.0, 6, 1.0, rng)
+        b = sample_boundary(4.0, 6, rates, rng)
+        assert [r.tolist() for r in run.cloud.row_positions] == \
+            [r.tolist() for r in cloud.row_positions]
+        assert run.boundary.sources.tolist() == b.sources.tolist()
+        assert run.boundary.sinks.tolist() == b.sinks.tolist()
+        rec = run_dynamics(cloud, b, "weak")
+        assert run.counts.tolist() == rec.counts.tolist()
+        assert run.exit_counts.tolist() == rec.exit_counts.tolist()
 
 
 class TestLineIdentity:
@@ -217,9 +268,39 @@ sampled_cloud = st.tuples(st.integers(min_value=0, max_value=10_000),
     lambda a: sample_poisson_cloud(a[1], a[2], a[3], make_rng(a[0], 30)))
 
 
-def distinct_x(cloud) -> bool:
-    xs = [x for x, _ in cloud.points()]
-    return len(set(xs)) == len(xs)
+def grid_boundary(t: int, top_sink: int):
+    """Sources on the grid of `grid_cloud` and t sink multiplicities."""
+    return st.tuples(st.sets(st.integers(min_value=1, max_value=6)),
+                     st.lists(st.integers(min_value=0, max_value=top_sink),
+                              min_size=t, max_size=t)).map(
+        lambda a: BoundarySample(np.asarray(sorted(a[0]), dtype=float) / 2,
+                                 np.asarray(a[1], dtype=np.int64)))
+
+
+class TestEqualX:
+    """A row point at the x of a particle ranks below it, as in the chain
+    order (x ascending, equal x by row descending)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_line_identity_on_grid_clouds(self, data):
+        cloud = data.draw(grid_cloud)
+        for variant, top_sink in (("strict", 1), ("weak", 2)):
+            assert verify_line_identity(cloud, None, variant)
+            boundary = data.draw(grid_boundary(cloud.t_max, top_sink))
+            assert verify_line_identity(cloud, boundary, variant)
+
+    def test_weak_equal_x_on_two_rows(self):
+        cloud = PlanarPointSet.from_points([(0.5, 1), (0.5, 2)], 1.0, 2)
+        assert run_dynamics(cloud, None, "weak").state.count == lnds_weak(cloud) == 1
+
+    def test_strict_sink_exit_at_a_row_points_x(self):
+        cloud = PlanarPointSet.from_points([(0.5, 2), (1.5, 1), (2.5, 2)], 3.5, 2)
+        b = BoundarySample(np.asarray([1.5, 3.0]), np.asarray([1, 0]))
+        rec = run_dynamics(cloud, b, "strict")
+        assert rec.state.count + b.total_sinks == 2
+        assert longest_chain_with_boundary(cloud, b, "strict") == 2
+        assert brute_force_longest_chain(cloud, b, "strict") == 2
 
 
 class TestBatchParticleCounts:
@@ -230,10 +311,7 @@ class TestBatchParticleCounts:
             counts = batch_particle_counts(iter(clouds), variant)
             assert counts.tolist() == [chain(c) for c in clouds]
             for cloud, count in zip(clouds, counts):
-                # the scalar weak step cannot place a point on a particle's
-                # own x, so equal x across rows is checked by lnds_weak only
-                if variant == "strict" or distinct_x(cloud):
-                    assert count == run_dynamics(cloud, None, variant).state.count
+                assert count == run_dynamics(cloud, None, variant).state.count
 
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_empty_inputs(self, variant):

@@ -247,6 +247,11 @@ class TestDomainTypes:
             PlanarPointSet((np.asarray([1.5]),), 1.0)
         with pytest.raises(ValueError):
             PlanarPointSet((np.asarray([0.0]),), 1.0)
+        # NaN fails every comparison, so the checks must reject it as well
+        with pytest.raises(ValueError, match="row 2: positions must lie"):
+            PlanarPointSet((np.asarray([0.2]), np.asarray([0.1, np.nan, 0.5])), 1.0)
+        with pytest.raises(ValueError, match="x_max must be positive"):
+            PlanarPointSet((np.asarray([0.5]),), float("nan"))
 
     def test_point_set_names_the_bad_row(self):
         with pytest.raises(ValueError, match="row 2: positions must be sorted"):
