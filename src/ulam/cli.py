@@ -438,6 +438,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a missing or unreadable --config, --input or manifest
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

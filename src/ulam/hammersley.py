@@ -212,29 +212,81 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # --- replica-batched row steps ----------------------------------------------
 #
 # The particles after row i are the patience tails of rows 1..i (Hammersley
-# 1972; Aldous & Diaconis 1995), so the final particle count of a cloud is
-# its chain length.  The batched kernel runs the boundary-free dynamics of
-# many clouds at once, one row per step.  Each point is keyed by an integer
-#     key = (replica << shift) | (rank of the point in its cloud's chain order),
-# with 2**shift above every cloud's size.  Chain order is x ascending, ties
-# by row descending (as in `PlanarPointSet.chain_rows`), so keys are
-# distinct, an equal-x pair can never chain, and the dynamics on keys give
-# the chain lengths of the original clouds.  The particles of all replicas
-# then form one sorted array in which replica r holds the keys in
-# [r << shift, (r + 1) << shift), and one numpy call over it answers a
-# question for every replica at once.  Keys are int32 when they fit, which
-# halves the batch's memory, and int64 otherwise.
+# 1972; Aldous & Diaconis 1995), so a cloud's final particle count is its
+# chain length; a word is the cloud {(position, letter)}, a row per letter.
+# The kernel steps many replicas at once, a few numpy calls per row, on keys
+#     (replica << shift) | (rank of the point in its replica's chain order),
+# 2**shift above every replica's size (int32 if they fit, else int64).  Chain
+# order is x ascending, ties by row descending (as in `chain_rows`), and a
+# word's positions are their own ranks: keys are distinct, and an equal-x
+# pair never chains.
+#
+# The slab: row r of an (R, C) array holds replica r's particles ascending,
+# padded with ((r + 1) << shift) - 1, between replica r's keys and r + 1's.
+# The flat slab is sorted, so one searchsorted of a row's points (by replica,
+# then x) gives each point its cell r*C + g, g counting replica r's particles
+# below it.  A step is one write of points into cells:
+#   strict: the first point of a cell lies in the gap of the cell's particle
+#     and moves it there or, in the first padding cell, is born; the cell's
+#     other points are swallowed.
+#   weak: let a replica's row points p_0 < p_1 < ... have g_0, g_1, ...
+#     particles below.  The greedy matching moves each particle to the least
+#     free point below it; a particle stays, in its cell, exactly when every
+#     point below it is taken.  With particles as closing and points as
+#     opening brackets, max_{i<=m} (g_i - i) particles below p_m stay, and the
+#     other new particles below p_m are p_0..p_{m-1}, so p_m lands in cell
+#     m + max_{i<=m} (g_i - i), over the particle that takes it or, left over,
+#     born above the new maximum.  In global cells and point indices that is
+#     one cumulative maximum over the whole row.
+# Capacity: with at most L particles and m row points per replica, the writes
+# stay below cell L + m of their slab row, and the cumulative maximum restarts
+# at each replica, if C >= L + m.  The slab doubles when C < 2 (L + m), so L
+# is counted only every few rows.
 
 
-def _chain_keys(clouds) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    """Keys of each cloud's points, row bounds into them, and the shift.
+def _key_dtype(reps: int, shift: int):
+    if reps << shift >= 1 << 63:
+        raise ValueError("too many points in one batch for int64 keys")
+    return np.int64 if reps << shift >= 1 << 31 else np.int32
 
-    Rows are laid out top-down within a cloud, so a stable sort ranks the
-    higher row first among equal x; the quicker unstable sort serves when
-    no two x are equal.  Row i (from 1) of a cloud is
-    ``keys[bounds[i]:bounds[i - 1]]``.  A cloud is dropped once keyed.
-    """
-    keys, bounds = [], []
+
+def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: int,
+                 most: int, variant: str) -> np.ndarray:
+    """Final particle count of each replica, given their sizes.  Their rows
+    are ``keys[bounds[i]:bounds[i + 1]]``, each ordered by replica, then x,
+    with at most ``most`` points of one replica.  Empty replicas take no
+    slab row."""
+    owners = np.flatnonzero(sizes)
+    pad = ((owners.astype(keys.dtype)[:, None] + 1) << shift) - 1
+    slab = np.repeat(pad, 2 * most, axis=1)
+    ramp = np.arange(max(np.diff(bounds), default=0))
+    live = 0  # an upper bound on every replica's particle count
+    for lo, hi in zip(bounds, bounds[1:]):
+        if live + most > slab.shape[1]:
+            live = int((slab < pad).sum(1).max())
+            if 2 * (live + most) > slab.shape[1]:
+                slab = np.concatenate((slab, np.broadcast_to(pad, slab.shape)), axis=1)
+        flat, pts = slab.reshape(-1), keys[lo:hi]
+        at = np.searchsorted(flat, pts)
+        if variant == "strict":
+            first = np.concatenate(([True], at[1:] != at[:-1]))
+            at, pts = at[first], pts[first]
+        else:
+            at = np.maximum.accumulate(at - ramp[:at.size]) + ramp[:at.size]
+        flat[at] = pts
+        live += 1 if variant == "strict" else most
+    counts = np.zeros(sizes.size, dtype=np.int64)
+    counts[owners] = (slab < pad).sum(1)
+    return counts
+
+
+def _chain_keys(clouds) -> tuple[np.ndarray, list[int], np.ndarray, int, int]:
+    """Keys of a batch of clouds laid out row by row, the bounds of the rows
+    that have points, each cloud's size, the shift, and the most points in
+    one row of a cloud.  Rows are listed top-down, so a stable sort ranks
+    the higher row first among equal x (the quicker unstable sort serves
+    when no two x are equal).  Each cloud is dropped once ranked."""
+    ranks, labels, most = [], [], 0
     for cloud in clouds:
         rows = cloud.row_positions[::-1]
         flat = np.concatenate(rows) if rows else np.empty(0)
@@ -246,98 +298,47 @@ def _chain_keys(clouds) -> tuple[list[np.ndarray], list[np.ndarray], int]:
             order = np.argsort(flat, kind="stable")
         rank = np.empty(flat.size, dtype=np.int32)
         rank[order] = np.arange(flat.size, dtype=np.int32)
-        keys.append(rank)
-        bounds.append(np.cumsum([0] + [xs.size for xs in rows])[::-1])
-    shift = max((k.size for k in keys), default=0).bit_length()
-    if len(keys) << shift >= 1 << 63:
-        raise ValueError("too many points in one batch for int64 keys")
-    if len(keys) << shift >= 1 << 31:
-        keys = [k.astype(np.int64) for k in keys]
-    for r, k in enumerate(keys):
-        k |= r << shift
-    return keys, bounds, shift
-
-
-def _strict_row(y: np.ndarray, pts: np.ndarray, tops: np.ndarray, shift: int) -> np.ndarray:
-    """`step_strict` without sink, applied to every replica's segment.
-
-    A point with g particles below it lies in the gap of particle g when
-    that particle is in the point's replica, and above the replica's old
-    maximum otherwise.  The first point of each (g, replica) group moves
-    particle g there, or is the replica's one birth.
-    """
-    g = np.searchsorted(y, pts)
-    rep = pts >> shift
-    first = np.ones(pts.size, dtype=bool)
-    first[1:] = (g[1:] != g[:-1]) | (rep[1:] != rep[:-1])
-    g, pts, rep = g[first], pts[first], rep[first]
-    moves = np.append(y, tops[-1])[g] < tops[rep]
-    new_y = y.copy()
-    new_y[g[moves]] = pts[moves]
-    # both runs are sorted and replicas never interleave, so a stable sort
-    # (a merge of two runs) restores the order
-    return np.sort(np.concatenate((new_y, pts[~moves])), kind="stable")
-
-
-def _weak_row(y: np.ndarray, pts: np.ndarray, tops: np.ndarray, shift: int) -> np.ndarray:
-    """`step_weak` without sink, applied to every replica's segment.
-
-    In one replica let particles y_1 < ... < y_n meet row points
-    p_1 < ... < p_r, and let c_j be the number of points below y_j.  The
-    greedy left-to-right matching moves y_j to the next unused point
-    exactly when that point lies below y_j, so with u_0 = 0 the number of
-    points used by particles 1..j is
-        u_j = u_{j-1} + [u_{j-1} < c_j] = min(u_{j-1} + 1, c_j),
-    the second form because u_{j-1} <= c_{j-1} <= c_j.  Unrolled,
-        u_j = j + min(0, min_{i<=j} (c_i - i)),
-    one cumulative minimum per replica.  Particle j moves to p_{u_j} when
-    u_j > u_{j-1}, and every point from p_{u_n + 1} on is born.
-
-    Below, indices are global: ``at`` is the index in ``pts`` of p_{u_j},
-    and the replica's first point has index first_p, so at = first_p - 1
-    means no point is used yet.
-    """
-    base = tops - tops[0]
-    first_y = np.searchsorted(y, base)
-    first_p = np.searchsorted(pts, base)
-    rep = y >> shift
-    idx = np.arange(y.size)
-    c = np.cumsum(np.bincount(np.searchsorted(y, pts), minlength=y.size + 1))[:-1]
-    q = (first_p - first_y)[rep]
-    # c_i - i is c - idx - 1 - q; subtracting ``lift`` puts each replica
-    # below all earlier ones, so the running minimum restarts at its first
-    # particle
-    lift = rep.astype(np.int64) * (y.size + pts.size + 1)
-    run = np.minimum.accumulate(c - idx - 1 - q - lift) + lift
-    at = idx + q + np.minimum(0, run)
-    floor = first_p - 1
-    moved = at > np.maximum(np.append(-1, at[:-1]), floor[rep])
-    new_y = np.where(moved, pts[at], y)
-    last = np.maximum(np.append(-1, at)[np.searchsorted(y, tops)], floor)
-    born = np.arange(pts.size) > last[pts >> shift]
-    return np.sort(np.concatenate((new_y, pts[born])), kind="stable")
+        ranks.append(rank)
+        sizes = [xs.size for xs in rows]
+        # row numbers of 16 bits or less sort by radix
+        labels.append(np.repeat(np.arange(len(rows), 0, -1,
+                                          dtype=np.min_scalar_type(len(rows))), sizes))
+        most = max(most, *sizes, 0)
+    sizes = np.asarray([r.size for r in ranks], dtype=np.int64)
+    shift = int(sizes.max(initial=0)).bit_length()
+    dtype = _key_dtype(sizes.size, shift)
+    keys = np.concatenate(ranks, dtype=dtype) if ranks else np.empty(0, dtype)
+    keys |= np.repeat(np.arange(sizes.size, dtype=dtype) << shift, sizes)
+    labels = np.concatenate(labels) if labels else np.empty(0, np.uint8)
+    bounds = np.unique(np.cumsum(np.bincount(labels, minlength=1))).tolist()
+    return keys[np.argsort(labels, kind="stable")], bounds, sizes, shift, most
 
 
 def batch_particle_counts(clouds, variant: str) -> np.ndarray:
     """Final particle count of the boundary-free dynamics on each cloud.
 
-    All clouds advance together, one row step per numpy call for the whole
-    batch, and the counts equal ``run_dynamics(cloud, None, variant)``'s,
-    i.e. ``lis_strict`` or ``lnds_weak`` of each cloud.  ``clouds`` may be
-    any iterable, such as a generator that samples them one by one; each is
-    dropped once keyed, so memory stays at one key per point.
+    All clouds advance together through the slab's row steps, and the counts
+    equal ``run_dynamics(cloud, None, variant)``'s, i.e. ``lis_strict`` or
+    ``lnds_weak`` of each cloud.  ``clouds`` may be any iterable, such as a
+    generator that samples them one by one; each is dropped once ranked.
     """
     _check_variant(variant)
-    keys, bounds, shift = _chain_keys(clouds)
-    dtype = keys[0].dtype if keys else np.int32
-    tops = np.arange(1, len(keys) + 1, dtype=dtype) << shift
-    step = _strict_row if variant == "strict" else _weak_row
-    y = np.empty(0, dtype=dtype)
-    for i in range(1, max((b.size for b in bounds), default=1)):
-        pts = np.concatenate([k[b[i]:b[i - 1]] for k, b in zip(keys, bounds) if i < b.size])
-        if pts.size:
-            y = step(y, pts, tops, shift)
-    return np.diff(np.searchsorted(y, tops), prepend=0)
+    return _slab_counts(*_chain_keys(clouds), variant)
+
+
+def _word_counts(letters: np.ndarray, k: int, variant: str) -> np.ndarray:
+    """``lis_strict`` or ``lnds_weak`` of each row of ``letters``, a multiset
+    word over 1..n with each letter k times (unchecked: the estimator draws
+    them).  A stable sort of a word (by radix for 16-bit letters) lists the
+    positions of each letter, its row, so words advance together as clouds.
+    """
+    reps, size = letters.shape
+    n, shift = size // k, size.bit_length()
+    keys = np.empty((n, reps, k), dtype=_key_dtype(reps, shift))
+    for r, word in enumerate(letters):
+        keys[:, r] = np.argsort(word, kind="stable").reshape(n, k) | (r << shift)
+    bounds = [reps * k * i for i in range(n + 1)] if reps else [0]
+    return _slab_counts(keys.reshape(-1), bounds, np.full(reps, size), shift, k, variant)
 
 
 def run_process(x: float, t: int, lam: float, variant: str,

@@ -19,10 +19,8 @@ from scipy import stats as _st
 
 from .bounds import (BoundaryRates, _check_variant, augmented_tail_rate, mean_bound,
                      optimal_rates_strict, optimal_rates_weak, predicted_mean)
-from .hammersley import batch_particle_counts, run_process
-from .sampling import (make_rng, sample_boundary, sample_poisson_cloud,
-                       sample_uniform_multiset_permutation)
-from .subsequences import lis_strict, lnds_weak
+from .hammersley import _word_counts, batch_particle_counts, run_process
+from .sampling import _shuffled_letters, make_rng, sample_boundary, sample_poisson_cloud
 
 # Disjoint stream-id blocks per operation; replica r of op with tag g uses
 # stream_id (g << 32) | r.
@@ -32,10 +30,12 @@ _TAG_STATIONARY = 3
 _TAG_DEVIATION = 4
 _MAX_REPS = 1 << 32
 
-# Poisson-cloud replicas run in chunks of about this many expected points
-# plus rows (13 replicas at x = t = 100), so the batched kernel holds about
-# 0.5 MB of keys.  It depends on the geometry only, never on --jobs.
+# Replicas run in chunks that never depend on --jobs: Poisson clouds in chunks
+# of about _POINT_BUDGET expected points plus rows (13 replicas at x = t = 100,
+# 0.5 MB of keys), words in chunks of at most _WORD_BUDGET letters (52
+# replicas at n*k = 1e4, 2 MB of keys).
 _POINT_BUDGET = 1 << 17
+_WORD_BUDGET = 1 << 19
 
 
 def _stream(tag: int, rep: int) -> int:
@@ -75,19 +75,22 @@ class EstimateReport:
         return EstimateReport(mean, stderr, reps, seed, dict(params), predicted, rel)
 
     def to_json_dict(self, command: str | None = None) -> dict:
+        """The JSON fields; a non-finite float (a NaN mean, say) is None."""
+        def finite(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
         return {
             "command": command,
-            "params": self.params,
+            "params": {key: finite(v) for key, v in self.params.items()},
             "seed": self.seed,
-            "mean": self.mean,
-            "stderr": self.stderr,
+            "mean": finite(self.mean),
+            "stderr": finite(self.stderr),
             "reps": self.reps,
-            "predicted": self.predicted,
-            "rel_error": self.rel_error,
+            "predicted": finite(self.predicted),
+            "rel_error": finite(self.rel_error),
         }
 
     def to_json(self, command: str | None = None) -> str:
-        return json.dumps(self.to_json_dict(command), indent=2)
+        return json.dumps(self.to_json_dict(command), indent=2, allow_nan=False)
 
 
 def _parallel_map(fn, argses: list, jobs: int) -> list:
@@ -101,11 +104,12 @@ def _parallel_map(fn, argses: list, jobs: int) -> list:
 
 # --- replica workers (top level so process pools can pickle them) ---------
 
-def _word_replica(args) -> float:
-    seed, rep, n, k, order = args
-    rng = make_rng(seed, _stream(_TAG_WORD, rep))
-    word = sample_uniform_multiset_permutation(n, k, rng)
-    return float(lis_strict(word) if order == "strict" else lnds_weak(word))
+def _word_chunk(args) -> np.ndarray:
+    seed, reps, n, k, order = args
+    letters = np.empty((len(reps), n * k), dtype=np.min_scalar_type(n))  # sorts by radix
+    for row, r in zip(letters, reps):
+        row[:] = _shuffled_letters(n, k, make_rng(seed, _stream(_TAG_WORD, r)))
+    return _word_counts(letters, k, order)
 
 
 def _poisson_chunk(args) -> np.ndarray:
@@ -152,13 +156,14 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
 def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
                               parallelism: int = 1) -> EstimateReport:
     """Mean chain length of uniform multiset words against 2*sqrt(nk) -/+ k."""
-    _check_variant(order)
+    predicted = predicted_mean(n, k, order)  # checks the order and n, k >= 1
     _check_reps(reps)
-    argses = [(seed, r, n, k, order) for r in range(reps)]
-    vals = np.asarray(_parallel_map(_word_replica, argses, parallelism))
-    return EstimateReport.from_values(
-        vals, seed, {"n": n, "k": k, "order": order},
-        predicted=predicted_mean(n, k, order))
+    chunks = -(-reps * n * k // _WORD_BUDGET)
+    cuts = [reps * i // chunks for i in range(chunks + 1)]  # balanced
+    argses = [(seed, range(lo, hi), n, k, order) for lo, hi in zip(cuts, cuts[1:])]
+    vals = np.concatenate(_parallel_map(_word_chunk, argses, parallelism)).astype(float)
+    return EstimateReport.from_values(vals, seed, {"n": n, "k": k, "order": order},
+                                      predicted=predicted)
 
 
 def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,

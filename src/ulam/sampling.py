@@ -78,8 +78,8 @@ class PlanarPointSet:
     x_max: float
 
     def __post_init__(self) -> None:
-        if not self.x_max > 0:  # range checks are written so that NaN fails them
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
+        if not 0 < self.x_max < np.inf:  # written so that NaN fails it too
+            raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         rows = self.row_positions
         if any(xs.ndim != 1 for xs in rows):
             raise ValueError("row positions must be 1-d arrays")
@@ -184,13 +184,16 @@ def _uniform_positions(rng: RngStream, count: int, x: float) -> np.ndarray:
     return pos
 
 
+def _shuffled_letters(n: int, k: int, rng: RngStream) -> np.ndarray:
+    """(1^k, ..., n^k) in uniform order: the letters of every word sampler."""
+    letters = np.repeat(np.arange(1, n + 1, dtype=np.int64), k)
+    rng.shuffle(letters)
+    return letters
+
+
 def sample_uniform_permutation(n: int, rng: RngStream) -> MultisetWord:
     """Uniform permutation of {1..n} as a multiset word with k=1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    letters = np.arange(1, n + 1, dtype=np.int64)
-    rng.shuffle(letters)
-    return MultisetWord(n=n, k=1, letters=tuple(int(v) for v in letters))
+    return sample_uniform_multiset_permutation(n, 1, rng)
 
 
 def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> MultisetWord:
@@ -202,9 +205,7 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    letters = np.repeat(np.arange(1, n + 1, dtype=np.int64), k)
-    rng.shuffle(letters)
-    return MultisetWord(n=n, k=k, letters=tuple(int(v) for v in letters))
+    return MultisetWord(n=n, k=k, letters=tuple(_shuffled_letters(n, k, rng).tolist()))
 
 
 def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> PlanarPointSet:

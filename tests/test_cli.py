@@ -252,3 +252,31 @@ class TestReproducibility:
                   "--reps", "16", "--seed", "21", "--jobs", jobs,
                   "--out-dir", str(d)])
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
+
+
+class TestUnusableFiles:
+    """A missing or unreadable file exits 2 with a message naming it."""
+
+    def test_missing_config(self, tmp_path, capsys):
+        path = str(tmp_path / "nofile.cfg")
+        assert main(["lis", "--word", "1,2", "--config", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_missing_input(self, tmp_path, capsys):
+        path = str(tmp_path / "nofile.csv")
+        assert main(["lis", "--input", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert main(["lis", "--input", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        path = str(tmp_path / "manifest.json")
+        assert main(["--manifest", path]) == 2
+        assert path in capsys.readouterr().err
+
+
+def test_infinite_point_exits_2(capsys):
+    assert main(["lis", "--word", "inf,1"]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ulam.bounds import BoundaryRates
 from ulam.hammersley import (ParticleState, batch_particle_counts, empty_state,
                              extract_witness, run_dynamics, run_process,
                              step_strict, step_weak, verify_line_identity)
-from ulam.sampling import (BoundarySample, PlanarPointSet, make_rng,
+from ulam.sampling import (BoundarySample, MultisetWord, PlanarPointSet, make_rng,
                            sample_boundary, sample_poisson_cloud)
 from ulam.subsequences import (brute_force_longest_chain, lis_strict, lnds_weak,
                                longest_chain_with_boundary)
@@ -357,6 +358,80 @@ class TestBatchParticleCounts:
         values = [chain(sample_poisson_cloud(5.0, 9, 1.0, make_rng(32, (2 << 32) | r)))
                   for r in range(7)]
         assert whole.mean == float(np.mean(np.asarray(values, dtype=float)))
+
+
+class TestTiedGridClouds:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(grid_cloud, min_size=1, max_size=12))
+    def test_batch_matches_brute_force(self, clouds):
+        # many equal x within and across rows, all clouds in one slab
+        for variant in ("strict", "weak"):
+            counts = batch_particle_counts(clouds, variant)
+            assert counts.tolist() == [brute_force_longest_chain(c, order=variant)
+                                       for c in clouds]
+
+
+def multiset_words(max_letters: int = 300):
+    """(n, k, words): one to four multiset words over 1..n, each letter k
+    times, with n*k up to ``max_letters``."""
+    return st.integers(min_value=1, max_value=30).flatmap(
+        lambda n: st.integers(min_value=1, max_value=max(1, max_letters // n)).flatmap(
+            lambda k: st.tuples(st.just(n), st.just(k), st.lists(
+                st.permutations(np.repeat(np.arange(1, n + 1), k).tolist()),
+                min_size=1, max_size=4))))
+
+
+def word_oracles(n: int, k: int, words) -> dict:
+    as_words = [MultisetWord(n, k, tuple(w)) for w in words]
+    return {"strict": [lis_strict(w) for w in as_words],
+            "weak": [lnds_weak(w) for w in as_words]}
+
+
+class TestWordCounts:
+    """The slab kernel on multiset words, the word estimator's engine."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(multiset_words(), st.sampled_from([np.uint8, np.uint16, np.int64]))
+    def test_counts_match_patience(self, words, dtype):
+        n, k, words = words
+        expected = word_oracles(n, k, words)
+        for variant in ("strict", "weak"):
+            counts = hammersley._word_counts(np.asarray(words, dtype=dtype), k, variant)
+            assert counts.tolist() == expected[variant]
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 6), (6, 1), (2, 2)])
+    def test_small_shapes(self, n, k):
+        rng = np.random.default_rng(40)
+        words = [rng.permutation(np.repeat(np.arange(1, n + 1), k)) for _ in range(5)]
+        expected = word_oracles(n, k, words)
+        for variant in ("strict", "weak"):
+            counts = hammersley._word_counts(np.asarray(words), k, variant)
+            assert counts.tolist() == expected[variant]
+
+    @settings(max_examples=40, deadline=None)
+    @given(multiset_words(120))
+    def test_int64_keys(self, words):
+        # the key dtype is chosen by the batch size; int64 keys would need
+        # 2**31 letters in one batch, so the choice is forced here
+        n, k, words = words
+        seen = []
+        slab = hammersley._slab_counts
+
+        def record(keys, *args):
+            seen.append(keys.dtype)
+            return slab(keys, *args)
+
+        with mock.patch.object(hammersley, "_key_dtype", lambda reps, shift: np.int64), \
+                mock.patch.object(hammersley, "_slab_counts", record):
+            for variant in ("strict", "weak"):
+                letters = np.asarray(words, dtype=np.uint16)
+                counts = hammersley._word_counts(letters, k, variant)
+                assert counts.tolist() == word_oracles(n, k, words)[variant]
+        assert seen == [np.int64, np.int64]
+
+    def test_empty_batch(self):
+        empty = np.empty((0, 6), dtype=np.uint8)
+        assert hammersley._word_counts(empty, 2, "weak").tolist() == []
 
 
 @pytest.mark.perf

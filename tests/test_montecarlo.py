@@ -1,6 +1,11 @@
+import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P_FOUR_SIGMA, assert_within_sigma
 from ulam import montecarlo
@@ -43,6 +48,78 @@ class TestEstimateMeanSubsequence:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             estimate_mean_subsequence(2, 2, "strict", 1, seed=0)
+
+
+class TestWordChunks:
+    """The word estimator runs its replicas in chunks through the slab kernel."""
+
+    @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
+    def test_report_equals_patience_recount(self, monkeypatch, seed):
+        # 7 replicas of 36 letters and a budget of 100 letters make 3 chunks
+        n, k, reps = 9, 4, 7
+        chunks = []
+        run_chunk = montecarlo._word_chunk
+        monkeypatch.setattr(montecarlo, "_WORD_BUDGET", 100)
+        monkeypatch.setattr(montecarlo, "_word_chunk",
+                            lambda args: chunks.append(list(args[1])) or run_chunk(args))
+        for order, chain in (("strict", lis_strict), ("weak", lnds_weak)):
+            rep = estimate_mean_subsequence(n, k, order, reps, seed)
+            vals = np.asarray([chain(sample_uniform_multiset_permutation(
+                n, k, make_rng(seed, (1 << 32) | r))) for r in range(reps)], dtype=float)
+            assert rep.mean == float(vals.mean())
+            assert rep.stderr == float(vals.std(ddof=1) / math.sqrt(reps))
+        assert chunks == [[0, 1], [2, 3], [4, 5, 6]] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 12), st.integers(2, 9),
+           st.integers(1, 400), st.integers(0, 2**64 - 1))
+    def test_any_chunking_matches_patience(self, n, k, reps, budget, seed):
+        with mock.patch.object(montecarlo, "_WORD_BUDGET", budget):
+            for order, chain in (("strict", lis_strict), ("weak", lnds_weak)):
+                rep = estimate_mean_subsequence(n, k, order, reps, seed)
+                vals = np.asarray([chain(sample_uniform_multiset_permutation(
+                    n, k, make_rng(seed, (1 << 32) | r))) for r in range(reps)], dtype=float)
+                assert (rep.mean, rep.stderr) == (
+                    float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
+
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_parallelism_is_result_invariant(self, monkeypatch, order):
+        monkeypatch.setattr(montecarlo, "_WORD_BUDGET", 200)
+        serial = estimate_mean_subsequence(10, 3, order, 40, seed=69, parallelism=1)
+        parallel = estimate_mean_subsequence(10, 3, order, 40, seed=69, parallelism=2)
+        assert serial == parallel
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (3, 5), (300, 2)])
+    def test_chunk_letters_are_the_sampled_words(self, monkeypatch, n, k):
+        seen = []
+        monkeypatch.setattr(montecarlo, "_word_counts",
+                            lambda letters, k, order: seen.append(letters) or letters[:, 0])
+        montecarlo._word_chunk((5, range(200), n, k, "weak"))
+        (letters,) = seen
+        assert letters.dtype == np.min_scalar_type(n)
+        for r, row in enumerate(letters):
+            word = sample_uniform_multiset_permutation(n, k, make_rng(5, (1 << 32) | r))
+            assert row.tolist() == list(word.letters)
+
+    def test_rejects_empty_words(self):
+        for n, k in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="n and k"):
+                estimate_mean_subsequence(n, k, "strict", 4, seed=0)
+
+
+class TestReportJson:
+    def test_non_finite_values_are_null(self):
+        with np.errstate(invalid="ignore"):  # the spread of inf and 1 is NaN
+            rep = montecarlo.EstimateReport.from_values(
+                np.asarray([math.inf, 1.0]), 3, {"x": math.nan, "n": 2}, predicted=math.inf)
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        data = json.loads(rep.to_json("estimate"), parse_constant=reject)
+        assert data["mean"] is None and data["stderr"] is None
+        assert data["predicted"] is None and data["params"] == {"x": None, "n": 2}
+        assert data["reps"] == 2 and data["command"] == "estimate"
 
 
 class TestEstimatePoissonized:

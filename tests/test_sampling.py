@@ -252,6 +252,12 @@ class TestDomainTypes:
             PlanarPointSet((np.asarray([0.2]), np.asarray([0.1, np.nan, 0.5])), 1.0)
         with pytest.raises(ValueError, match="x_max must be positive"):
             PlanarPointSet((np.asarray([0.5]),), float("nan"))
+        # an infinite x_max would admit infinite positions
+        for x_max in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="x_max must be positive and finite"):
+                PlanarPointSet((np.asarray([np.inf]),), x_max)
+        with pytest.raises(ValueError, match="finite"):
+            PlanarPointSet.from_points([(np.inf, 1)], np.inf, 1)
 
     def test_point_set_names_the_bad_row(self):
         with pytest.raises(ValueError, match="row 2: positions must be sorted"):
