@@ -240,27 +240,24 @@ def cmd_estimate(args) -> int:
 def cmd_verify(args) -> int:
     rng = make_rng(args.seed, 0)
     failures = 0
-    for _ in range(args.clouds):
+    for i in range(args.clouds + args.boundary):
         x = 0.05 + (args.max_x - 0.05) * rng.random()
         t = int(rng.integers(1, args.max_t + 1))
         lam = 0.05 + 1.95 * rng.random()
         cloud = sample_poisson_cloud(x, t, lam, rng)
-        for variant in ("strict", "weak"):
-            if not verify_line_identity(cloud, None, variant):
-                failures += 1
-    for _ in range(args.boundary):
-        x = 0.05 + (args.max_x - 0.05) * rng.random()
-        t = int(rng.integers(1, args.max_t + 1))
-        lam = 0.05 + 1.95 * rng.random()
-        cloud = sample_poisson_cloud(x, t, lam, rng)
-        alpha = 0.1 + 2.0 * rng.random()
-        b = sample_boundary(x, t, BoundaryRates.strict_from_alpha(lam, alpha), rng)
-        if not verify_line_identity(cloud, b, "strict"):
-            failures += 1
-        beta = lam + 0.1 + 2.0 * rng.random()
-        bw = sample_boundary(x, t, BoundaryRates.weak_from_beta(lam, beta), rng)
-        if not verify_line_identity(cloud, bw, "weak"):
-            failures += 1
+        runs = [("plain", None, "strict", ""), ("plain", None, "weak", "")]
+        if i >= args.clouds:
+            alpha = 0.1 + 2.0 * rng.random()
+            b = sample_boundary(x, t, BoundaryRates.strict_from_alpha(lam, alpha), rng)
+            beta = lam + 0.1 + 2.0 * rng.random()
+            bw = sample_boundary(x, t, BoundaryRates.weak_from_beta(lam, beta), rng)
+            runs = [("boundary", b, "strict", f" alpha={alpha!r}"),
+                    ("boundary", bw, "weak", f" beta={beta!r}")]
+        for kind, boundary, variant, rate in runs:
+            if not verify_line_identity(cloud, boundary, variant):
+                failures += 1  # named on stderr, so that it can be replayed alone
+                print(f"line identity failed: instance {i} ({kind}, {variant}) x={x!r} "
+                      f"t={t} lam={lam!r}{rate} seed={args.seed}", file=sys.stderr)
     total = 2 * args.clouds + 2 * args.boundary
     print(f"line identity: {total - failures}/{total} instances passed")
     return 0 if failures == 0 else 1

@@ -217,31 +217,37 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # The kernel steps many replicas at once, a few numpy calls per row, on keys
 #     (replica << shift) | (rank of the point in its replica's chain order),
 # 2**shift above every replica's size (int32 if they fit, else int64).  Chain
-# order is x ascending, ties by row descending (as in `chain_rows`), and a
-# word's positions are their own ranks: keys are distinct, and an equal-x
-# pair never chains.
+# order is x ascending, ties by row descending (as in `chain_rows`), with a
+# cloud's sources as row 0 and ranks from 1; a word's positions are their own
+# ranks (words have no sinks, so no sentinel).  Keys are distinct, and an
+# equal-x pair never chains.
 #
-# The slab: row r of an (R, C) array holds replica r's particles ascending,
-# padded with ((r + 1) << shift) - 1, between replica r's keys and r + 1's.
-# The flat slab is sorted, so one searchsorted of a row's points (by replica,
-# then x) gives each point its cell r*C + g, g counting replica r's particles
-# below it.  A step is one write of points into cells:
+# The slab: row r of an (R, C) array holds replica r's exited particles as
+# sentinels r << shift, then its live particles ascending, padded with
+# ((r + 1) << shift) - 1, between replica r's keys and r + 1's.  The flat
+# slab is sorted, so one searchsorted of a row's points (by replica, then x)
+# gives each point its cell r*C + g, g counting what replica r has below it.
+# The sources are born before row 1; rows with a point or a sink are stepped,
+# each by one write of points into cells:
 #   strict: the first point of a cell lies in the gap of the cell's particle
 #     and moves it there or, in the first padding cell, is born; the cell's
-#     other points are swallowed.
-#   weak: let a replica's row points p_0 < p_1 < ... have g_0, g_1, ...
-#     particles below.  The greedy matching moves each particle to the least
-#     free point below it; a particle stays, in its cell, exactly when every
-#     point below it is taken.  With particles as closing and points as
-#     opening brackets, max_{i<=m} (g_i - i) particles below p_m stay, and the
-#     other new particles below p_m are p_0..p_{m-1}, so p_m lands in cell
-#     m + max_{i<=m} (g_i - i), over the particle that takes it or, left over,
-#     born above the new maximum.  In global cells and point indices that is
-#     one cumulative maximum over the whole row.
-# Capacity: with at most L particles and m row points per replica, the writes
-# stay below cell L + m of their slab row, and the cumulative maximum restarts
-# at each replica, if C >= L + m.  The slab doubles when C < 2 (L + m), so L
-# is counted only every few rows.
+#     other points are swallowed.  A sink swallows the points below the
+#     leftmost live particle, which exits: after the write its cell becomes
+#     a sentinel or, if the replica had no live particle, the pad again.
+#   weak: a sink s first turns the min(s, L) leftmost of L live particles
+#     into sentinels.  Then let a replica's row points p_0 < p_1 < ... have
+#     g_0, g_1, ... particles below.  The greedy matching moves each particle
+#     to the least free point below it; a particle stays, in its cell,
+#     exactly when every point below it is taken.  With particles as closing
+#     and points as opening brackets, max_{i<=m} (g_i - i) particles below
+#     p_m stay, and the other new particles below p_m are p_0..p_{m-1}, so
+#     p_m lands in cell m + max_{i<=m} (g_i - i), over the particle that
+#     takes it or, left over, born above the new maximum.  In global cells
+#     and point indices that is one cumulative maximum over the whole row.
+# Capacity: with at most L particles and sentinels and m row points per
+# replica, the writes stay below cell L + m of their slab row, and the
+# cumulative maximum restarts at each replica, if C > L + m.  The slab
+# doubles when C <= 2 (L + m), so L is counted only every few rows.
 
 
 def _key_dtype(reps: int, shift: int):
@@ -251,45 +257,66 @@ def _key_dtype(reps: int, shift: int):
 
 
 def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: int,
-                 most: int, variant: str) -> np.ndarray:
-    """Final particle count of each replica, given their sizes.  Their rows
-    are ``keys[bounds[i]:bounds[i + 1]]``, each ordered by replica, then x,
-    with at most ``most`` points of one replica.  Empty replicas take no
-    slab row."""
+                 most: int, sinks: np.ndarray | None, variant: str) -> np.ndarray:
+    """Final particle count of each replica, given their sizes.  The sources
+    are ``keys[bounds[0]:bounds[1]]`` and row i is ``keys[bounds[i]:bounds[i +
+    1]]``, each ordered by replica, then x, with at most ``most`` points of
+    one replica; ``sinks[i - 1]``, if given, holds each replica's sink
+    multiplicity at row i.  Empty replicas take no slab row."""
+    strict = variant == "strict"
     owners = np.flatnonzero(sizes)
-    pad = ((owners.astype(keys.dtype)[:, None] + 1) << shift) - 1
+    floor = owners.astype(keys.dtype)[:, None] << shift  # the sentinels
+    pad = floor + ((1 << shift) - 1)
+    sinks = np.zeros((len(bounds) - 2, 0)) if sinks is None else sinks[:, owners]
+    sunk = [False, *sinks.any(1).tolist()]  # the sources take no sink
     slab = np.repeat(pad, 2 * most, axis=1)
+    sent, rows = np.zeros(owners.size, dtype=np.int64), np.arange(owners.size)
     ramp = np.arange(max(np.diff(bounds), default=0))
-    live = 0  # an upper bound on every replica's particle count
-    for lo, hi in zip(bounds, bounds[1:]):
-        if live + most > slab.shape[1]:
+    live = 0  # an upper bound on every slab row's particles and sentinels
+    for i in np.flatnonzero((np.diff(bounds) > 0) | sunk).tolist():
+        if live + most >= slab.shape[1]:
             live = int((slab < pad).sum(1).max())
-            if 2 * (live + most) > slab.shape[1]:
+            if 2 * (live + most) >= slab.shape[1]:
                 slab = np.concatenate((slab, np.broadcast_to(pad, slab.shape)), axis=1)
-        flat, pts = slab.reshape(-1), keys[lo:hi]
+        flat, pts = slab.reshape(-1), keys[bounds[i]:bounds[i + 1]]
+        s = sinks[i - 1] if sunk[i] else None
+        if s is not None and not strict:  # exits come before the moves
+            held = np.searchsorted(flat, pad[:, 0]) - rows * slab.shape[1]  # L + sent
+            sent = np.minimum(sent + s, held)
+            np.copyto(slab, floor, where=np.arange(slab.shape[1]) < sent[:, None])
         at = np.searchsorted(flat, pts)
-        if variant == "strict":
-            first = np.concatenate(([True], at[1:] != at[:-1]))
-            at, pts = at[first], pts[first]
+        if strict and i:  # a cell's points all lie below its key: the least wins
+            lead = s is not None and slab[rows, sent] < pad[:, 0]  # a live particle
+            np.minimum.at(flat, at, pts)
         else:
-            at = np.maximum.accumulate(at - ramp[:at.size]) + ramp[:at.size]
-        flat[at] = pts
-        live += 1 if variant == "strict" else most
+            flat[np.maximum.accumulate(at - ramp[:at.size]) + ramp[:at.size]] = pts
+        if s is not None and strict:  # the exit's cell took the points below it
+            out = s > 0
+            slab[rows[out], sent[out]] = np.where(lead, floor[:, 0], pad[:, 0])[out]
+            sent += out & lead
+        live += 1 if strict and i else most
     counts = np.zeros(sizes.size, dtype=np.int64)
-    counts[owners] = (slab < pad).sum(1)
+    counts[owners] = (slab < pad).sum(1) - sent
     return counts
 
 
-def _chain_keys(clouds) -> tuple[np.ndarray, list[int], np.ndarray, int, int]:
-    """Keys of a batch of clouds laid out row by row, the bounds of the rows
-    that have points, each cloud's size, the shift, and the most points in
-    one row of a cloud.  Rows are listed top-down, so a stable sort ranks
-    the higher row first among equal x (the quicker unstable sort serves
-    when no two x are equal).  Each cloud is dropped once ranked."""
-    ranks, labels, most = [], [], 0
+def _chain_keys(clouds, boundaries=()) -> tuple:
+    """Keys of a batch of clouds laid out row by row, the bounds of their
+    sources and rows, each cloud's size, the shift, the most points in one
+    row of a cloud, and the sinks (rows x clouds).  Each of ``boundaries``,
+    if given, is taken after its cloud, whose height it must share; its
+    sources are ranked as row 0, its sinks past the cloud's rows ignored.
+    Rows are listed top-down, so a stable sort ranks the higher row first
+    among equal x (the quicker unstable sort serves when no two x are
+    equal).  Each cloud is dropped once ranked."""
+    ranks, labels, sinks, most, top = [], [], [], 0, 1  # row 0 holds the sources
+    boundaries = iter(boundaries)
     for cloud in clouds:
-        rows = cloud.row_positions[::-1]
-        flat = np.concatenate(rows) if rows else np.empty(0)
+        b = next(boundaries, None)
+        rows = (*cloud.row_positions[::-1], np.empty(0) if b is None else b.sources)
+        if b is not None:
+            sinks.append(b.sinks[:cloud.t_max])
+        flat = np.concatenate(rows)
         if flat.size >= 1 << 31:
             raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")
         order = np.argsort(flat)
@@ -297,21 +324,22 @@ def _chain_keys(clouds) -> tuple[np.ndarray, list[int], np.ndarray, int, int]:
         if np.any(ordered[1:] == ordered[:-1]):
             order = np.argsort(flat, kind="stable")
         rank = np.empty(flat.size, dtype=np.int32)
-        rank[order] = np.arange(flat.size, dtype=np.int32)
+        rank[order] = np.arange(1, flat.size + 1, dtype=np.int32)
         ranks.append(rank)
         sizes = [xs.size for xs in rows]
         # row numbers of 16 bits or less sort by radix
-        labels.append(np.repeat(np.arange(len(rows), 0, -1,
-                                          dtype=np.min_scalar_type(len(rows))), sizes))
-        most = max(most, *sizes, 0)
+        labels.append(np.repeat(np.arange(len(rows) - 1, -1, -1,
+                                          dtype=np.min_scalar_type(len(rows) - 1)), sizes))
+        most, top = max(most, *sizes), max(top, len(rows))
     sizes = np.asarray([r.size for r in ranks], dtype=np.int64)
-    shift = int(sizes.max(initial=0)).bit_length()
+    shift = int(sizes.max(initial=0) + 1).bit_length()
     dtype = _key_dtype(sizes.size, shift)
     keys = np.concatenate(ranks, dtype=dtype) if ranks else np.empty(0, dtype)
     keys |= np.repeat(np.arange(sizes.size, dtype=dtype) << shift, sizes)
     labels = np.concatenate(labels) if labels else np.empty(0, np.uint8)
-    bounds = np.unique(np.cumsum(np.bincount(labels, minlength=1))).tolist()
-    return keys[np.argsort(labels, kind="stable")], bounds, sizes, shift, most
+    bounds = [0, *np.cumsum(np.bincount(labels, minlength=top)).tolist()]
+    sinks = np.stack(sinks, axis=1) if sinks else None
+    return keys[np.argsort(labels, kind="stable")], bounds, sizes, shift, most, sinks
 
 
 def batch_particle_counts(clouds, variant: str) -> np.ndarray:
@@ -337,8 +365,9 @@ def _word_counts(letters: np.ndarray, k: int, variant: str) -> np.ndarray:
     keys = np.empty((n, reps, k), dtype=_key_dtype(reps, shift))
     for r, word in enumerate(letters):
         keys[:, r] = np.argsort(word, kind="stable").reshape(n, k) | (r << shift)
-    bounds = [reps * k * i for i in range(n + 1)] if reps else [0]
-    return _slab_counts(keys.reshape(-1), bounds, np.full(reps, size), shift, k, variant)
+    bounds = [0, *(reps * k * i for i in range(n + 1))]  # no sources
+    return _slab_counts(keys.reshape(-1), bounds, np.full(reps, size), shift, k, None,
+                        variant)
 
 
 def run_process(x: float, t: int, lam: float, variant: str,

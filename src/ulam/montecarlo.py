@@ -19,8 +19,9 @@ from scipy import stats as _st
 
 from .bounds import (BoundaryRates, _check_variant, augmented_tail_rate, mean_bound,
                      optimal_rates_strict, optimal_rates_weak, predicted_mean)
-from .hammersley import _word_counts, batch_particle_counts, run_process
-from .sampling import _shuffled_letters, make_rng, sample_boundary, sample_poisson_cloud
+from .hammersley import _chain_keys, _slab_counts, _word_counts
+from .sampling import (PlanarPointSet, _shuffled_letters, make_rng, sample_boundary,
+                       sample_poisson_cloud)
 
 # Disjoint stream-id blocks per operation; replica r of op with tag g uses
 # stream_id (g << 32) | r.
@@ -113,42 +114,33 @@ def _word_chunk(args) -> np.ndarray:
 
 
 def _poisson_chunk(args) -> np.ndarray:
-    seed, reps, x, t, lam, order = args
-    clouds = (sample_poisson_cloud(x, t, lam, make_rng(seed, _stream(_TAG_POISSON, r)))
-              for r in reps)
-    return batch_particle_counts(clouds, order)
-
-
-def _stationary_replica(args) -> int:
-    seed, rep, x, t, lam, variant, source_rate = args
-    rng = make_rng(seed, _stream(_TAG_STATIONARY, rep))
-    if variant == "strict":
-        rates = BoundaryRates.strict_from_alpha(lam, source_rate)
-    else:
-        rates = BoundaryRates.weak_from_beta(lam, source_rate)
-    if t == 0:
-        return int(sample_boundary(x, 1, rates, rng).sources.size)
-    run = run_process(x, t, lam, variant, rates, rng)
-    return run.state.count
-
-
-def _augmented_replica(args) -> float:
-    seed, rep, x, t, lam, order = args
-    rng = make_rng(seed, _stream(_TAG_DEVIATION, rep))
-    rates, _ = (optimal_rates_strict if order == "strict" else optimal_rates_weak)(x, t, lam)
-    run = run_process(x, t, lam, order, rates, rng)
-    return float(run.state.count + run.boundary.total_sinks)
+    """Final particle counts and total sinks of a chunk of replicas: of the
+    boundary-free process (chain lengths), or of the boundary process if
+    ``rates`` are given."""
+    seed, reps, x, t, lam, order, tag, rates = args
+    rngs = [make_rng(seed, _stream(tag, r)) for r in reps]
+    # at t = 0 the boundary process is its sources: no cloud is drawn
+    clouds = (sample_poisson_cloud(x, t, lam, rng) if t or rates is None
+              else PlanarPointSet((), x) for rng in rngs)
+    # each boundary is drawn after its cloud, as in run_process
+    boundaries = (sample_boundary(x, max(t, 1), rates, rng) for rng in rngs) if rates else ()
+    *layout, sinks = _chain_keys(clouds, boundaries)
+    counts = _slab_counts(*layout, sinks, order)
+    return np.stack((counts, np.zeros_like(counts) if sinks is None else sinks.sum(0)))
 
 
 def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: int,
-                   parallelism: int) -> np.ndarray:
-    """Chain lengths of the clouds of replicas 0..reps-1, in replica order."""
+                    parallelism: int, tag: int = _TAG_POISSON,
+                    rates: BoundaryRates | None = None) -> np.ndarray:
+    """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
+    in replica order, drawn from stream block ``tag``."""
     # a geometry the sampler rejects still gets a chunk size, so that the
     # sampler's own check reports it
-    size = max(1, int(_POINT_BUDGET // max(1.0, x * t * lam + t)))
-    argses = [(seed, range(lo, min(lo + size, reps)), x, t, lam, order)
+    points = x * t * lam + t + (x * rates.source_rate if rates else 0.0)
+    size = max(1, int(_POINT_BUDGET // max(1.0, points)))
+    argses = [(seed, range(lo, min(lo + size, reps)), x, t, lam, order, tag, rates)
               for lo in range(0, reps, size)]
-    return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism)).astype(float)
+    return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism), axis=1)
 
 
 # --- estimators ------------------------------------------------------------
@@ -174,7 +166,7 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
     _check_reps(reps)
     if order == "strict" and t < x * lam:
         raise ValueError("strict comparison requires t >= x*lam")
-    vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)
+    vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)[0]
     mb = mean_bound(x, t, lam)
     predicted = mb.strict_mean if order == "strict" else mb.weak_mean
     return EstimateReport.from_values(
@@ -240,9 +232,10 @@ def stationarity_test(x: float, lam: float, source_rate: float, variant: str,
     final particle count with its exact stationary law Poisson(x * rate)."""
     _check_variant(variant)
     _check_reps(reps)
-    argses = [(seed, r, x, t, lam, variant, source_rate) for r in range(reps)]
-    sample = np.asarray(_parallel_map(_stationary_replica, argses, parallelism),
-                        dtype=np.int64)
+    rates = (BoundaryRates.strict_from_alpha if variant == "strict"
+             else BoundaryRates.weak_from_beta)(lam, source_rate)
+    sample = _poisson_counts(x, t, lam, variant, reps, seed, parallelism,
+                             _TAG_STATIONARY, rates)[0]
     mu = x * source_rate
     mean = float(sample.mean())
     var = float(sample.var(ddof=1))
@@ -299,13 +292,13 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
         raise ValueError("eps grid must be strictly increasing")
     if t < x * lam:
         raise ValueError("requires t >= x*lam")
+    tag, rates = _TAG_POISSON, None
     if augmented:
         if t <= x * lam:
             raise ValueError("augmented statistic needs t > x*lam")
-        argses = [(seed, r, x, t, lam, order) for r in range(reps)]
-        vals = np.asarray(_parallel_map(_augmented_replica, argses, parallelism))
-    else:
-        vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)
+        tag = _TAG_DEVIATION
+        rates, _ = (optimal_rates_strict if order == "strict" else optimal_rates_weak)(x, t, lam)
+    vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism, tag, rates).sum(0)
     mb = mean_bound(x, t, lam)
     center = mb.strict_mean if order == "strict" else mb.weak_mean
     upper = tuple(float(np.mean(vals > (1 + e) * center)) for e in eps_grid)

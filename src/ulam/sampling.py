@@ -218,8 +218,8 @@ def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> Planar
     neighbours (a 2**-53 event per pair) rewinds the stream and replays the
     per-row draws, whose re-draw of duplicates fixes the stream from there.
     """
-    if x <= 0 or lam <= 0:
-        raise ValueError("x and lam must be positive")
+    if not (0 < x < np.inf and lam > 0):  # written so that NaN fails it too
+        raise ValueError(f"x and lam must be positive and x finite, got x={x}, lam={lam}")
     if t < 1:
         raise ValueError("t must be >= 1")
     counts = rng.poisson(lam * x, size=t)
@@ -232,7 +232,10 @@ def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> Planar
     if np.any(flat[1:] == flat[:-1]):
         rng.bit_generator.state = before
         rows = tuple(_uniform_positions(rng, int(c), x) for c in counts)
-    return PlanarPointSet(rows, float(x))
+    # the draw is sorted, distinct and in (0, x] by construction: no re-check
+    cloud = object.__new__(PlanarPointSet)
+    cloud.__dict__.update(row_positions=rows, x_max=float(x))
+    return cloud
 
 
 def sample_boundary(x: float, t: int, rates, rng: RngStream) -> BoundarySample:

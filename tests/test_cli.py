@@ -155,6 +155,26 @@ class TestVerifyAndTails:
                      "--seed", "5"]) == 0
         assert "passed" in capsys.readouterr().out
 
+    def test_verify_names_a_failing_instance(self, monkeypatch, capsys):
+        from ulam import cli
+        calls = []
+        real = cli.verify_line_identity
+
+        def fail_one(cloud, boundary, variant):
+            calls.append((boundary is None, variant))
+            # call 9 is the strict run of instance 4, the second boundary cloud
+            return len(calls) != 9 and real(cloud, boundary, variant)
+
+        monkeypatch.setattr(cli, "verify_line_identity", fail_one)
+        assert main(["verify", "--clouds", "3", "--boundary", "2", "--seed", "13"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "line identity: 9/10 instances passed\n"
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("line identity failed: instance 4 (boundary, strict) x=")
+        assert " t=" in lines[0] and " lam=" in lines[0] and " alpha=" in lines[0]
+        assert lines[0].endswith(" seed=13")
+
     def test_tails_poisson_certificate(self, tmp_path, capsys):
         out = tmp_path / "cert.csv"
         assert main(["tails", "--kind", "poisson", "--out", str(out)]) == 0

@@ -371,6 +371,103 @@ class TestTiedGridClouds:
                                        for c in clouds]
 
 
+def grid_cloud_on(t: int):
+    """A `grid_cloud` on exactly t rows (t may be 0)."""
+    return st.sets(st.tuples(st.integers(min_value=1, max_value=6),
+                             st.integers(min_value=1, max_value=max(t, 1))),
+                   max_size=18 if t else 0).map(
+        lambda pts: PlanarPointSet.from_points([(x / 2, r) for x, r in sorted(pts)], 3.0, t))
+
+
+def boundary_counts(runs, variant: str) -> np.ndarray:
+    """The slab's final particle counts of (cloud, boundary) pairs."""
+    return hammersley._slab_counts(*hammersley._chain_keys(
+        (c for c, _ in runs), (b for _, b in runs)), variant)
+
+
+@st.composite
+def boundary_batches(draw, variant: str):
+    """One to five tied grid clouds of one height, each with grid-valued
+    sources and sinks of multiplicity up to 1 (strict) or 2 (weak)."""
+    t = draw(st.integers(min_value=1, max_value=6))
+    top_sink = 1 if variant == "strict" else 2
+    return draw(st.lists(st.tuples(grid_cloud_on(t), grid_boundary(t, top_sink)),
+                         min_size=1, max_size=5))
+
+
+class TestBoundarySlab:
+    """Sources and sinks on the slab against the scalar dynamics and the
+    boundary chain DP, which share no code with it."""
+
+    @staticmethod
+    def check(runs, variant):
+        counts = boundary_counts(runs, variant)
+        for (cloud, b), count in zip(runs, counts):
+            assert count == run_dynamics(cloud, b, variant).state.count
+            assert count + b.total_sinks == longest_chain_with_boundary(cloud, b, variant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["strict", "weak"]))
+    def test_matches_both_oracles(self, data, variant):
+        self.check(data.draw(boundary_batches(variant)), variant)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["strict", "weak"]))
+    def test_int64_keys(self, data, variant):
+        runs = data.draw(boundary_batches(variant))
+        seen = []
+        slab = hammersley._slab_counts
+
+        def record(keys, *args):
+            seen.append(keys.dtype)
+            return slab(keys, *args)
+
+        with mock.patch.object(hammersley, "_key_dtype", lambda reps, shift: np.int64), \
+                mock.patch.object(hammersley, "_slab_counts", record):
+            self.check(runs, variant)
+        assert seen == [np.int64]
+
+    @pytest.mark.parametrize("variant", ["strict", "weak"])
+    def test_edge_cases(self, variant):
+        one = PlanarPointSet.from_points([(0.5, 1), (1.0, 1), (1.5, 2)], 3.0, 2)
+        runs = [
+            # a sink with no live particle: strict swallows the row
+            (one, BoundarySample(np.empty(0), np.asarray([1, 0]))),
+            # a sink empties the row below the only source
+            (PlanarPointSet.from_points([(0.5, 1), (1.0, 1)], 3.0, 2),
+             BoundarySample(np.asarray([1.0]), np.asarray([1, 1]))),
+            # no sources, no sinks: the plain chain length
+            (one, BoundarySample(np.empty(0), np.asarray([0, 0]))),
+            # an empty cloud: sources exit one by one, rows without points
+            (PlanarPointSet((np.empty(0),) * 2, 3.0),
+             BoundarySample(np.asarray([0.5, 1.0, 2.5]), np.asarray([1, 1]))),
+            # nothing at all: no slab row
+            (PlanarPointSet((np.empty(0),) * 2, 3.0),
+             BoundarySample(np.empty(0), np.asarray([1, 0]))),
+            # a source at the x of a row point ranks above it
+            (one, BoundarySample(np.asarray([1.0, 1.5]), np.asarray([0, 1]))),
+        ]
+        self.check(runs, variant)
+        assert boundary_counts(runs, variant)[4] == 0
+
+    def test_sinks_past_the_rows_are_ignored(self):
+        # at t = 0 the process is its sources: a cloud of no rows, one sink
+        b = BoundarySample(np.asarray([0.5, 2.0]), np.asarray([1]))
+        for variant in ("strict", "weak"):
+            assert boundary_counts([(PlanarPointSet((), 3.0), b)], variant).tolist() == [2]
+
+    @pytest.mark.parametrize("variant, rate", [("strict", 1.0), ("weak", 2.0)])
+    def test_sampled_boundary_processes(self, variant, rate):
+        rates = (BoundaryRates.strict_from_alpha if variant == "strict"
+                 else BoundaryRates.weak_from_beta)(1.0, rate)
+        runs = []
+        for seed in range(20):
+            rng = make_rng(seed, 34)
+            cloud = sample_poisson_cloud(8.0, 30, 1.0, rng)
+            runs.append((cloud, sample_boundary(8.0, 30, rates, rng)))
+        self.check(runs, variant)
+
+
 def multiset_words(max_letters: int = 300):
     """(n, k, words): one to four multiset words over 1..n, each letter k
     times, with n*k up to ``max_letters``."""

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import P_FOUR_SIGMA, assert_within_sigma
 from ulam import montecarlo
+from ulam.bounds import BoundaryRates, optimal_rates_strict, optimal_rates_weak
+from ulam.hammersley import run_process
 from ulam.montecarlo import (depoissonization_report, deviation_profile,
                              estimate_mean_subsequence, estimate_poissonized,
                              stationarity_test)
-from ulam.sampling import make_rng, sample_uniform_multiset_permutation
+from ulam.sampling import make_rng, sample_boundary, sample_uniform_multiset_permutation
 from ulam.subsequences import lis_strict, lnds_weak
 
 
@@ -277,6 +279,99 @@ class TestDeviationProfile:
             deviation_profile(10.0, 20, 1.0, "strict", [1.5], reps=10, seed=0)
         with pytest.raises(ValueError):
             deviation_profile(10.0, 5, 1.0, "strict", [0.5], reps=10, seed=0)
+
+
+def boundary_rates(variant: str, rate: float) -> BoundaryRates:
+    return (BoundaryRates.strict_from_alpha if variant == "strict"
+            else BoundaryRates.weak_from_beta)(1.0, rate)
+
+
+def scalar_replica(seed: int, tag: int, r: int, x: float, t: int, rates) -> tuple[int, int]:
+    """Particle count and total sinks of one replica through `run_process`,
+    the scalar path that shares no code with the slab."""
+    run = run_process(x, t, 1.0, rates.variant, rates, make_rng(seed, (tag << 32) | r))
+    return run.state.count, run.boundary.total_sinks
+
+
+EPS = [0.01 * i for i in range(1, 40)]  # a fine grid pins the whole sample
+
+
+class TestBoundaryEstimators:
+    """`stationarity_test` and the augmented `deviation_profile` run on the
+    slab, one stream per replica as `run_process` draws it."""
+
+    @pytest.mark.parametrize("seed", [3, 70, 2**40])
+    def test_stationarity_equals_run_process(self, seed):
+        for variant, rate in (("strict", 0.7), ("weak", 1.6)):
+            rep = stationarity_test(6.0, 1.0, rate, variant, 25, 30, seed)
+            rates = boundary_rates(variant, rate)
+            expected = [scalar_replica(seed, 3, r, 6.0, 25, rates)[0] for r in range(30)]
+            assert rep.counts.tolist() == expected
+            assert rep.mean == float(np.mean(expected))
+
+    @pytest.mark.parametrize("seed", [4, 71, 2**40])
+    def test_augmented_profile_equals_run_process(self, seed):
+        for order in ("strict", "weak"):
+            prof = deviation_profile(10.0, 40, 1.0, order, EPS, 40, seed, augmented=True)
+            rates, _ = (optimal_rates_strict if order == "strict"
+                        else optimal_rates_weak)(10.0, 40, 1.0)
+            vals = np.asarray([sum(scalar_replica(seed, 4, r, 10.0, 40, rates))
+                               for r in range(40)])
+            assert prof.upper_freq == tuple(float(np.mean(vals > (1 + e) * prof.center))
+                                            for e in EPS)
+            assert prof.lower_freq == tuple(float(np.mean(vals < (1 - e) * prof.center))
+                                            for e in EPS)
+            assert any(prof.upper_freq) and any(prof.lower_freq)
+
+    @staticmethod
+    def reports(parallelism: int = 1):
+        return ([stationarity_test(5.0, 1.0, rate, variant, 12, 23, 8, parallelism).counts
+                 for variant, rate in (("strict", 1.0), ("weak", 2.0))],
+                [deviation_profile(5.0, 12, 1.0, order, EPS, 23, 8, parallelism,
+                                   augmented=True).rows()
+                 for order in ("strict", "weak")])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=1, max_value=2_000))
+    def test_any_chunking(self, budget):
+        # 5 * 12 + 12 + 5 or 10 = 77 or 82 expected points per replica
+        whole = self.reports()
+        with mock.patch.object(montecarlo, "_POINT_BUDGET", budget):
+            split = self.reports()
+        assert all(np.array_equal(a, b) for a, b in zip(whole[0], split[0]))
+        assert whole[1] == split[1]
+
+    def test_parallelism_is_result_invariant(self, monkeypatch):
+        serial = self.reports(1)
+        monkeypatch.setattr(montecarlo, "_POINT_BUDGET", 300)  # several chunks
+        parallel = self.reports(2)
+        assert all(np.array_equal(a, b) for a, b in zip(serial[0], parallel[0]))
+        assert serial[1] == parallel[1]
+
+    def test_bad_rates_fail_before_any_replica(self, monkeypatch):
+        calls = []
+        real = montecarlo.make_rng
+        monkeypatch.setattr(montecarlo, "make_rng", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        FakePool.started = []
+        with pytest.raises(ValueError, match="beta > lam"):
+            stationarity_test(5.0, 1.0, 0.5, "weak", 10, 20, seed=1, parallelism=2)
+        with pytest.raises(ValueError, match="must be positive"):
+            stationarity_test(5.0, 1.0, -1.0, "strict", 10, 20, seed=1, parallelism=2)
+        assert calls == [] and FakePool.started == []
+
+    def test_time_zero_counts_the_sources(self):
+        # the boundary is drawn with one row and its sources are counted;
+        # the numbers are those of the per-replica path this one replaced
+        pinned = {"strict": (6.64, 7.156666666666667, 1.5311374910907958, 0.4650693496208145),
+                  "weak": (14.44, 19.506666666666668, 0.8981020990326283, 0.8258857919747612)}
+        for variant, rate in (("strict", 1.0), ("weak", 2.0)):
+            rep = stationarity_test(7.0, 1.0, rate, variant, 0, 25, seed=9)
+            expected = [sample_boundary(7.0, 1, boundary_rates(variant, rate),
+                                        make_rng(9, (3 << 32) | r)).sources.size
+                        for r in range(25)]
+            assert rep.counts.tolist() == expected
+            assert (rep.mean, rep.variance, rep.chi2_stat, rep.p_value) == pinned[variant]
 
 
 class TestDepoissonization:

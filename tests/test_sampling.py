@@ -161,6 +161,25 @@ class TestPoissonCloud:
             assert np.all(row > 0) and np.all(row <= 3.0)
             assert np.all(np.diff(row) > 0)
 
+    def test_rejects_nan_and_infinite_params(self):
+        # checked at entry: NaN fails every comparison, so the check is
+        # written to reject it
+        for x, lam in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="x and lam must be positive"):
+                sample_poisson_cloud(x, 2, lam, make_rng(0))
+
+    def test_draw_is_not_rechecked(self, monkeypatch):
+        # the draw is sorted, distinct and in (0, x] by construction
+        def recheck(self):
+            raise AssertionError("the sampler re-checked its own draw")
+
+        monkeypatch.setattr(PlanarPointSet, "__post_init__", recheck)
+        cloud = sample_poisson_cloud(3.0, 4, 2.0, make_rng(1))
+        replayed = sample_poisson_cloud(1.0, 5, 4.0, QuantizedRng(make_rng(3, 10)))
+        assert cloud.x_max == 3.0 and cloud.t_max == 4 and replayed.t_max == 5
+        with pytest.raises(AssertionError, match="re-checked"):
+            PlanarPointSet((np.asarray([0.5]),), 1.0)  # the public constructor checks
+
     @pytest.mark.statistical
     def test_row_count_mean(self):
         rng = make_rng(102)
