@@ -7,16 +7,16 @@ __version__ = "0.1.0"
 from .bounds import (BoundaryRates, MeanBound, mean_bound, optimal_rates_strict,
                      optimal_rates_weak, predicted_mean, regime_diagnostics,
                      sqrt_gap, tail_bound, verify_tail_inequality)
-from .couplings import (CoupledSample, estimate_expected_lis, group_heights,
-                        poissonized_coupling_lower, poissonized_coupling_upper,
-                        project_to_multiset)
+from .couplings import (CoupledSample, group_heights, poissonized_coupling_lower,
+                        poissonized_coupling_upper, project_to_multiset)
 from .hammersley import (DynamicsRecord, ParticleState, Witness, batch_particle_counts,
                          extract_witness, run_dynamics, run_process, step_strict,
                          step_weak, verify_line_identity)
 from .montecarlo import (DepoissonizationReport, DeviationProfile, EstimateReport,
                          StationarityReport, depoissonization_report,
-                         deviation_profile, estimate_mean_subsequence,
-                         estimate_poissonized, stationarity_test)
+                         deviation_profile, estimate_expected_lis,
+                         estimate_mean_subsequence, estimate_poissonized,
+                         stationarity_test)
 from .sampling import (BoundarySample, MultisetWord, PlanarPointSet, RngStream,
                        make_rng, sample_boundary, sample_poisson_cloud,
                        sample_uniform_multiset_permutation,

@@ -101,17 +101,25 @@ def _require(args, *names) -> None:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _at_least(args, low: int, *names) -> None:
+    for name in names:
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, "
+                             f"got {getattr(args, name)}")
+
+
 # --- sample -----------------------------------------------------------------
 
 def cmd_sample(args) -> int:
     _require(args, "n", "k", "count")
+    _at_least(args, 0, "count")
     rng = make_rng(args.seed, 0)
     words = [sample_uniform_multiset_permutation(args.n, args.k, rng)
              for _ in range(args.count)]
     if args.format == "csv":
-        text = "\n".join(",".join(str(v) for v in w.letters) for w in words) + "\n"
+        text = "\n".join(",".join(map(str, w.letters.tolist())) for w in words) + "\n"
     else:
-        text = json.dumps([list(w.letters) for w in words]) + "\n"
+        text = json.dumps([w.letters.tolist() for w in words]) + "\n"
     if args.out:
         out = Path(args.out)
         handle = _start_manifest(args, [out])
@@ -238,6 +246,8 @@ def cmd_estimate(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    _at_least(args, 0, "clouds", "boundary")
+    _at_least(args, 1, "max_t")
     rng = make_rng(args.seed, 0)
     failures = 0
     for i in range(args.clouds + args.boundary):

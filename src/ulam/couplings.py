@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import EstimateReport
 from .sampling import (MultisetWord, RngStream, _uniform_positions,
                        sample_poisson_cloud)
-from .subsequences import exact_expected_lis, lis_strict
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,16 +40,14 @@ def project_to_multiset(sigma: MultisetWord, k: int) -> MultisetWord:
         raise ValueError("projection expects a permutation word (k=1)")
     if sigma.n % k:
         raise ValueError("permutation length must be divisible by k")
-    letters = tuple((v + k - 1) // k for v in sigma.letters)
-    return MultisetWord(n=sigma.n // k, k=k, letters=letters)
+    return MultisetWord(n=sigma.n // k, k=k, letters=(sigma.letters + k - 1) // k)
 
 
-def _word_from_cloud_rows(rows: list[np.ndarray], n: int, k: int) -> MultisetWord:
-    """Word of row labels in x order; each row must hold exactly k points."""
-    xs = np.concatenate(rows)
-    labels = np.repeat(np.arange(1, n + 1, dtype=np.int64), [r.size for r in rows])
-    order = np.argsort(xs, kind="stable")
-    return MultisetWord(n=n, k=k, letters=tuple(int(v) for v in labels[order]))
+def _word_from_cloud_rows(xs: np.ndarray, n: int, k: int) -> MultisetWord:
+    """Word of row labels in x order; ``xs`` holds rows 1..n in turn, k
+    points each."""
+    labels = np.repeat(np.arange(1, n + 1, dtype=np.int64), k)
+    return MultisetWord(n=n, k=k, letters=labels[np.argsort(xs, kind="stable")])
 
 
 def poissonized_coupling_upper(n: int, k: int, lam: float, rng: RngStream) -> CoupledSample:
@@ -68,15 +64,12 @@ def poissonized_coupling_upper(n: int, k: int, lam: float, rng: RngStream) -> Co
     stands in for it.
     """
     cloud = sample_poisson_cloud(n * k, n, lam, rng)
-    flag = all(cloud.row(i).size >= k for i in range(1, n + 1))
+    flag = bool(np.all(np.diff(cloud.offsets) >= k))
     objects: dict = {"cloud": cloud, "word": None, "worst_case": n * k}
     if flag:
-        kept = []
-        for i in range(1, n + 1):
-            row = cloud.row(i)
-            idx = rng.choice(row.size, size=k, replace=False)
-            kept.append(np.sort(row[idx]))
-        objects["word"] = _word_from_cloud_rows(kept, n, k)
+        kept = [row[rng.choice(row.size, size=k, replace=False)]
+                for row in map(cloud.row, range(1, n + 1))]
+        objects["word"] = _word_from_cloud_rows(np.concatenate(kept), n, k)
     return CoupledSample("poissonized_upper", objects, flag)
 
 
@@ -88,18 +81,16 @@ def poissonized_coupling_lower(n: int, k: int, lam: float, rng: RngStream) -> Co
     the cloud, so its weak chain length dominates the cloud's.
     """
     cloud = sample_poisson_cloud(n * k, n, lam, rng)
-    flag = all(cloud.row(i).size <= k for i in range(1, n + 1))
+    flag = bool(np.all(np.diff(cloud.offsets) <= k))
     objects: dict = {"cloud": cloud, "word": None}
     if flag:
         completed = []
-        for i in range(1, n + 1):
-            have = cloud.row(i)
-            merged = have
-            while merged.size < k:
-                extra = _uniform_positions(rng, k - merged.size, n * k)
-                merged = np.unique(np.concatenate([merged, extra]))
-            completed.append(merged)
-        objects["word"] = _word_from_cloud_rows(completed, n, k)
+        for row in map(cloud.row, range(1, n + 1)):
+            while row.size < k:
+                extra = _uniform_positions(rng, k - row.size, n * k)
+                row = np.unique(np.concatenate([row, extra]))
+            completed.append(row)
+        objects["word"] = _word_from_cloud_rows(np.concatenate(completed), n, k)
     return CoupledSample("poissonized_lower", objects, flag)
 
 
@@ -117,29 +108,6 @@ def group_heights(word: MultisetWord, group_size: int) -> MultisetWord:
     if group_size > word.n:
         raise ValueError("group size exceeds the number of letters")
     m = word.n // group_size
-    cutoff = group_size * m
-    letters = tuple((v + group_size - 1) // group_size
-                    for v in word.letters if v <= cutoff)
-    return MultisetWord(n=m, k=word.k * group_size, letters=letters)
-
-
-def estimate_expected_lis(row_counts, reps: int, rng: RngStream,
-                          seed: int | None = None) -> EstimateReport:
-    """Monte Carlo estimate of the expected strict chain length for fixed
-    per-row point counts; cross-checkable against the exact enumeration on
-    tiny inputs."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    counts = [int(c) for c in row_counts]
-    letters = np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts)
-    vals = np.empty(reps)
-    for r in range(reps):
-        w = letters.copy()
-        rng.shuffle(w)
-        vals[r] = lis_strict(w)
-    predicted = None
-    if sum(counts) <= 9:
-        predicted = float(exact_expected_lis(counts))
-    return EstimateReport.from_values(
-        vals, seed=seed if seed is not None else -1,
-        params={"row_counts": counts}, predicted=predicted)
+    kept = word.letters[word.letters <= group_size * m]
+    return MultisetWord(n=m, k=word.k * group_size,
+                        letters=(kept + group_size - 1) // group_size)

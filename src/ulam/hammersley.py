@@ -197,7 +197,8 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
     line_ids = list(range(y.size)) if trace else None
     counts = np.empty(cloud.t_max, dtype=np.int64)
     exit_counts = np.empty(cloud.t_max, dtype=np.int64)
-    for step, (pts, sink) in enumerate(zip(cloud.row_positions, sinks), start=1):
+    rows = map(cloud.row, range(1, cloud.t_max + 1))
+    for step, (pts, sink) in enumerate(zip(rows, sinks), start=1):
         new_y, n_exit = rule(y, pts, sink)
         if trace:
             _diff_events(step, y, new_y, n_exit, events, line_ids, visits)
@@ -218,9 +219,9 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 #     (replica << shift) | (rank of the point in its replica's chain order),
 # 2**shift above every replica's size (int32 if they fit, else int64).  Chain
 # order is x ascending, ties by row descending (as in `chain_rows`), with a
-# cloud's sources as row 0 and ranks from 1; a word's positions are their own
-# ranks (words have no sinks, so no sentinel).  Keys are distinct, and an
-# equal-x pair never chains.
+# cloud's sources as row 0, ranked in one array with its xs, and ranks from
+# 1; a word's positions are its ranks (words have no sinks, no sentinel).
+# Keys are distinct, and an equal-x pair never chains.
 #
 # The slab: row r of an (R, C) array holds replica r's exited particles as
 # sentinels r << shift, then its live particles ascending, padded with
@@ -306,31 +307,31 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
     row of a cloud, and the sinks (rows x clouds).  Each of ``boundaries``,
     if given, is taken after its cloud, whose height it must share; its
     sources are ranked as row 0, its sinks past the cloud's rows ignored.
-    Rows are listed top-down, so a stable sort ranks the higher row first
-    among equal x (the quicker unstable sort serves when no two x are
-    equal).  Each cloud is dropped once ranked."""
+    A cloud is ranked as (sources, xs), with row labels from its offsets:
+    by the quick unstable sort if no two x are equal, else by a lexsort
+    that puts the higher row first.  Each cloud is dropped once ranked."""
     ranks, labels, sinks, most, top = [], [], [], 0, 1  # row 0 holds the sources
     boundaries = iter(boundaries)
     for cloud in clouds:
         b = next(boundaries, None)
-        rows = (*cloud.row_positions[::-1], np.empty(0) if b is None else b.sources)
+        sources = np.empty(0) if b is None else b.sources
         if b is not None:
             sinks.append(b.sinks[:cloud.t_max])
-        flat = np.concatenate(rows)
+        flat = np.concatenate((sources, cloud.xs))
         if flat.size >= 1 << 31:
             raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")
+        sizes = np.concatenate(([sources.size], np.diff(cloud.offsets)))
+        # row numbers of 16 bits or less sort by radix
+        rows = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(cloud.t_max)), sizes)
         order = np.argsort(flat)
         ordered = flat[order]
         if np.any(ordered[1:] == ordered[:-1]):
-            order = np.argsort(flat, kind="stable")
+            order = np.lexsort((cloud.t_max - rows, flat))
         rank = np.empty(flat.size, dtype=np.int32)
         rank[order] = np.arange(1, flat.size + 1, dtype=np.int32)
         ranks.append(rank)
-        sizes = [xs.size for xs in rows]
-        # row numbers of 16 bits or less sort by radix
-        labels.append(np.repeat(np.arange(len(rows) - 1, -1, -1,
-                                          dtype=np.min_scalar_type(len(rows) - 1)), sizes))
-        most, top = max(most, *sizes), max(top, len(rows))
+        labels.append(rows)
+        most, top = max(most, int(sizes.max())), max(top, sizes.size)
     sizes = np.asarray([r.size for r in ranks], dtype=np.int64)
     shift = int(sizes.max(initial=0) + 1).bit_length()
     dtype = _key_dtype(sizes.size, shift)

@@ -22,6 +22,7 @@ from .bounds import (BoundaryRates, _check_variant, augmented_tail_rate, mean_bo
 from .hammersley import _chain_keys, _slab_counts, _word_counts
 from .sampling import (PlanarPointSet, _shuffled_letters, make_rng, sample_boundary,
                        sample_poisson_cloud)
+from .subsequences import exact_expected_lis, lis_strict
 
 # Disjoint stream-id blocks per operation; replica r of op with tag g uses
 # stream_id (g << 32) | r.
@@ -29,6 +30,7 @@ _TAG_WORD = 1
 _TAG_POISSON = 2
 _TAG_STATIONARY = 3
 _TAG_DEVIATION = 4
+_TAG_EXPECTED = 5
 _MAX_REPS = 1 << 32
 
 # Replicas run in chunks that never depend on --jobs: Poisson clouds in chunks
@@ -121,7 +123,7 @@ def _poisson_chunk(args) -> np.ndarray:
     rngs = [make_rng(seed, _stream(tag, r)) for r in reps]
     # at t = 0 the boundary process is its sources: no cloud is drawn
     clouds = (sample_poisson_cloud(x, t, lam, rng) if t or rates is None
-              else PlanarPointSet((), x) for rng in rngs)
+              else PlanarPointSet.from_rows((), x) for rng in rngs)
     # each boundary is drawn after its cloud, as in run_process
     boundaries = (sample_boundary(x, max(t, 1), rates, rng) for rng in rngs) if rates else ()
     *layout, sinks = _chain_keys(clouds, boundaries)
@@ -147,7 +149,11 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
 
 def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
                               parallelism: int = 1) -> EstimateReport:
-    """Mean chain length of uniform multiset words against 2*sqrt(nk) -/+ k."""
+    """Mean chain length of uniform multiset words against 2*sqrt(nk) -/+ k.
+
+    The first-order value applies for k <= n, the matched cloud's domain
+    t >= x*lam in `estimate_poissonized`; for k > n ``predicted`` and
+    ``rel_error`` are None."""
     predicted = predicted_mean(n, k, order)  # checks the order and n, k >= 1
     _check_reps(reps)
     chunks = -(-reps * n * k // _WORD_BUDGET)
@@ -155,7 +161,7 @@ def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
     argses = [(seed, range(lo, hi), n, k, order) for lo, hi in zip(cuts, cuts[1:])]
     vals = np.concatenate(_parallel_map(_word_chunk, argses, parallelism)).astype(float)
     return EstimateReport.from_values(vals, seed, {"n": n, "k": k, "order": order},
-                                      predicted=predicted)
+                                      predicted=predicted if k <= n else None)
 
 
 def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
@@ -171,6 +177,24 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
     predicted = mb.strict_mean if order == "strict" else mb.weak_mean
     return EstimateReport.from_values(
         vals, seed, {"x": x, "t": t, "lam": lam, "order": order}, predicted=predicted)
+
+
+def estimate_expected_lis(row_counts, reps: int, seed: int) -> EstimateReport:
+    """Monte Carlo estimate of the expected strict chain length for fixed
+    per-row point counts; cross-checkable against the exact enumeration on
+    tiny inputs.  Every replica shuffles from the one stream
+    ``(seed, _TAG_EXPECTED << 32)``, in replica order."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    counts = [int(c) for c in row_counts]
+    rng = make_rng(seed, _stream(_TAG_EXPECTED, 0))
+    letters = np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts)
+    vals = np.empty(reps)
+    for r in range(reps):
+        rng.shuffle(letters)
+        vals[r] = lis_strict(letters)
+    predicted = float(exact_expected_lis(counts)) if sum(counts) <= 9 else None
+    return EstimateReport.from_values(vals, seed, {"row_counts": counts}, predicted)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,24 +39,29 @@ def make_rng(seed: int, stream_id: int = 0) -> RngStream:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultisetWord:
     """A word of length k*n over {1..n} in which each letter occurs exactly k times.
 
     The word is identified with the planar point set {(i, letters[i-1])}; the
-    position index is the x coordinate and the letter is the row.
+    position index is the x coordinate and the letter is the row.  ``letters``
+    is stored as a read-only int64 array.
     """
 
     n: int
     k: int
-    letters: tuple[int, ...]
+    letters: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be >= 1")
-        if len(self.letters) != self.n * self.k:
-            raise ValueError("word length must be k*n")
-        counts = np.bincount(np.asarray(self.letters, dtype=np.int64), minlength=self.n + 1)
+        letters = np.asarray(self.letters)
+        if letters.shape != (self.n * self.k,) or letters.dtype.kind not in "iu":
+            raise ValueError("the word must be k*n integer letters")
+        letters = letters.astype(np.int64, copy=False).view()
+        letters.flags.writeable = False
+        object.__setattr__(self, "letters", letters)
+        counts = np.bincount(letters, minlength=self.n + 1)
         if counts[0] != 0 or len(counts) > self.n + 1 or not np.all(counts[1:] == self.k):
             raise ValueError("each letter in 1..n must occur exactly k times")
 
@@ -69,54 +74,54 @@ class MultisetWord:
 class PlanarPointSet:
     """Finite set of (x, row) points with x in (0, x_max] and row in {1..t_max}.
 
-    Positions are stored per row, sorted ascending; duplicate (x, row) pairs
-    are rejected because their multiplicity semantics under the chain orders
-    would be ambiguous.
+    The positions are stored flat, sorted by row, then x: row i is
+    ``xs[offsets[i - 1]:offsets[i]]``, so ``offsets`` runs from 0 to
+    ``xs.size`` in t_max steps.  Duplicate (x, row) pairs are rejected
+    because their multiplicity semantics under the chain orders would be
+    ambiguous.
     """
 
-    row_positions: tuple[np.ndarray, ...]
+    xs: np.ndarray
+    offsets: np.ndarray
     x_max: float
 
     def __post_init__(self) -> None:
         if not 0 < self.x_max < np.inf:  # written so that NaN fails it too
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
-        rows = self.row_positions
-        if any(xs.ndim != 1 for xs in rows):
-            raise ValueError("row positions must be 1-d arrays")
-        # All rows are checked at once on their concatenation; a bad pair
-        # counts only when both of its points lie on the same row.
-        flat = np.concatenate(rows) if rows else np.empty(0)
-        if not flat.size:
-            return
-        ends = np.cumsum([xs.size for xs in rows])
-        outside = np.flatnonzero(~((flat > 0) & (flat <= self.x_max)))
+        xs, ends = self.xs, self.offsets
+        if (xs.ndim != 1 or ends.ndim != 1 or ends.dtype.kind not in "iu" or not ends.size
+                or ends[0] != 0 or ends[-1] != xs.size or np.any(ends[1:] < ends[:-1])):
+            raise ValueError("offsets must run from 0 to xs.size without decreasing")
+        outside = np.flatnonzero(~((xs > 0) & (xs <= self.x_max)))
         if outside.size:
-            row = int(np.searchsorted(ends, outside[0], side="right")) + 1
-            raise ValueError(f"row {row}: positions must lie in (0, x_max]")
-        bad = np.flatnonzero(np.diff(flat) <= 0)
-        bad = bad[np.searchsorted(ends, bad, side="right")
-                  == np.searchsorted(ends, bad + 1, side="right")]
+            raise ValueError(f"row {self._row_of(outside[0])}: positions must lie in "
+                             "(0, x_max]")
+        # a bad pair counts only when both of its points lie on the same row
+        bad = np.flatnonzero(np.diff(xs) <= 0)
+        bad = bad[self._row_of(bad) == self._row_of(bad + 1)]
         if bad.size:
-            row = int(np.searchsorted(ends, bad[0], side="right"))
-            lo, hi = (0 if row == 0 else ends[row - 1]), ends[row]
-            if np.any(np.diff(flat[lo:hi]) < 0):
-                raise ValueError(f"row {row + 1}: positions must be sorted ascending")
-            raise ValueError(f"row {row + 1}: duplicate (x, row) point")
+            row = int(self._row_of(bad[0]))
+            if np.any(np.diff(self.row(row)) < 0):
+                raise ValueError(f"row {row}: positions must be sorted ascending")
+            raise ValueError(f"row {row}: duplicate (x, row) point")
+
+    def _row_of(self, index):  # the 1-based row of each flat index
+        return np.searchsorted(self.offsets, index, side="right")
 
     @property
     def t_max(self) -> int:
-        return len(self.row_positions)
+        return self.offsets.size - 1
 
     @property
     def size(self) -> int:
-        return int(sum(xs.size for xs in self.row_positions))
+        return self.xs.size
 
     def row(self, i: int) -> np.ndarray:
         """Positions on row ``i`` (1-based)."""
-        return self.row_positions[i - 1]
+        return self.xs[self.offsets[i - 1]:self.offsets[i]]
 
     def points(self) -> list[tuple[float, int]]:
-        return [(float(x), i + 1) for i, xs in enumerate(self.row_positions) for x in xs]
+        return list(zip(self.xs.tolist(), self._row_of(np.arange(self.size)).tolist()))
 
     def chain_rows(self) -> np.ndarray:
         """Row indices sorted by x ascending, ties broken by row descending.
@@ -125,30 +130,32 @@ class PlanarPointSet:
         partial order, so the planar problem reduces to a subsequence
         problem on the returned row sequence.
         """
-        xs = np.concatenate([np.asarray(p, dtype=float) for p in self.row_positions]) \
-            if self.row_positions else np.empty(0)
-        rows = np.concatenate(
-            [np.full(p.size, i + 1, dtype=np.int64) for i, p in enumerate(self.row_positions)]
-        ) if self.row_positions else np.empty(0, dtype=np.int64)
-        if xs.size == 0:
-            return rows
-        order = np.lexsort((-rows, xs))
-        return rows[order]
+        rows = self._row_of(np.arange(self.size))
+        return rows[np.lexsort((-rows, self.xs))]
 
     def restrict(self, x_lo: float = 0.0, x_hi: float | None = None) -> "PlanarPointSet":
         """Sub point set with positions in (x_lo, x_hi]."""
         hi = self.x_max if x_hi is None else x_hi
-        rows = tuple(xs[(xs > x_lo) & (xs <= hi)] for xs in self.row_positions)
-        return PlanarPointSet(rows, self.x_max)
+        keep = (self.xs > x_lo) & (self.xs <= hi)
+        kept = np.concatenate(([0], np.cumsum(keep)))  # kept points before each index
+        return PlanarPointSet(self.xs[keep], kept[self.offsets], self.x_max)
+
+    @staticmethod
+    def from_rows(rows, x_max: float) -> "PlanarPointSet":
+        """The point set whose row i holds the sorted positions ``rows[i - 1]``."""
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        return PlanarPointSet(np.concatenate([np.empty(0), *rows]),
+                              np.cumsum([0, *(r.size for r in rows)]), x_max)
 
     @staticmethod
     def from_points(points, x_max: float, t_max: int) -> "PlanarPointSet":
-        rows: list[list[float]] = [[] for _ in range(t_max)]
-        for x, r in points:
-            if not 1 <= r <= t_max:
-                raise ValueError("row out of range")
-            rows[r - 1].append(float(x))
-        return PlanarPointSet(tuple(np.sort(np.asarray(r, dtype=float)) for r in rows), x_max)
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        xs, rows = pts[:, 0], pts[:, 1]
+        if not np.all((rows >= 1) & (rows <= t_max) & (rows == np.floor(rows))):
+            raise ValueError("rows must be integers in 1..t_max")
+        order = np.lexsort((xs, rows))
+        offsets = np.searchsorted(rows[order], np.arange(t_max + 1), side="right")
+        return PlanarPointSet(xs[order], offsets, x_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +212,7 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    return MultisetWord(n=n, k=k, letters=tuple(_shuffled_letters(n, k, rng).tolist()))
+    return MultisetWord(n=n, k=k, letters=_shuffled_letters(n, k, rng))
 
 
 def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> PlanarPointSet:
@@ -214,7 +221,7 @@ def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> Planar
     Draw order is fixed (all counts first, then positions row by row) so a
     given stream always yields the same cloud.  The positions of all rows
     come from one ``random`` call, which draws exactly what one call per row
-    would; the rows are views of that buffer.  An exact tie between
+    would, and each row's slice is sorted in place.  An exact tie between
     neighbours (a 2**-53 event per pair) rewinds the stream and replays the
     per-row draws, whose re-draw of duplicates fixes the stream from there.
     """
@@ -224,17 +231,16 @@ def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> Planar
         raise ValueError("t must be >= 1")
     counts = rng.poisson(lam * x, size=t)
     before = rng.bit_generator.state
-    flat = x * (1.0 - rng.random(int(counts.sum())))
-    ends = np.cumsum(counts)
-    rows = tuple(flat[e - c:e] for c, e in zip(counts, ends))
-    for xs in rows:
-        xs.sort()
-    if np.any(flat[1:] == flat[:-1]):
+    xs = x * (1.0 - rng.random(int(counts.sum())))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        xs[lo:hi].sort()
+    if np.any(xs[1:] == xs[:-1]):
         rng.bit_generator.state = before
-        rows = tuple(_uniform_positions(rng, int(c), x) for c in counts)
+        xs = np.concatenate([np.empty(0), *(_uniform_positions(rng, c, x) for c in counts)])
     # the draw is sorted, distinct and in (0, x] by construction: no re-check
     cloud = object.__new__(PlanarPointSet)
-    cloud.__dict__.update(row_positions=rows, x_max=float(x))
+    cloud.__dict__.update(xs=xs, offsets=offsets, x_max=float(x))
     return cloud
 
 

@@ -13,12 +13,11 @@ import pytest
 from ulam.bounds import (BoundaryRates, optimal_rates_strict, optimal_rates_weak,
                          verify_tail_inequality)
 from ulam.cli import main as cli_main
-from ulam.couplings import (estimate_expected_lis, group_heights,
-                            poissonized_coupling_lower, poissonized_coupling_upper,
-                            project_to_multiset)
+from ulam.couplings import (group_heights, poissonized_coupling_lower,
+                            poissonized_coupling_upper, project_to_multiset)
 from ulam.hammersley import verify_line_identity
-from ulam.montecarlo import (estimate_mean_subsequence, estimate_poissonized,
-                             stationarity_test)
+from ulam.montecarlo import (estimate_expected_lis, estimate_mean_subsequence,
+                             estimate_poissonized, stationarity_test)
 from ulam.sampling import (make_rng, sample_boundary, sample_poisson_cloud,
                            sample_uniform_multiset_permutation,
                            sample_uniform_permutation)
@@ -108,10 +107,8 @@ def test_criterion_04_exact_tiny_expectations():
     from fractions import Fraction
     ok_exact = (exact_expected_lis((2, 2)) == Fraction(11, 6)
                 and exact_expected_lis((1, 1, 1, 1)) == Fraction(29, 12))
-    rng = make_rng(MASTER_SEED, 4)
-    r22 = estimate_expected_lis((2, 2), 100_000, rng, seed=MASTER_SEED)
-    rng = make_rng(MASTER_SEED, 5)
-    r1111 = estimate_expected_lis((1, 1, 1, 1), 100_000, rng, seed=MASTER_SEED)
+    r22 = estimate_expected_lis((2, 2), 100_000, seed=MASTER_SEED)
+    r1111 = estimate_expected_lis((1, 1, 1, 1), 100_000, seed=MASTER_SEED)
     ok_mc = (abs(r22.mean - 11 / 6) <= 4 * r22.stderr
              and abs(r1111.mean - 29 / 12) <= 4 * r1111.stderr)
     _report(4, "exact_e((2,2))=11/6, exact_e((1,1,1,1))=29/12, MC within 4 sigma",

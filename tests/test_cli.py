@@ -44,6 +44,32 @@ class TestSample:
         assert res.returncode == 2
         assert "--n" in res.stderr
 
+    @pytest.mark.parametrize("seed, csv_text, json_text", [
+        (0, "4,4,3,2,2,1,3,1\n4,2,3,4,1,2,3,1\n4,3,2,1,2,1,4,3\n",
+         "[[4, 4, 3, 2, 2, 1, 3, 1], [4, 2, 3, 4, 1, 2, 3, 1], [4, 3, 2, 1, 2, 1, 4, 3]]\n"),
+        (5, "3,1,3,1,4,2,2,4\n2,3,4,1,3,2,4,1\n2,3,4,3,4,2,1,1\n",
+         "[[3, 1, 3, 1, 4, 2, 2, 4], [2, 3, 4, 1, 3, 2, 4, 1], [2, 3, 4, 3, 4, 2, 1, 1]]\n"),
+        (123, "4,2,2,4,1,3,1,3\n3,1,4,1,2,3,4,2\n3,1,3,4,1,2,2,4\n",
+         "[[4, 2, 2, 4, 1, 3, 1, 3], [3, 1, 4, 1, 2, 3, 4, 2], [3, 1, 3, 4, 1, 2, 2, 4]]\n"),
+    ])
+    def test_output_bytes_are_pinned(self, capsys, seed, csv_text, json_text):
+        for fmt, text in (("csv", csv_text), ("json", json_text)):
+            assert main(["sample", "--n", "4", "--k", "2", "--count", "3",
+                         "--seed", str(seed), "--format", fmt]) == 0
+            assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["sample", "--n", "2", "--k", "2", "--count", "-2"], "--count"),
+    (["verify", "--clouds", "-3", "--boundary", "0"], "--clouds"),
+    (["verify", "--clouds", "1", "--boundary", "-1"], "--boundary"),
+    (["verify", "--clouds", "1", "--boundary", "0", "--max-t", "0"], "--max-t"),
+])
+def test_count_below_its_range_exits_2(capsys, argv, option):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {option} must be >= " in err
+
 
 class TestLis:
     def test_word_examples(self, capsys):
@@ -123,6 +149,19 @@ class TestEstimate:
                             "reps", "predicted", "rel_error"}
         plot = (d / "plot.csv").read_text().splitlines()
         assert plot[0] == "n,k,mean,stderr,predicted"
+
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    @pytest.mark.parametrize("n, k", [(10, 1000), (100, 400)])
+    def test_no_prediction_beyond_k_le_n(self, tmp_path, n, k, order):
+        d = tmp_path / "est"
+        assert main(["estimate", "--n", str(n), "--k", str(k), "--order", order,
+                     "--reps", "3", "--seed", "3", "--out-dir", str(d)]) == 0
+        rep = json.loads((d / "report.json").read_text())
+        assert rep["predicted"] is None and rep["rel_error"] is None
+        assert set(rep) == {"command", "params", "seed", "mean", "stderr",
+                            "reps", "predicted", "rel_error"}
+        if (n, order) == (10, "strict"):
+            assert (rep["mean"], rep["stderr"]) == (10.0, 0.0)  # every chain is all n
 
     def test_reps_beyond_stream_block_exits_2(self, tmp_path, capsys):
         for mode in (["--n", "2", "--k", "2"],

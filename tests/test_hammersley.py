@@ -107,7 +107,7 @@ class TestStepWeak:
 
 class TestRunDynamics:
     def test_empty_cloud(self):
-        cloud = PlanarPointSet((np.empty(0),) * 5, 2.0)
+        cloud = PlanarPointSet.from_rows((np.empty(0),) * 5, 2.0)
         for variant in ("strict", "weak"):
             rec = run_dynamics(cloud, None, variant)
             assert rec.counts.tolist() == [0] * 5
@@ -127,23 +127,23 @@ class TestRunDynamics:
         for variant, fn in (("strict", lis_strict), ("weak", lnds_weak)):
             rec = run_dynamics(cloud, None, variant)
             for t in range(1, 13):
-                prefix = PlanarPointSet(cloud.row_positions[:t], cloud.x_max)
+                prefix = PlanarPointSet.from_rows(map(cloud.row, range(1, t + 1)), cloud.x_max)
                 assert rec.counts[t - 1] == fn(prefix)
 
     def test_mismatched_sinks_rejected(self):
-        cloud = PlanarPointSet((np.empty(0),) * 3, 1.0)
+        cloud = PlanarPointSet.from_rows((np.empty(0),) * 3, 1.0)
         b = BoundarySample(np.empty(0), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
             run_dynamics(cloud, b, "strict")
 
     def test_strict_rejects_multiplicity(self):
-        cloud = PlanarPointSet((np.empty(0),), 1.0)
+        cloud = PlanarPointSet.from_rows((np.empty(0),), 1.0)
         b = BoundarySample(np.empty(0), np.asarray([2], dtype=np.int64))
         with pytest.raises(ValueError):
             run_dynamics(cloud, b, "strict")
 
     def test_rejects_sources_outside_the_range(self):
-        cloud = PlanarPointSet((np.empty(0),), 1.0)
+        cloud = PlanarPointSet.from_rows((np.empty(0),), 1.0)
         for sources in ([0.5, 1.5], [np.nan]):
             b = BoundarySample(np.asarray(sources), np.zeros(1, dtype=np.int64))
             with pytest.raises(ValueError, match="positions must lie"):
@@ -170,8 +170,8 @@ class TestRunDynamics:
         rng = make_rng(30)
         cloud = sample_poisson_cloud(4.0, 6, 1.0, rng)
         b = sample_boundary(4.0, 6, rates, rng)
-        assert [r.tolist() for r in run.cloud.row_positions] == \
-            [r.tolist() for r in cloud.row_positions]
+        assert run.cloud.xs.tolist() == cloud.xs.tolist()
+        assert run.cloud.offsets.tolist() == cloud.offsets.tolist()
         assert run.boundary.sources.tolist() == b.sources.tolist()
         assert run.boundary.sinks.tolist() == b.sinks.tolist()
         rec = run_dynamics(cloud, b, "weak")
@@ -181,7 +181,7 @@ class TestRunDynamics:
 
 class TestLineIdentity:
     def test_empty_and_single_point(self):
-        empty = PlanarPointSet((np.empty(0),), 1.0)
+        empty = PlanarPointSet.from_rows((np.empty(0),), 1.0)
         single = PlanarPointSet.from_points([(0.5, 1)], 1.0, 1)
         for variant in ("strict", "weak"):
             assert verify_line_identity(empty, None, variant)
@@ -317,7 +317,8 @@ class TestBatchParticleCounts:
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_empty_inputs(self, variant):
         assert batch_particle_counts([], variant).tolist() == []
-        empty = [PlanarPointSet((), 1.0), PlanarPointSet((np.empty(0),) * 4, 1.0)]
+        empty = [PlanarPointSet.from_rows((), 1.0),
+                 PlanarPointSet.from_rows((np.empty(0),) * 4, 1.0)]
         assert batch_particle_counts(empty, variant).tolist() == [0, 0]
 
     @pytest.mark.parametrize("variant", ["strict", "weak"])
@@ -330,7 +331,7 @@ class TestBatchParticleCounts:
         # 2**14 replicas of 2**17 keys each end at 2**31, past int32
         big = sample_poisson_cloud(22_000.0, 3, 1.0, make_rng(33))
         assert 1 << 16 <= big.size < 1 << 17
-        clouds = [PlanarPointSet((), 1.0)] * ((1 << 14) - 1) + [big]
+        clouds = [PlanarPointSet.from_rows((), 1.0)] * ((1 << 14) - 1) + [big]
         assert hammersley._chain_keys(clouds[-2:])[0][0].dtype == np.int32
         assert hammersley._chain_keys(clouds)[0][0].dtype == np.int64
         for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
@@ -439,10 +440,10 @@ class TestBoundarySlab:
             # no sources, no sinks: the plain chain length
             (one, BoundarySample(np.empty(0), np.asarray([0, 0]))),
             # an empty cloud: sources exit one by one, rows without points
-            (PlanarPointSet((np.empty(0),) * 2, 3.0),
+            (PlanarPointSet.from_rows((np.empty(0),) * 2, 3.0),
              BoundarySample(np.asarray([0.5, 1.0, 2.5]), np.asarray([1, 1]))),
             # nothing at all: no slab row
-            (PlanarPointSet((np.empty(0),) * 2, 3.0),
+            (PlanarPointSet.from_rows((np.empty(0),) * 2, 3.0),
              BoundarySample(np.empty(0), np.asarray([1, 0]))),
             # a source at the x of a row point ranks above it
             (one, BoundarySample(np.asarray([1.0, 1.5]), np.asarray([0, 1]))),
@@ -454,7 +455,8 @@ class TestBoundarySlab:
         # at t = 0 the process is its sources: a cloud of no rows, one sink
         b = BoundarySample(np.asarray([0.5, 2.0]), np.asarray([1]))
         for variant in ("strict", "weak"):
-            assert boundary_counts([(PlanarPointSet((), 3.0), b)], variant).tolist() == [2]
+            no_rows = PlanarPointSet.from_rows((), 3.0)
+            assert boundary_counts([(no_rows, b)], variant).tolist() == [2]
 
     @pytest.mark.parametrize("variant, rate", [("strict", 1.0), ("weak", 2.0)])
     def test_sampled_boundary_processes(self, variant, rate):

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_cellwise_four_sigma, assert_chi_square_pmf, assert_within_sigma
 from ulam.bounds import BoundaryRates
@@ -70,16 +72,16 @@ class TestRngStream:
     def test_sample_serialization_roundtrip(self):
         w1 = sample_uniform_multiset_permutation(6, 3, make_rng(9, 4))
         w2 = sample_uniform_multiset_permutation(6, 3, make_rng(9, 4))
-        assert w1.letters == w2.letters
+        assert w1.letters.tolist() == w2.letters.tolist()
         c1 = sample_poisson_cloud(5.0, 4, 1.0, make_rng(9, 5))
         c2 = sample_poisson_cloud(5.0, 4, 1.0, make_rng(9, 5))
-        assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip(c1.row_positions, c2.row_positions))
+        assert c1.xs.tobytes() == c2.xs.tobytes()
+        assert c1.offsets.tolist() == c2.offsets.tolist()
 
 
 class TestWordSampling:
     def test_single_permutation(self):
-        assert sample_uniform_permutation(1, make_rng(0)).letters == (1,)
+        assert sample_uniform_permutation(1, make_rng(0)).letters.tolist() == [1]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -92,12 +94,13 @@ class TestWordSampling:
         assert sorted(w.letters) == [1, 2, 3, 4]
 
     def test_unique_multiset_word(self):
-        assert sample_uniform_multiset_permutation(1, 3, make_rng(0)).letters == (1, 1, 1)
+        word = sample_uniform_multiset_permutation(1, 3, make_rng(0))
+        assert word.letters.tolist() == [1, 1, 1]
 
     def test_multiset_invariants(self):
         w = sample_uniform_multiset_permutation(5, 2, make_rng(11))
         assert len(w.letters) == 10
-        assert all(w.letters.count(v) == 2 for v in range(1, 6))
+        assert all(w.letters.tolist().count(v) == 2 for v in range(1, 6))
 
     @pytest.mark.statistical
     def test_permutation_uniform(self):
@@ -106,7 +109,7 @@ class TestWordSampling:
         index = {p: i for i, p in enumerate(itertools.permutations((1, 2, 3)))}
         counts = np.zeros(6)
         for _ in range(60000):
-            counts[index[sample_uniform_permutation(3, rng).letters]] += 1
+            counts[index[tuple(sample_uniform_permutation(3, rng).letters.tolist())]] += 1
         assert_cellwise_four_sigma(counts, np.full(6, 1 / 6), "3-permutations")
 
     @pytest.mark.statistical
@@ -117,7 +120,8 @@ class TestWordSampling:
         index = {w: i for i, w in enumerate(words)}
         counts = np.zeros(6)
         for _ in range(60000):
-            counts[index[sample_uniform_multiset_permutation(2, 2, rng).letters]] += 1
+            word = sample_uniform_multiset_permutation(2, 2, rng)
+            counts[index[tuple(word.letters.tolist())]] += 1
         assert_cellwise_four_sigma(counts, np.full(6, 1 / 6), "(2,2)-words")
 
 
@@ -136,9 +140,9 @@ class TestPoissonCloud:
             rng, ref = make_rng(seed, 9), make_rng(seed, 9)
             cloud = sample_poisson_cloud(x, t, lam, rng)
             rows = per_row_cloud(x, t, lam, ref)
-            assert len(cloud.row_positions) == t
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(cloud.row_positions, rows))
+            assert cloud.t_max == t
+            assert all(cloud.row(i).tobytes() == b.tobytes()
+                       for i, b in enumerate(rows, start=1))
             # both leave the stream at the same place
             assert rng.random() == ref.random()
 
@@ -149,15 +153,15 @@ class TestPoissonCloud:
             ref = QuantizedRng(make_rng(seed, 10))
             cloud = sample_poisson_cloud(1.0, 5, 4.0, rng)
             rows = per_row_cloud(1.0, 5, 4.0, ref)
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(cloud.row_positions, rows))
+            assert all(cloud.row(i).tobytes() == b.tobytes()
+                       for i, b in enumerate(rows, start=1))
             assert rng.rng.random() == ref.rng.random()
             replayed += rng.random_calls > 1
         assert replayed > 0
 
     def test_rows_sorted_in_range(self):
         cloud = sample_poisson_cloud(3.0, 3, 5.0, make_rng(8))
-        for row in cloud.row_positions:
+        for row in map(cloud.row, range(1, cloud.t_max + 1)):
             assert np.all(row > 0) and np.all(row <= 3.0)
             assert np.all(np.diff(row) > 0)
 
@@ -178,7 +182,7 @@ class TestPoissonCloud:
         replayed = sample_poisson_cloud(1.0, 5, 4.0, QuantizedRng(make_rng(3, 10)))
         assert cloud.x_max == 3.0 and cloud.t_max == 4 and replayed.t_max == 5
         with pytest.raises(AssertionError, match="re-checked"):
-            PlanarPointSet((np.asarray([0.5]),), 1.0)  # the public constructor checks
+            PlanarPointSet.from_rows(([0.5],), 1.0)  # the public constructor checks
 
     @pytest.mark.statistical
     def test_row_count_mean(self):
@@ -259,37 +263,37 @@ class TestDomainTypes:
 
     def test_point_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            PlanarPointSet((np.asarray([0.5, 0.5]),), 1.0)
+            PlanarPointSet.from_rows((np.asarray([0.5, 0.5]),), 1.0)
 
     def test_point_set_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            PlanarPointSet((np.asarray([1.5]),), 1.0)
+            PlanarPointSet.from_rows((np.asarray([1.5]),), 1.0)
         with pytest.raises(ValueError):
-            PlanarPointSet((np.asarray([0.0]),), 1.0)
+            PlanarPointSet.from_rows((np.asarray([0.0]),), 1.0)
         # NaN fails every comparison, so the checks must reject it as well
         with pytest.raises(ValueError, match="row 2: positions must lie"):
-            PlanarPointSet((np.asarray([0.2]), np.asarray([0.1, np.nan, 0.5])), 1.0)
+            PlanarPointSet.from_rows((np.asarray([0.2]), np.asarray([0.1, np.nan, 0.5])), 1.0)
         with pytest.raises(ValueError, match="x_max must be positive"):
-            PlanarPointSet((np.asarray([0.5]),), float("nan"))
+            PlanarPointSet.from_rows((np.asarray([0.5]),), float("nan"))
         # an infinite x_max would admit infinite positions
         for x_max in (float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="x_max must be positive and finite"):
-                PlanarPointSet((np.asarray([np.inf]),), x_max)
+                PlanarPointSet.from_rows((np.asarray([np.inf]),), x_max)
         with pytest.raises(ValueError, match="finite"):
             PlanarPointSet.from_points([(np.inf, 1)], np.inf, 1)
 
     def test_point_set_names_the_bad_row(self):
         with pytest.raises(ValueError, match="row 2: positions must be sorted"):
-            PlanarPointSet((np.asarray([0.1, 0.2]), np.asarray([0.6, 0.3])), 1.0)
+            PlanarPointSet.from_rows((np.asarray([0.1, 0.2]), np.asarray([0.6, 0.3])), 1.0)
         with pytest.raises(ValueError, match="row 3: duplicate"):
-            PlanarPointSet((np.asarray([0.1]), np.empty(0), np.asarray([0.4, 0.4])), 1.0)
+            PlanarPointSet.from_rows(([0.1], [], [0.4, 0.4]), 1.0)
         with pytest.raises(ValueError, match="row 2: positions must lie"):
-            PlanarPointSet((np.asarray([0.1]), np.asarray([0.5, 1.5])), 1.0)
+            PlanarPointSet.from_rows((np.asarray([0.1]), np.asarray([0.5, 1.5])), 1.0)
 
     def test_point_set_accepts_equal_x_on_other_rows(self):
         # neighbours across a row boundary may be equal or decrease
-        ps = PlanarPointSet((np.asarray([0.2, 0.5]), np.asarray([0.5]),
-                             np.asarray([0.1, 0.9])), 1.0)
+        ps = PlanarPointSet.from_rows((np.asarray([0.2, 0.5]), np.asarray([0.5]),
+                                       np.asarray([0.1, 0.9])), 1.0)
         assert ps.size == 5
 
     def test_chain_rows_tie_break(self):
@@ -302,3 +306,66 @@ class TestDomainTypes:
             BoundarySample(np.asarray([0.3, 0.2]), np.asarray([0, 1]))
         with pytest.raises(ValueError):
             BoundarySample(np.asarray([0.2]), np.asarray([-1]))
+
+
+# Rows of up to 4 positions on a grid of quarters, any of them empty (the
+# first and the last included); equal x on different rows is common.
+grid_rows = st.lists(st.sets(st.integers(min_value=1, max_value=8), max_size=4)
+                     .map(lambda row: [x / 4 for x in sorted(row)]), max_size=6)
+
+
+class TestFlatPointSet:
+    """The flat storage against per-row definitions written here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_rows, st.integers(min_value=0, max_value=8),
+           st.integers(min_value=0, max_value=8))
+    def test_matches_per_row_definitions(self, rows, lo, hi):
+        ps = PlanarPointSet.from_rows(rows, 2.0)
+        assert (ps.t_max, ps.size) == (len(rows), sum(map(len, rows)))
+        assert [ps.row(i).tolist() for i in range(1, ps.t_max + 1)] == rows
+        points = [(x, i) for i, row in enumerate(rows, start=1) for x in row]
+        assert ps.points() == points
+        again = PlanarPointSet.from_points(ps.points()[::-1], 2.0, len(rows))
+        assert again.xs.tolist() == ps.xs.tolist()
+        assert again.offsets.tolist() == ps.offsets.tolist()
+        # the chain order: x ascending, equal x by row descending
+        assert ps.chain_rows().tolist() == [
+            r for _, r in sorted(points, key=lambda p: (p[0], -p[1]))]
+        sub = ps.restrict(lo / 4, hi / 4)
+        assert [sub.row(i).tolist() for i in range(1, sub.t_max + 1)] == [
+            [x for x in row if lo / 4 < x <= hi / 4] for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans(), st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=3),
+           st.sampled_from([([0.5, 0.5], "duplicate"), ([0.6, 0.3], "sorted"),
+                            ([0.2, 0.5, 0.4], "sorted"), ([0.5, 1.5], "must lie"),
+                            ([np.nan], "must lie"), ([0.0, 0.5], "must lie")]))
+    def test_errors_name_the_row_after_empty_rows(self, lead, empty, after, case):
+        bad, message = case
+        rows = [[0.1, 0.9]] * lead + [[]] * empty + [bad] + [[]] * after
+        with pytest.raises(ValueError, match=f"^row {lead + empty + 1}: .*{message}"):
+            PlanarPointSet.from_rows(rows, 1.0)
+
+    def test_offsets_are_checked(self):
+        cases = [np.asarray(offsets, dtype) for offsets in ([1, 1], [0, 2, 1], [0, 2, 3], [])
+                 for dtype in (np.int64, np.uint64)] + [np.asarray([0.0, 1.0])]
+        for offsets in cases:
+            with pytest.raises(ValueError, match="offsets"):
+                PlanarPointSet(np.asarray([0.5]), offsets, 1.0)
+
+    def test_rows_must_be_integers_in_range(self):
+        for row in (1.5, 0, 3, np.nan):
+            with pytest.raises(ValueError, match="rows must be integers"):
+                PlanarPointSet.from_points([(0.5, 1), (0.5, row)], 1.0, 2)
+
+    def test_letters_are_a_read_only_integer_array(self):
+        w = sample_uniform_multiset_permutation(3, 2, make_rng(0))
+        mine = np.asarray([2, 1, 1, 2])
+        for letters in (w.letters, MultisetWord(2, 2, mine).letters):
+            assert isinstance(letters, np.ndarray) and letters.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                letters[0] = 1
+        with pytest.raises(ValueError, match="integer letters"):
+            MultisetWord(2, 2, (1.0, 1.0, 2.0, 2.0))

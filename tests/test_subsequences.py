@@ -32,7 +32,7 @@ class TestFastAlgorithms:
         assert lnds_weak(MultisetWord(4, 1, (3, 1, 4, 2))) == 2
 
     def test_empty(self):
-        empty = PlanarPointSet((), 1.0)
+        empty = PlanarPointSet.from_rows((), 1.0)
         assert lis_strict(empty) == 0
         assert lnds_weak(empty) == 0
 
@@ -79,12 +79,12 @@ class TestBoundaryChain:
             assert longest_chain_with_boundary(cloud, empty, "weak") == lnds_weak(cloud)
 
     def test_sources_chain_along_bottom(self):
-        cloud = PlanarPointSet((np.empty(0),), 1.0)
+        cloud = PlanarPointSet.from_rows((np.empty(0),), 1.0)
         b = BoundarySample(np.asarray([0.1, 0.2, 0.3]), np.zeros(1, dtype=np.int64))
         assert longest_chain_with_boundary(cloud, b, "strict") == 3
 
     def test_sinks_chain_with_multiplicity(self):
-        cloud = PlanarPointSet((np.empty(0), np.empty(0)), 1.0)
+        cloud = PlanarPointSet.from_rows((np.empty(0), np.empty(0)), 1.0)
         b = BoundarySample(np.empty(0), np.asarray([2, 1], dtype=np.int64))
         assert longest_chain_with_boundary(cloud, b, "weak") == 3
         # strict rejects multiplicity 2
@@ -102,7 +102,7 @@ class TestBoundaryChain:
         assert longest_chain_with_boundary(cloud, b2, "strict") == 2
 
     def test_no_mixing_sources_and_sinks(self):
-        cloud = PlanarPointSet((np.empty(0), np.empty(0)), 1.0)
+        cloud = PlanarPointSet.from_rows((np.empty(0), np.empty(0)), 1.0)
         b = BoundarySample(np.asarray([0.1, 0.2]), np.asarray([1, 1], dtype=np.int64))
         # best chain uses either the two sources or the two sinks, never both
         assert longest_chain_with_boundary(cloud, b, "strict") == 2
