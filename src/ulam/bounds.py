@@ -258,11 +258,11 @@ def log_poisson_lower(lam: float, threshold: float) -> float:
     return _log_range_sum([_log_poisson_pmf(lam, j) for j in range(m + 1)])
 
 
-def _log_binom_pmf(n: int, p: float, j: int) -> float:
-    return (
-        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        + j * math.log(p) + (n - j) * math.log1p(-p)
-    )
+def _log_binom_pmfs(n: int, p: float, js: Iterable[int]) -> list[float]:
+    """log P(Binomial(n, p) = j) for each j; the logs free of j are taken once."""
+    log_top, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    return [log_top - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+            + j * log_p + (n - j) * log_q for j in js]
 
 
 def log_binomial_upper(n: int, p: float, threshold: float) -> float:
@@ -270,7 +270,7 @@ def log_binomial_upper(n: int, p: float, threshold: float) -> float:
     m = max(0, math.ceil(threshold))
     if m > n:
         return -math.inf
-    return _log_range_sum([_log_binom_pmf(n, p, j) for j in range(m, n + 1)])
+    return _log_range_sum(_log_binom_pmfs(n, p, range(m, n + 1)))
 
 
 def log_binomial_lower(n: int, p: float, threshold: float) -> float:
@@ -278,14 +278,15 @@ def log_binomial_lower(n: int, p: float, threshold: float) -> float:
     m = math.floor(threshold)
     if m < 0:
         return -math.inf
-    return _log_range_sum([_log_binom_pmf(n, p, j) for j in range(0, min(m, n) + 1)])
+    return _log_range_sum(_log_binom_pmfs(n, p, range(0, min(m, n) + 1)))
 
 
-def _log_nbinom_pmf(k: int, alpha: float, j: int) -> float:
-    return (
-        math.lgamma(k + j) - math.lgamma(j + 1) - math.lgamma(k)
-        + k * math.log1p(-alpha) + j * math.log(alpha)
-    )
+def _log_nbinom_pmfs(k: int, alpha: float, js: Iterable[int]) -> list[float]:
+    """log P(NegBin(k, 1 - alpha) = j) for each j; the logs free of j are
+    taken once."""
+    log_k, log_base, log_alpha = math.lgamma(k), k * math.log1p(-alpha), math.log(alpha)
+    return [math.lgamma(k + j) - math.lgamma(j + 1) - log_k + log_base + j * log_alpha
+            for j in js]
 
 
 def log_geomsum_upper(k: int, alpha: float, threshold: float) -> float:
@@ -296,7 +297,7 @@ def log_geomsum_upper(k: int, alpha: float, threshold: float) -> float:
         while True:
             yield alpha * (k + j) / (j + 1)
             j += 1
-    return _log_tail_sum(_log_nbinom_pmf(k, alpha, m), ratios())
+    return _log_tail_sum(_log_nbinom_pmfs(k, alpha, [m])[0], ratios())
 
 
 def log_geomsum_lower(k: int, alpha: float, threshold: float) -> float:
@@ -304,7 +305,7 @@ def log_geomsum_lower(k: int, alpha: float, threshold: float) -> float:
     m = math.floor(threshold)
     if m < 0:
         return -math.inf
-    return _log_range_sum([_log_nbinom_pmf(k, alpha, j) for j in range(m + 1)])
+    return _log_range_sum(_log_nbinom_pmfs(k, alpha, range(m + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,8 @@ def cmd_estimate(args) -> int:
 def cmd_verify(args) -> int:
     _at_least(args, 0, "clouds", "boundary")
     _at_least(args, 1, "max_t")
+    if not 0.05 <= args.max_x < np.inf:  # written so that NaN fails it too
+        raise UsageError(f"--max-x must be at least 0.05 and finite, got {args.max_x}")
     rng = make_rng(args.seed, 0)
     failures = 0
     for i in range(args.clouds + args.boundary):

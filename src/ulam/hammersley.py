@@ -32,6 +32,18 @@ With boundary data, sources are the initial particle configuration and the
 particle count plus the total sink multiplicity equals the boundary chain
 length; without boundary the count equals the plain chain length.  Those
 identities are what `verify_line_identity` checks.
+
+Each order has one scalar rule, for every size.  The weak rule is a greedy
+loop in Python, so it steps on lists: `run_dynamics` turns the cloud and the
+particles into lists once, and the rule takes slices of them instead of a
+numpy array to convert per row (the list takes about four times the array's
+memory).  The strict rule steps on arrays, with one search, one gather and
+one minimum per row.  A list version of the strict rule was measured and not
+taken: on a 2-core Xeon (two single runs of a whole cloud at lam = 1) it was
+6-8x as fast at x = t = 10, about even at x = t = 100 to 300, and 0.15-0.18x
+as fast at x = t = 3000 (1.2-1.3 s against 0.18-0.24 s), so it would have
+lost the 1e8-point performance gate.  These rules are the oracle of the
+replica-batched slab below and share no code with it.
 """
 from __future__ import annotations
 
@@ -84,11 +96,11 @@ def _check_row_points(pts: np.ndarray, x_max: float) -> np.ndarray:
 def _strict_rule(y: np.ndarray, pts: np.ndarray, sink: bool) -> tuple[np.ndarray, int]:
     """One strict step on plain arrays: (new positions, number of exits)."""
     n_exit = 0
-    old_max = float(y[-1]) if y.size else 0.0
     if sink:
         if y.size:
             n_exit = 1
-            pts = pts[pts > y[0]]  # exit swallows everything below the old position
+            # the exit swallows everything below the old position
+            pts = pts[pts.searchsorted(y[0], side="right"):]
             y = y[1:]
         else:
             # A sink with no particle to absorb still swallows the whole row:
@@ -96,35 +108,31 @@ def _strict_rule(y: np.ndarray, pts: np.ndarray, sink: bool) -> tuple[np.ndarray
             # sideways within the same row, so no point of this row can raise
             # the chain length and none may be born.
             pts = pts[:0]
-    if y.size and pts.size:
-        gaps_lo = np.concatenate(([0.0], y[:-1]))
-        idx = np.searchsorted(pts, gaps_lo, side="right")
-        safe = np.minimum(idx, pts.size - 1)
-        cand = np.where(idx < pts.size, pts[safe], np.inf)
-        new_y = np.where(cand < y, cand, y)
-    else:
-        new_y = y.copy()
-    if pts.size:
-        j = int(np.searchsorted(pts, old_max, side="right"))
-        if j < pts.size:
-            new_y = np.append(new_y, pts[j])
+    # Candidate j is the least point above particle j - 1 (above 0 for j = 0,
+    # as every point is): particle j moves there if it lies below particle j,
+    # and the last candidate, the least point above the old maximum, is born.
+    # The +inf pad stands for "no such point".
+    at = np.concatenate(([0], pts.searchsorted(y, side="right")))
+    cand = np.concatenate((pts, [np.inf]))[at]
+    new_y = np.minimum(cand[:-1], y)
+    if cand[-1] < np.inf:
+        new_y = np.concatenate((new_y, cand[-1:]))
     return new_y, n_exit
 
 
-def _weak_rule(y: np.ndarray, pts: np.ndarray, sink: int) -> tuple[np.ndarray, int]:
-    """One weak step on plain arrays: (new positions, number of exits)."""
-    n_exit = min(sink, y.size)
-    pt_list = pts.tolist()
-    i, r = 0, len(pt_list)
+def _weak_rule(y: list[float], pts: list[float], sink: int) -> tuple[list[float], int]:
+    """One weak step on lists: (new positions, number of exits)."""
+    n_exit = min(sink, len(y))
+    i, r = 0, len(pts)
     new_pos: list[float] = []
-    for pos in y[n_exit:].tolist():
-        if i < r and pt_list[i] <= pos:
-            new_pos.append(pt_list[i])
+    for pos in y[n_exit:]:
+        if i < r and pts[i] <= pos:
+            new_pos.append(pts[i])
             i += 1
         else:
             new_pos.append(pos)
-    new_pos.extend(pt_list[i:])  # every unconsumed point is born
-    return np.asarray(new_pos, dtype=float), n_exit
+    new_pos.extend(pts[i:])  # every unconsumed point is born
+    return new_pos, n_exit
 
 
 def step_strict(state: ParticleState, row_points, sink_present: bool) -> ParticleState:
@@ -137,8 +145,8 @@ def step_weak(state: ParticleState, row_points, sink_multiplicity: int) -> Parti
     if sink_multiplicity < 0:
         raise ValueError("sink multiplicity must be nonnegative")
     pts = _check_row_points(row_points, state.x_max)
-    new_y, n_exit = _weak_rule(state.positions, pts, int(sink_multiplicity))
-    return ParticleState(new_y, state.exits + n_exit, state.x_max)
+    new_y, n_exit = _weak_rule(state.positions.tolist(), pts.tolist(), int(sink_multiplicity))
+    return ParticleState(np.asarray(new_y, dtype=float), state.exits + n_exit, state.x_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,19 +162,19 @@ class DynamicsRecord:
     line_visits: list | None = None  # per line: [(x, row), ...] points visited
 
 
-def _diff_events(step: int, old_pos: np.ndarray, new_pos: np.ndarray, n_exit: int,
+def _diff_events(step: int, old_pos, new_pos, n_exit: int,
                  events: list, line_ids: list[int], visits: list[list]) -> None:
     for j in range(n_exit):
         events.append((step, j, float(old_pos[j]), "exit"))
     del line_ids[:n_exit]
     rem = old_pos[n_exit:]
-    for j in range(rem.size):
+    for j in range(len(rem)):
         if new_pos[j] != rem[j]:
             events.append((step, n_exit + j, float(new_pos[j]), "move"))
             visits[line_ids[j]].append((float(new_pos[j]), step))
         else:
             events.append((step, n_exit + j, float(new_pos[j]), "stay"))
-    for j in range(rem.size, new_pos.size):
+    for j in range(len(rem), len(new_pos)):
         events.append((step, j, float(new_pos[j]), "birth"))
         visits.append([(float(new_pos[j]), step)])
         line_ids.append(len(visits) - 1)
@@ -176,38 +184,44 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
                  variant: str, trace: bool = False) -> DynamicsRecord:
     """Apply the deterministic dynamics of one variant to a given cloud.
 
-    Input is checked once, here (the cloud checked its rows when built), and
-    the rows then step on plain arrays.
+    Input is checked once, here (the cloud checked its rows when built).  The
+    rows then step on plain arrays (strict) or on slices of one list of the
+    cloud's positions (weak), and the final state is built once.
     """
     _check_variant(variant)
+    strict = variant == "strict"
     if boundary is not None:
         if boundary.sinks.size != cloud.t_max:
             raise ValueError("need one sink multiplicity per row")
-        if variant == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
+        if strict and boundary.sinks.size and int(boundary.sinks.max()) > 1:
             raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
         y = ParticleState(boundary.sources.astype(float), 0, cloud.x_max).positions
         sinks = boundary.sinks.tolist()
     else:
         y = np.empty(0)
         sinks = [0] * cloud.t_max
-    rule = _strict_rule if variant == "strict" else _weak_rule
+    if strict:
+        rule, xs = _strict_rule, cloud.xs
+    else:
+        rule, xs, y = _weak_rule, cloud.xs.tolist(), y.tolist()
+    ends = cloud.offsets.tolist()
     exits = 0
     events = [] if trace else None
     visits = [[(float(x), 0)] for x in y] if trace else None
-    line_ids = list(range(y.size)) if trace else None
-    counts = np.empty(cloud.t_max, dtype=np.int64)
-    exit_counts = np.empty(cloud.t_max, dtype=np.int64)
-    rows = map(cloud.row, range(1, cloud.t_max + 1))
-    for step, (pts, sink) in enumerate(zip(rows, sinks), start=1):
-        new_y, n_exit = rule(y, pts, sink)
+    line_ids = list(range(len(y))) if trace else None
+    counts, exit_counts = [], []
+    for step, sink in enumerate(sinks, start=1):
+        new_y, n_exit = rule(y, xs[ends[step - 1]:ends[step]], sink)
         if trace:
             _diff_events(step, y, new_y, n_exit, events, line_ids, visits)
         y = new_y
         exits += n_exit
-        counts[step - 1] = y.size
-        exit_counts[step - 1] = exits
-    return DynamicsRecord(ParticleState(y, exits, cloud.x_max), counts, exit_counts,
-                          cloud, boundary, events, visits)
+        counts.append(len(y))
+        exit_counts.append(exits)
+    state = ParticleState(np.asarray(y, dtype=float), exits, cloud.x_max)
+    return DynamicsRecord(state, np.array(counts, dtype=np.int64),
+                          np.array(exit_counts, dtype=np.int64), cloud, boundary,
+                          events, visits)
 
 
 # --- replica-batched row steps ----------------------------------------------

@@ -137,6 +137,26 @@ class TestSimulate:
         header = (d / "trace.csv").read_text().splitlines()[0]
         assert header == "step,particle_index,position,event"
 
+    # SHA-256 of counts.csv followed by trace.csv, pinned before the scalar
+    # step rules moved to lists (weak) and to one gather per row (strict)
+    @pytest.mark.parametrize("mode, digest", [
+        (["--variant", "strict"],
+         "9f8b17e8deac1622637f8e5113651146c18ac46128903984b37ac87958c26383"),
+        (["--variant", "weak"],
+         "affd53da651a6166a45d6cdffaec29b1bf06c7b47c9184779a3dcc3afcdee471"),
+        (["--variant", "strict", "--alpha", "0.7"],
+         "4eaded8f78aa7fc5a4ef02618cca9b3829a602e1f5d893c6d4ca2bfa5c31cb4f"),
+        (["--variant", "weak", "--beta", "1.6"],
+         "b065af857ef3d1cabdcb82e22f21aa61463abbe6c188f0b782fbcf0462b13f61"),
+    ])
+    def test_trace_bytes_are_pinned(self, tmp_path, mode, digest):
+        import hashlib
+        d = tmp_path / "sim"
+        assert main(["simulate", "--x", "30", "--t", "40", "--lambda", "1", "--seed", "5",
+                     "--trace", *mode, "--out-dir", str(d)]) == 0
+        data = (d / "counts.csv").read_bytes() + (d / "trace.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestEstimate:
     def test_report_schema_and_prediction(self, tmp_path):
@@ -213,6 +233,18 @@ class TestVerifyAndTails:
         assert lines[0].startswith("line identity failed: instance 4 (boundary, strict) x=")
         assert " t=" in lines[0] and " lam=" in lines[0] and " alpha=" in lines[0]
         assert lines[0].endswith(" seed=13")
+
+    @pytest.mark.parametrize("max_x", ["-3", "0.01", "nan", "inf"])
+    def test_max_x_outside_its_range_exits_2(self, capsys, max_x):
+        assert main(["verify", "--clouds", "2", "--boundary", "1",
+                     "--max-x", max_x]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --max-x must be at least 0.05 and finite, got {float(max_x)}\n"
+
+    def test_max_x_at_its_floor_runs(self, capsys):
+        assert main(["verify", "--clouds", "4", "--boundary", "2", "--max-x", "0.05"]) == 0
+        assert capsys.readouterr().out == "line identity: 12/12 instances passed\n"
 
     def test_tails_poisson_certificate(self, tmp_path, capsys):
         out = tmp_path / "cert.csv"

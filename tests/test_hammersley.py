@@ -69,6 +69,28 @@ class TestStepStrict:
         assert s.positions.tolist() == [0.5]
         assert s.exits == 1
 
+    def test_exit_of_the_only_particle_with_points_above(self):
+        # the points above the exiting particle stay available: the least is born
+        s = step_strict(state(0.4), [0.2, 0.6, 0.8], sink_present=True)
+        assert s.positions.tolist() == [0.6]
+        assert s.exits == 1
+
+    def test_point_at_a_particle_is_taken_by_it(self):
+        # the point ranks below the particle at its x, so it lies in that
+        # particle's gap; the particle stays and the next one keeps its gap
+        s = step_strict(state(0.4, 0.7), [0.4, 0.6], sink_present=False)
+        assert s.positions.tolist() == [0.4, 0.6]
+
+    def test_point_at_the_old_maximum_is_not_born(self):
+        s = step_strict(state(0.4, 0.7), [0.7], sink_present=False)
+        assert s.positions.tolist() == [0.4, 0.7]
+
+    def test_empty_row(self):
+        s = step_strict(state(0.4, 0.7), [], sink_present=False)
+        assert s.positions.tolist() == [0.4, 0.7] and s.exits == 0
+        s = step_strict(state(0.4, 0.7), [], sink_present=True)
+        assert s.positions.tolist() == [0.7] and s.exits == 1
+
 
 class TestStepWeak:
     def test_moves_keep_other_points_available(self):
@@ -290,6 +312,15 @@ class TestEqualX:
             assert verify_line_identity(cloud, None, variant)
             boundary = data.draw(grid_boundary(cloud.t_max, top_sink))
             assert verify_line_identity(cloud, boundary, variant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_cloud)
+    def test_line_identity_after_every_row(self, cloud):
+        prefixes = [PlanarPointSet.from_rows(map(cloud.row, range(1, i + 1)), cloud.x_max)
+                    for i in range(1, cloud.t_max + 1)]
+        for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
+            counts = run_dynamics(cloud, None, variant).counts.tolist()
+            assert counts == [chain(prefix) for prefix in prefixes]
 
     def test_weak_equal_x_on_two_rows(self):
         cloud = PlanarPointSet.from_points([(0.5, 1), (0.5, 2)], 1.0, 2)
@@ -544,3 +575,4 @@ def test_large_run_performance():
     elapsed = time.monotonic() - start
     assert run.counts[-1] > 0
     print(f"strict run x=1e4 t=1e4 lam=1: {elapsed:.1f}s")
+    assert elapsed < 10.0, f"the README promises under ten seconds, took {elapsed:.1f}s"
