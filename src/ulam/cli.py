@@ -309,16 +309,7 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"config line {line!r} is not key=value")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        for cast in (int, float):
-            try:
-                values[key] = cast(val)
-                break
-            except ValueError:
-                continue
-        else:
-            values[key] = val
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -326,15 +317,38 @@ def _default_seed() -> int:
     return int(os.environ.get("ULAM_SEED", "0"))
 
 
+def _check_choice(action, what: str, value):
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"{what} must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
+
+
+def _config_value(action, key: str, text: str):
+    """``text`` through the option's own type; a flag such as ``trace`` takes
+    0 or 1."""
+    what = f"config key {key!r}"
+    if action.nargs == 0:
+        if text not in ("0", "1"):
+            raise UsageError(f"{what} must be 0 or 1, got {text!r}")
+        return int(text)
+    if action.type is None:
+        return _check_choice(action, what, text)
+    try:
+        return _check_choice(action, what, action.type(text))
+    except ValueError:
+        raise UsageError(f"{what}: invalid {action.type.__name__} value {text!r}") from None
+
+
 def _config_defaults(sub: argparse.ArgumentParser, command: str, config: dict) -> dict:
     """Config values by destination; a key names an option of the subcommand
     (``lambda``, ``max-x``) or its destination (``lam``, ``max_x``)."""
-    dests = {name.lstrip("-").replace("-", "_"): a.dest for a in sub._actions
-             for name in (*a.option_strings, a.dest) if a.dest not in ("help", "config")}
-    unknown = [key for key in config if key not in dests]
+    options = {name.lstrip("-").replace("-", "_"): a for a in sub._actions
+               for name in (*a.option_strings, a.dest) if a.dest not in ("help", "config")}
+    unknown = [key for key in config if key not in options]
     if unknown:
         raise UsageError(f"config key {unknown[0]!r} is not an option of {command!r}")
-    return {dests[key]: val for key, val in config.items()}
+    return {options[key].dest: _config_value(options[key], key, val)
+            for key, val in config.items()}
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -410,14 +424,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# JSON types a recorded parameter may take, by its option's type; a flag
+# records true/false, or 0/1 from a config file.
+_MANIFEST_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _manifest_value(action, key: str, value):
+    what = f"manifest parameter {key!r}"
+    if value is None and action.default is None:
+        return value
+    if action.nargs == 0:
+        if isinstance(value, int) and value in (0, 1):
+            return value
+        raise UsageError(f"{what} must be true, false, 0 or 1, got {value!r}")
+    types = _MANIFEST_TYPES[action.type]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise UsageError(f"{what} must be {' or '.join(t.__name__ for t in types)}, "
+                         f"got {value!r}")
+    return _check_choice(action, what, value)
+
+
 def _replay(manifest_path: str) -> int:
     data = json.loads(Path(manifest_path).read_text())
+    if not isinstance(data, dict):
+        raise UsageError(f"manifest must be a JSON object, got {type(data).__name__}")
+    for key, kind in (("command", str), ("parameters", dict)):
+        if key not in data:
+            raise UsageError(f"manifest has no key {key!r}")
+        if not isinstance(data[key], kind):
+            raise UsageError(f"manifest key {key!r} must be a JSON "
+                             f"{'string' if kind is str else 'object'}")
     commands = _subcommands(build_parser())
     command = data["command"]
     if command not in commands:
         raise UsageError(f"manifest names unknown command {command!r}")
-    args = commands[command].parse_args([])
+    sub = commands[command]
+    args = sub.parse_args([])
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     for key, val in data["parameters"].items():
+        if key in actions:
+            val = _manifest_value(actions[key], key, val)
+        elif (command, key) != ("simulate", "sink_param"):  # a rate simulate derives
+            raise UsageError(f"manifest parameter {key!r} is not an option of {command!r}")
         setattr(args, key, val)
     args._command = command
     return args.func(args)

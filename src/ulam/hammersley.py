@@ -315,16 +315,36 @@ def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: 
     return counts
 
 
+def _cloud_order(flat: np.ndarray, sizes: np.ndarray, t_max: int) -> np.ndarray:
+    """Indices of ``flat`` (sources, then xs row by row, ``sizes`` per row)
+    in chain order: by x, the higher row first among equal x.  One sort of
+    the int64 keys ``high bits of x | index`` orders distinct positive x, as
+    their float bits sort like their values; if two keys share their high
+    bits (or a sign bit is set), the quick unstable argsort serves distinct
+    x, else a lexsort by (x, -row)."""
+    b = flat.size.bit_length()
+    packed = np.sort(flat.view(np.int64) >> b << b | np.arange(flat.size))
+    high = packed >> b
+    if not flat.size or (packed[0] >= 0 and not np.any(high[1:] == high[:-1])):
+        return packed & ((1 << b) - 1)
+    order = np.argsort(flat)
+    ordered = flat[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        # row numbers of 16 bits or less sort by radix
+        rows = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(t_max)), sizes)
+        order = np.lexsort((t_max - rows, flat))
+    return order
+
+
 def _chain_keys(clouds, boundaries=()) -> tuple:
     """Keys of a batch of clouds laid out row by row, the bounds of their
     sources and rows, each cloud's size, the shift, the most points in one
     row of a cloud, and the sinks (rows x clouds).  Each of ``boundaries``,
     if given, is taken after its cloud, whose height it must share; its
     sources are ranked as row 0, its sinks past the cloud's rows ignored.
-    A cloud is ranked as (sources, xs), with row labels from its offsets:
-    by the quick unstable sort if no two x are equal, else by a lexsort
-    that puts the higher row first.  Each cloud is dropped once ranked."""
-    ranks, labels, sinks, most, top = [], [], [], 0, 1  # row 0 holds the sources
+    A cloud is ranked as (sources, xs) by ``_cloud_order`` and dropped once
+    ranked; the clouds' row blocks then move to their rows in one scatter."""
+    ranks, rows, sinks = [], [], []  # row 0 of each cloud holds its sources
     boundaries = iter(boundaries)
     for cloud in clouds:
         b = next(boundaries, None)
@@ -335,26 +355,29 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
         if flat.size >= 1 << 31:
             raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")
         sizes = np.concatenate(([sources.size], np.diff(cloud.offsets)))
-        # row numbers of 16 bits or less sort by radix
-        rows = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(cloud.t_max)), sizes)
-        order = np.argsort(flat)
-        ordered = flat[order]
-        if np.any(ordered[1:] == ordered[:-1]):
-            order = np.lexsort((cloud.t_max - rows, flat))
         rank = np.empty(flat.size, dtype=np.int32)
-        rank[order] = np.arange(1, flat.size + 1, dtype=np.int32)
+        rank[_cloud_order(flat, sizes, cloud.t_max)] = np.arange(1, flat.size + 1,
+                                                                dtype=np.int32)
         ranks.append(rank)
-        labels.append(rows)
-        most, top = max(most, int(sizes.max())), max(top, sizes.size)
+        rows.append(sizes)
     sizes = np.asarray([r.size for r in ranks], dtype=np.int64)
     shift = int(sizes.max(initial=0) + 1).bit_length()
     dtype = _key_dtype(sizes.size, shift)
     keys = np.concatenate(ranks, dtype=dtype) if ranks else np.empty(0, dtype)
     keys |= np.repeat(np.arange(sizes.size, dtype=dtype) << shift, sizes)
-    labels = np.concatenate(labels) if labels else np.empty(0, np.uint8)
-    bounds = [0, *np.cumsum(np.bincount(labels, minlength=top)).tolist()]
+    # grid[r, i] points of cloud r in row i; that block moves from its place
+    # in keys to the start of row i plus the row-i points of earlier clouds
+    grid = np.zeros((sizes.size, max((s.size for s in rows), default=1)), np.int64)
+    for r, s in enumerate(rows):
+        grid[r, :s.size] = s
+    bounds = [0, *np.cumsum(grid.sum(axis=0)).tolist()]
+    moved = np.asarray(bounds[:-1]) + np.cumsum(grid, axis=0) - grid
+    blocks = grid.reshape(-1)
+    moved = moved.reshape(-1) - (np.cumsum(blocks) - blocks)
+    out = np.empty_like(keys)
+    out[np.arange(keys.size) + np.repeat(moved, blocks)] = keys
     sinks = np.stack(sinks, axis=1) if sinks else None
-    return keys[np.argsort(labels, kind="stable")], bounds, sizes, shift, most, sinks
+    return out, bounds, sizes, shift, int(grid.max(initial=0)), sinks
 
 
 def batch_particle_counts(clouds, variant: str) -> np.ndarray:

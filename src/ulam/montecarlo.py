@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _st
 
 from .bounds import (BoundaryRates, _check_variant, augmented_tail_rate, mean_bound,
                      optimal_rates_strict, optimal_rates_weak, predicted_mean)
@@ -221,6 +220,7 @@ class StationarityReport:
 
 def _poisson_chi_square(sample: np.ndarray, mu: float) -> tuple[float, int, float]:
     """Chi-square GOF against Poisson(mu), merging bins to expected >= 5."""
+    from scipy import stats as _st  # the only user of scipy: keep it off `import ulam`
     reps = sample.size
     hi = int(max(sample.max(), mu + 8 * math.sqrt(mu))) + 1
     pmf = _st.poisson.pmf(np.arange(hi + 1), mu)

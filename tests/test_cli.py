@@ -331,6 +331,46 @@ class TestReproducibility:
         man = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert man["parameters"]["lam"] == 1.5 and man["seed"] == 4
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("estimate", "n = 10\nk = 2\nreps = 1e1\n", "reps"),
+        ("simulate", "x = 2\nt = 3.5\nlambda = 1\n", "t"),
+        ("simulate", "x = 2\nt = 3\nlambda = 1\nvariant = lax\n", "variant"),
+        ("simulate", "x = 2\nt = 3\nlambda = 1\ntrace = yes\n", "trace"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command,
+                                                    text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "out-dir = %s\n" % (tmp_path / "o"))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_values_equal_the_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = poisson\nx = 2\nt = 5\nlambda = 1\nreps = 6\n"
+                       "out-dir = %s\n" % (tmp_path / "c"))
+        assert main(["estimate", "--config", str(cfg)]) == 0
+        assert main(["estimate", "--mode", "poisson", "--x", "2", "--t", "5",
+                     "--lambda", "1", "--reps", "6", "--out-dir", str(tmp_path / "f")]) == 0
+        assert ((tmp_path / "c" / "report.json").read_bytes()
+                == (tmp_path / "f" / "report.json").read_bytes())
+
+    @pytest.mark.parametrize("trace", [0, 1])
+    def test_config_trace_flag(self, tmp_path, trace):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"x = 2\nt = 5\nlambda = 1\ntrace = {trace}\n"
+                       f"out-dir = {tmp_path / 'c'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        flags = ["--trace"] if trace else []
+        assert main(["simulate", "--x", "2", "--t", "5", "--lambda", "1", *flags,
+                     "--out-dir", str(tmp_path / "f")]) == 0
+        for name in ("counts.csv", "trace.csv"):
+            made = [(tmp_path / d / name).exists() for d in "cf"]
+            assert made == [name == "counts.csv" or bool(trace)] * 2
+            if made[0]:
+                assert ((tmp_path / "c" / name).read_bytes()
+                        == (tmp_path / "f" / name).read_bytes())
+
     def test_jobs_only_on_estimate(self, capsys):
         for argv in (["verify", "--jobs", "2"], ["tails", "--grid", "default"]):
             res = run_cli(*argv)
@@ -366,6 +406,50 @@ class TestUnusableFiles:
         path = str(tmp_path / "manifest.json")
         assert main(["--manifest", path]) == 2
         assert path in capsys.readouterr().err
+
+
+class TestManifestReplay:
+    """A manifest that is not one exits 2 with a message naming what is wrong;
+    a recorded one replays byte for byte."""
+
+    @pytest.mark.parametrize("text, named", [
+        ("{}", "'command'"),
+        ("[1, 2]", "list"),
+        ('{"command": "estimate"}', "'parameters'"),
+        ('{"command": "estimate", "parameters": []}', "'parameters'"),
+        ('{"command": 3, "parameters": {}}', "'command'"),
+    ])
+    def test_not_a_manifest_exits_2(self, tmp_path, capsys, text, named):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert main(["--manifest", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "5"), ("reps", True), ("reps", 4.0), ("order", "lax"),
+        ("seed", None), ("out_dir", 3), ("func", "cmd_lis"),
+    ])
+    def test_bad_parameter_exits_2(self, tmp_path, capsys, key, value):
+        d = tmp_path / "run"
+        assert main(["estimate", "--n", "5", "--k", "2", "--reps", "4",
+                     "--out-dir", str(d)]) == 0
+        man = json.loads((d / "manifest.json").read_text())
+        man["parameters"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(man))
+        (d / "report.json").unlink()
+        assert main(["--manifest", str(path)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (d / "report.json").exists()
+
+    def test_simulate_with_derived_rate_replays(self, tmp_path):
+        d = tmp_path / "s"
+        assert main(["simulate", "--x", "3", "--t", "6", "--lambda", "1", "--alpha", "0.5",
+                     "--trace", "--seed", "5", "--out-dir", str(d)]) == 0
+        first = [(d / n).read_bytes() for n in ("counts.csv", "trace.csv")]
+        assert "sink_param" in json.loads((d / "manifest.json").read_text())["parameters"]
+        assert main(["--manifest", str(d / "manifest.json")]) == 0
+        assert [(d / n).read_bytes() for n in ("counts.csv", "trace.csv")] == first
 
 
 def test_infinite_point_exits_2(capsys):

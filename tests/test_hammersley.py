@@ -335,6 +335,25 @@ class TestEqualX:
         assert brute_force_longest_chain(cloud, b, "strict") == 2
 
 
+# Clouds whose x lie a few ulps apart, so that their int64 sort keys share
+# high bits: the ranking falls back to argsort, or to lexsort on equal x.
+close_cloud = st.integers(min_value=1, max_value=4).flatmap(
+    lambda t: st.sets(st.tuples(st.integers(min_value=0, max_value=600),
+                                st.integers(min_value=1, max_value=t)), max_size=40)
+    .map(lambda pts: PlanarPointSet.from_points(
+        [(1.0 + j * 2.0 ** -52, r) for j, r in sorted(pts)], 2.0, t)))
+
+
+class TestCloudOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(grid_cloud, sampled_cloud, close_cloud))
+    def test_order_is_x_then_higher_row_first(self, cloud):
+        sizes = np.diff(cloud.offsets, prepend=0)  # no sources in row 0
+        rows = np.repeat(np.arange(sizes.size), sizes)
+        order = hammersley._cloud_order(cloud.xs, sizes, cloud.t_max)
+        assert order.tolist() == np.lexsort((-rows, cloud.xs)).tolist()
+
+
 class TestBatchParticleCounts:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(grid_cloud, sampled_cloud), max_size=6))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -230,6 +234,34 @@ class TestStationarity:
                                 t=0, reps=500, seed=59)
         assert abs(rep.z_mean) < 4.0
         assert rep.p_value > P_FOUR_SIGMA
+
+
+# Run in a fresh interpreter: conftest imports scipy.stats into this one.
+COLD_START = """
+import json, sys
+import ulam, ulam.cli
+from ulam.montecarlo import stationarity_test
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+rep = stationarity_test(10.0, 1.0, 1.0, "strict", 20, 50, 3)
+print(json.dumps({"loaded": loaded, "stats": "scipy.stats" in sys.modules,
+                  "p_value": rep.p_value.hex(), "chi2_stat": rep.chi2_stat.hex(),
+                  "counts": rep.counts.tolist()}))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_for_the_stationarity_test(self):
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True,
+                              text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        child = json.loads(proc.stdout)
+        assert child["loaded"] == []
+        assert child["stats"]
+        rep = stationarity_test(10.0, 1.0, 1.0, "strict", 20, 50, 3)
+        assert child["p_value"] == rep.p_value.hex()
+        assert child["chi2_stat"] == rep.chi2_stat.hex()
+        assert child["counts"] == rep.counts.tolist()
 
 
 class TestDeviationProfile:
