@@ -179,6 +179,11 @@ def cmd_lis(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
+# Parameters a command derives from its options and records in its manifest;
+# a replay derives them again.
+_DERIVED = {"simulate": ("sink_param",)}
+
+
 def cmd_simulate(args) -> int:
     _require(args, "x", "t", "lam")
     rates = None
@@ -325,7 +330,9 @@ def _check_choice(action, what: str, value):
 
 def _config_value(action, key: str, text: str):
     """``text`` through the option's own type; a flag such as ``trace`` takes
-    0 or 1."""
+    0 or 1.  argparse would convert a string default itself, but a bad value
+    would then fail as ``--reps``; converting here names the config key, and
+    checks ``choices``, which argparse skips for defaults."""
     what = f"config key {key!r}"
     if action.nargs == 0:
         if text not in ("0", "1"):
@@ -462,11 +469,11 @@ def _replay(manifest_path: str) -> int:
     args = sub.parse_args([])
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     for key, val in data["parameters"].items():
-        if key in actions:
-            val = _manifest_value(actions[key], key, val)
-        elif (command, key) != ("simulate", "sink_param"):  # a rate simulate derives
+        if key in _DERIVED.get(command, ()):
+            continue
+        if key not in actions:
             raise UsageError(f"manifest parameter {key!r} is not an option of {command!r}")
-        setattr(args, key, val)
+        setattr(args, key, _manifest_value(actions[key], key, val))
     args._command = command
     return args.func(args)
 

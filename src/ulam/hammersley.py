@@ -320,20 +320,15 @@ def _cloud_order(flat: np.ndarray, sizes: np.ndarray, t_max: int) -> np.ndarray:
     in chain order: by x, the higher row first among equal x.  One sort of
     the int64 keys ``high bits of x | index`` orders distinct positive x, as
     their float bits sort like their values; if two keys share their high
-    bits (or a sign bit is set), the quick unstable argsort serves distinct
-    x, else a lexsort by (x, -row)."""
+    bits (or a sign bit is set), a lexsort by (x, -row) orders them."""
     b = flat.size.bit_length()
     packed = np.sort(flat.view(np.int64) >> b << b | np.arange(flat.size))
     high = packed >> b
     if not flat.size or (packed[0] >= 0 and not np.any(high[1:] == high[:-1])):
         return packed & ((1 << b) - 1)
-    order = np.argsort(flat)
-    ordered = flat[order]
-    if np.any(ordered[1:] == ordered[:-1]):
-        # row numbers of 16 bits or less sort by radix
-        rows = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(t_max)), sizes)
-        order = np.lexsort((t_max - rows, flat))
-    return order
+    # row numbers of 16 bits or less sort by radix
+    rows = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(t_max)), sizes)
+    return np.lexsort((t_max - rows, flat))
 
 
 def _chain_keys(clouds, boundaries=()) -> tuple:
