@@ -7,9 +7,10 @@ statement, not a sampled one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _REL_TOL = 1e-12
 _TERM_TOL = math.log(1e-18)
@@ -150,16 +151,6 @@ def augmented_tail_rate(eps: float) -> float:
 # ---------------------------------------------------------------------------
 # Closed-form tail bounds
 
-TAIL_KINDS = (
-    "poisson_lower",
-    "poisson_upper",
-    "binomial_upper",
-    "binomial_lower",
-    "geomsum_upper",
-    "geomsum_lower",
-)
-
-
 def poisson_tail_bound(lam: float, a: float) -> float:
     """exp(-a^2 / (4*lam)), the bound for both Poisson tails at lam -/+ a."""
     if lam <= 0 or a <= 0:
@@ -192,19 +183,6 @@ def geomsum_tail_bound(k: int, alpha: float, eps: float) -> float:
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-
-
-def tail_bound(kind: str, params: dict) -> float:
-    """Dispatch a closed-form tail bound by kind name."""
-    if kind in ("poisson_lower", "poisson_upper"):
-        return poisson_tail_bound(params["lam"], params["a"])
-    if kind == "binomial_upper":
-        return binomial_upper_bound(params["n"], params["p"], params["eps"])
-    if kind == "binomial_lower":
-        return binomial_lower_bound(params["n"], params["p"], params["eps"])
-    if kind in ("geomsum_upper", "geomsum_lower"):
-        return geomsum_tail_bound(params["k"], params["alpha"], params["eps"])
-    raise ValueError(f"unknown tail kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +220,8 @@ def _log_poisson_pmf(lam: float, j: int) -> float:
 def log_poisson_upper(lam: float, threshold: float) -> float:
     """log P(Poisson(lam) >= threshold)."""
     m = max(0, math.ceil(threshold))
-    def ratios():
-        j = m
-        while True:
-            j += 1
-            yield lam / j
-    return _log_tail_sum(_log_poisson_pmf(lam, m), ratios())
+    return _log_tail_sum(_log_poisson_pmf(lam, m),
+                         (lam / j for j in itertools.count(m + 1)))
 
 
 def log_poisson_lower(lam: float, threshold: float) -> float:
@@ -292,12 +266,8 @@ def _log_nbinom_pmfs(k: int, alpha: float, js: Iterable[int]) -> list[float]:
 def log_geomsum_upper(k: int, alpha: float, threshold: float) -> float:
     """log P(sum of k Geometric_{>=0}(1-alpha) >= threshold)."""
     m = max(0, math.ceil(threshold))
-    def ratios():
-        j = m
-        while True:
-            yield alpha * (k + j) / (j + 1)
-            j += 1
-    return _log_tail_sum(_log_nbinom_pmfs(k, alpha, [m])[0], ratios())
+    return _log_tail_sum(_log_nbinom_pmfs(k, alpha, [m])[0],
+                         (alpha * (k + j) / (j + 1) for j in itertools.count(m)))
 
 
 def log_geomsum_lower(k: int, alpha: float, threshold: float) -> float:
@@ -343,56 +313,62 @@ class TailCertificate:
         return [r for r in self.records if not r.passed]
 
 
-def _default_grid(kind: str) -> list[dict]:
-    if kind.startswith("poisson"):
-        grid = []
-        for e in range(8):
-            lam = float(2 ** e)
-            lo, hi = math.sqrt(lam), 4.0 * lam
-            for i in range(8):
-                a = lo + (hi - lo) * i / 7.0
-                grid.append({"lam": lam, "a": a})
-        return grid
-    if kind.startswith("binomial"):
-        return [
-            {"n": n, "p": p, "eps": eps}
-            for n in (10, 20, 50, 100, 300, 1000)
-            for p in (0.1, 0.3, 0.5, 0.7, 0.9)
-            for eps in (0.1, 0.3, 0.5, 0.7, 0.9)
-        ]
-    if kind.startswith("geomsum"):
-        return [
-            {"k": k, "alpha": alpha, "eps": eps}
-            for k in (1, 2, 5, 10, 50, 100, 200)
-            for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)
-            for eps in (0.1, 0.3, 0.5, 0.7, 0.9)
-        ]
-    raise ValueError(f"unknown tail kind {kind!r}")
+def _poisson_grid() -> list[dict]:
+    grid = []
+    for e in range(8):
+        lam = float(2 ** e)
+        lo, hi = math.sqrt(lam), 4.0 * lam
+        grid += [{"lam": lam, "a": lo + (hi - lo) * i / 7.0} for i in range(8)]
+    return grid
 
 
-def _evaluate(kind: str, params: dict) -> TailRecord:
-    if kind == "poisson_lower":
-        lam, a = params["lam"], params["a"]
-        log_exact = log_poisson_lower(lam, lam - a)
-    elif kind == "poisson_upper":
-        lam, a = params["lam"], params["a"]
-        log_exact = log_poisson_upper(lam, lam + a)
-    elif kind == "binomial_upper":
-        n, p, eps = params["n"], params["p"], params["eps"]
-        log_exact = log_binomial_upper(n, p, (1.0 + eps) * n * p)
-    elif kind == "binomial_lower":
-        n, p, eps = params["n"], params["p"], params["eps"]
-        log_exact = log_binomial_lower(n, p, (1.0 - eps) * n * p)
-    elif kind == "geomsum_upper":
-        k, alpha, eps = params["k"], params["alpha"], params["eps"]
-        log_exact = log_geomsum_upper(k, alpha, (1.0 + eps) * k * alpha / (1.0 - alpha))
-    elif kind == "geomsum_lower":
-        k, alpha, eps = params["k"], params["alpha"], params["eps"]
-        log_exact = log_geomsum_lower(k, alpha, (1.0 - eps) * k * alpha / (1.0 - alpha))
-    else:
+def _product_family(names: tuple[str, ...], *axes: tuple) -> tuple:
+    """Parameter names and a default grid over the product of ``axes``."""
+    return names, lambda: [dict(zip(names, point)) for point in itertools.product(*axes)]
+
+
+# The parameter names and default grid of each family of kinds.
+_ODD_TENTHS = (0.1, 0.3, 0.5, 0.7, 0.9)
+_POISSON = (("lam", "a"), _poisson_grid)
+_BINOMIAL = _product_family(("n", "p", "eps"), (10, 20, 50, 100, 300, 1000),
+                            _ODD_TENTHS, _ODD_TENTHS)
+_GEOMSUM = _product_family(("k", "alpha", "eps"), (1, 2, 5, 10, 50, 100, 200),
+                           _ODD_TENTHS, _ODD_TENTHS)
+
+# Every certificate kind, in the order ``ulam tails --kind all`` writes them:
+# kind -> (parameter names, default grid, closed-form bound, exact log tail),
+# the last two taking the parameters in the order named.
+_KINDS: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable]] = {
+    "poisson_lower": (*_POISSON, poisson_tail_bound,
+                      lambda lam, a: log_poisson_lower(lam, lam - a)),
+    "poisson_upper": (*_POISSON, poisson_tail_bound,
+                      lambda lam, a: log_poisson_upper(lam, lam + a)),
+    "binomial_upper": (*_BINOMIAL, binomial_upper_bound,
+                       lambda n, p, eps: log_binomial_upper(n, p, (1.0 + eps) * n * p)),
+    "binomial_lower": (*_BINOMIAL, binomial_lower_bound,
+                       lambda n, p, eps: log_binomial_lower(n, p, (1.0 - eps) * n * p)),
+    "geomsum_upper": (*_GEOMSUM, geomsum_tail_bound, lambda k, alpha, eps: log_geomsum_upper(
+        k, alpha, (1.0 + eps) * k * alpha / (1.0 - alpha))),
+    "geomsum_lower": (*_GEOMSUM, geomsum_tail_bound, lambda k, alpha, eps: log_geomsum_lower(
+        k, alpha, (1.0 - eps) * k * alpha / (1.0 - alpha))),
+}
+TAIL_KINDS = tuple(_KINDS)
+_FAMILY = {kind: kind.partition("_")[0] for kind in TAIL_KINDS}
+
+# What each ``ulam tails --kind`` value selects, in TAIL_KINDS order: every
+# kind, a family (the kinds that share the name before "_"), or one kind.
+TAIL_SELECTIONS = {"all": TAIL_KINDS,
+                   **{f: tuple(k for k in TAIL_KINDS if _FAMILY[k] == f)
+                      for f in _FAMILY.values()},
+                   **{k: (k,) for k in TAIL_KINDS}}
+
+
+def tail_bound(kind: str, params: dict) -> float:
+    """The closed-form tail bound of a kind at ``params``."""
+    if kind not in _KINDS:
         raise ValueError(f"unknown tail kind {kind!r}")
-    log_bound = math.log(tail_bound(kind, params))
-    return TailRecord(kind, dict(params), log_exact, log_bound)
+    names, _, bound, _ = _KINDS[kind]
+    return bound(*[params[name] for name in names])
 
 
 def verify_tail_inequality(kind: str, grid: list[dict] | None = None) -> TailCertificate:
@@ -404,28 +380,24 @@ def verify_tail_inequality(kind: str, grid: list[dict] | None = None) -> TailCer
     """
     if kind not in TAIL_KINDS:
         raise ValueError(f"kind must be one of {TAIL_KINDS}")
-    pts = _default_grid(kind) if grid is None else grid
-    return TailCertificate(tuple(_evaluate(kind, p) for p in pts))
+    names, default_grid, bound, log_exact = _KINDS[kind]
+    records = []
+    for params in default_grid() if grid is None else grid:
+        args = [params[name] for name in names]
+        records.append(TailRecord(kind, dict(params), log_exact(*args),
+                                  math.log(bound(*args))))
+    return TailCertificate(tuple(records))
 
 
-CERTIFICATE_COLUMNS = ("kind", "lam", "a", "n", "p", "k", "alpha", "eps",
-                       "log_exact", "log_bound", "exact", "bound", "pass")
+_PARAMS = ("lam", "a", "n", "p", "k", "alpha", "eps")
+CERTIFICATE_COLUMNS = ("kind", *_PARAMS, "log_exact", "log_bound", "exact", "bound", "pass")
 
 
 def certificate_rows(certs: Iterable[TailCertificate]) -> list[list]:
     """Flatten certificates into CSV rows under CERTIFICATE_COLUMNS."""
-    rows = []
-    for cert in certs:
-        for r in cert.records:
-            p = r.params
-            rows.append([
-                r.kind,
-                p.get("lam", ""), p.get("a", ""),
-                p.get("n", ""), p.get("p", ""),
-                p.get("k", ""), p.get("alpha", ""), p.get("eps", ""),
-                r.log_exact, r.log_bound, r.exact, r.bound, r.passed,
-            ])
-    return rows
+    return [[r.kind, *(r.params.get(name, "") for name in _PARAMS),
+             r.log_exact, r.log_bound, r.exact, r.bound, r.passed]
+            for cert in certs for r in cert.records]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: sample, lis, simulate, estimate, verify, tails.  Every command
-accepts --seed (default from ULAM_SEED, then 0) and --config with key=value
-lines, each key an option of that command (flags override config).
+Subcommands: sample, lis, simulate, estimate, verify, tails.  The commands
+that draw (sample, simulate, estimate, verify) accept --seed (default from
+ULAM_SEED, then 0); every command accepts --config with key=value lines, each
+key an option of that command set at most once (flags override config).
 Commands that write files record a RunManifest next to their outputs before
 the results are written; ``ulam --manifest FILE`` replays a recorded run and
 reproduces its outputs byte for byte.
@@ -17,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (TAIL_KINDS, BoundaryRates, certificate_rows,
+from .bounds import (TAIL_SELECTIONS, BoundaryRates, certificate_rows,
                      CERTIFICATE_COLUMNS, verify_tail_inequality)
 from .hammersley import run_process, verify_line_identity
 from .montecarlo import estimate_mean_subsequence, estimate_poissonized
@@ -41,7 +43,7 @@ class UsageError(Exception):
 class RunManifest:
     command: str
     parameters: dict
-    seed: int
+    seed: int | None
     tool_version: str
     started: str
     finished: str | None
@@ -61,31 +63,18 @@ def _manifest_params(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")}
 
 
-def _start_manifest(args, outputs: list[Path]) -> tuple[Path, RunManifest] | None:
-    """Write the manifest before any result file; returns None when the run
-    has no file outputs to record."""
-    if not outputs:
-        return None
-    mpath = outputs[0].parent / "manifest.json"
-    man = RunManifest(
-        command=args._command,
-        parameters=_manifest_params(args),
-        seed=getattr(args, "seed", 0),
-        tool_version=__version__,
-        started=_now(),
-        finished=None,
-        output_paths=[str(p) for p in outputs],
-    )
-    _write_manifest(mpath, man)
-    return mpath, man
-
-
-def _finish_manifest(handle) -> None:
-    if handle is None:
-        return
-    mpath, man = handle
+@contextmanager
+def _manifest(args, outputs: list[Path]):
+    """Write the run's manifest beside its outputs before the block writes
+    them, and again with the finish time once it has."""
+    path = outputs[0].parent / "manifest.json"
+    man = RunManifest(command=args._command, parameters=_manifest_params(args),
+                      seed=getattr(args, "seed", None), tool_version=__version__,
+                      started=_now(), finished=None, output_paths=[str(p) for p in outputs])
+    _write_manifest(path, man)
+    yield
     man.finished = _now()
-    _write_manifest(mpath, man)
+    _write_manifest(path, man)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -95,17 +84,21 @@ def _write_csv(path: Path, header, rows) -> None:
         w.writerows(rows)
 
 
+def _flag(name: str) -> str:
+    """The option that sets ``args.name``."""
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+
+
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+            raise UsageError(f"missing required option {_flag(name)}")
 
 
 def _at_least(args, low: int, *names) -> None:
     for name in names:
         if getattr(args, name) < low:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, "
-                             f"got {getattr(args, name)}")
+            raise UsageError(f"{_flag(name)} must be >= {low}, got {getattr(args, name)}")
 
 
 # --- sample -----------------------------------------------------------------
@@ -122,9 +115,8 @@ def cmd_sample(args) -> int:
         text = json.dumps([w.letters.tolist() for w in words]) + "\n"
     if args.out:
         out = Path(args.out)
-        handle = _start_manifest(args, [out])
-        out.write_text(text)
-        _finish_manifest(handle)
+        with _manifest(args, [out]):
+            out.write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -179,11 +171,6 @@ def cmd_lis(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
-# Parameters a command derives from its options and records in its manifest;
-# a replay derives them again.
-_DERIVED = {"simulate": ("sink_param",)}
-
-
 def cmd_simulate(args) -> int:
     _require(args, "x", "t", "lam")
     rates = None
@@ -197,54 +184,49 @@ def cmd_simulate(args) -> int:
         if args.variant != "weak":
             raise UsageError("--beta applies to the weak variant")
         rates = BoundaryRates.weak_from_beta(args.lam, args.beta)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    counts_path = out_dir / "counts.csv"
-    outputs = [counts_path]
-    trace_path = out_dir / "trace.csv"
-    if args.trace:
-        outputs.append(trace_path)
+    run = run_process(args.x, args.t, args.lam, args.variant, rates,
+                      make_rng(args.seed, 0), trace=args.trace)
     if rates is not None:
         args.sink_param = rates.sink_param  # record the derived rate
-    handle = _start_manifest(args, outputs)
-    rng = make_rng(args.seed, 0)
-    run = run_process(args.x, args.t, args.lam, args.variant, rates, rng,
-                      trace=args.trace)
-    _write_csv(counts_path, ("step", "count", "exits"),
-               [(s + 1, int(c), int(e))
-                for s, (c, e) in enumerate(zip(run.counts, run.exit_counts))])
-    if args.trace:
-        _write_csv(trace_path, ("step", "particle_index", "position", "event"),
-                   run.events)
-    _finish_manifest(handle)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    counts_path, trace_path = out_dir / "counts.csv", out_dir / "trace.csv"
+    with _manifest(args, [counts_path, trace_path] if args.trace else [counts_path]):
+        _write_csv(counts_path, ("step", "count", "exits"),
+                   [(s + 1, int(c), int(e))
+                    for s, (c, e) in enumerate(zip(run.counts, run.exit_counts))])
+        if args.trace:
+            _write_csv(trace_path, ("step", "particle_index", "position", "event"),
+                       run.events)
     return 0
 
 
 # --- estimate ----------------------------------------------------------------
 
+# The options that give each estimate mode its geometry, in the order of its
+# estimator's arguments and its plot.csv columns; an option of the other mode
+# is an error.
+_MODE_OPTIONS = {"word": ("n", "k"), "poisson": ("x", "t", "lam")}
+
+
 def cmd_estimate(args) -> int:
-    _require(args, "reps")
-    if args.mode == "word":
-        _require(args, "n", "k")
-        report = estimate_mean_subsequence(args.n, args.k, args.order,
-                                           args.reps, args.seed, args.jobs)
-        plot_header = ("n", "k", "mean", "stderr", "predicted")
-        plot_row = (args.n, args.k, report.mean, report.stderr, report.predicted)
-    else:
-        _require(args, "x", "t", "lam")
-        report = estimate_poissonized(args.x, args.t, args.lam, args.order,
-                                      args.reps, args.seed, args.jobs)
-        plot_header = ("x", "t", "lam", "mean", "stderr", "predicted")
-        plot_row = (args.x, args.t, args.lam, report.mean, report.stderr,
-                    report.predicted)
+    for mode, names in _MODE_OPTIONS.items():
+        given = [name for name in names if getattr(args, name) is not None]
+        if mode != args.mode and given:
+            raise UsageError(f"{_flag(given[0])} applies to --mode {mode}")
+    names = _MODE_OPTIONS[args.mode]
+    _require(args, "reps", *names)
+    geometry = [getattr(args, name) for name in names]
+    estimate = estimate_mean_subsequence if args.mode == "word" else estimate_poissonized
+    report = estimate(*geometry, args.order, args.reps, args.seed, args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
     plot_path = out_dir / "plot.csv"
-    handle = _start_manifest(args, [report_path, plot_path])
-    report_path.write_text(report.to_json(command="estimate") + "\n")
-    _write_csv(plot_path, plot_header, [plot_row])
-    _finish_manifest(handle)
+    with _manifest(args, [report_path, plot_path]):
+        report_path.write_text(report.to_json(command="estimate") + "\n")
+        _write_csv(plot_path, (*names, "mean", "stderr", "predicted"),
+                   [(*geometry, report.mean, report.stderr, report.predicted)])
     return 0
 
 
@@ -283,20 +265,11 @@ def cmd_verify(args) -> int:
 # --- tails -------------------------------------------------------------------
 
 def cmd_tails(args) -> int:
-    if args.kind == "all":
-        kinds = list(TAIL_KINDS)
-    elif args.kind in ("poisson", "binomial", "geomsum"):
-        kinds = [k for k in TAIL_KINDS if k.startswith(args.kind)]
-    elif args.kind in TAIL_KINDS:
-        kinds = [args.kind]
-    else:
-        raise UsageError(f"unknown tail kind {args.kind!r}")
-    certs = [verify_tail_inequality(k) for k in kinds]
+    certs = [verify_tail_inequality(kind) for kind in TAIL_SELECTIONS[args.kind]]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    handle = _start_manifest(args, [out])
-    _write_csv(out, CERTIFICATE_COLUMNS, certificate_rows(certs))
-    _finish_manifest(handle)
+    with _manifest(args, [out]):
+        _write_csv(out, CERTIFICATE_COLUMNS, certificate_rows(certs))
     n_fail = sum(len(c.failures()) for c in certs)
     n_all = sum(len(c.records) for c in certs)
     print(f"tail certificates: {n_all - n_fail}/{n_all} grid points passed")
@@ -305,21 +278,12 @@ def cmd_tails(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _read_config(path: str) -> dict:
-    values: dict = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {line!r} is not key=value")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ULAM_SEED", "0"))
+def _env_seed() -> int:
+    text = os.environ.get("ULAM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"ULAM_SEED must be an integer, got {text!r}") from None
 
 
 def _check_choice(action, what: str, value):
@@ -346,16 +310,29 @@ def _config_value(action, key: str, text: str):
         raise UsageError(f"{what}: invalid {action.type.__name__} value {text!r}") from None
 
 
-def _config_defaults(sub: argparse.ArgumentParser, command: str, config: dict) -> dict:
-    """Config values by destination; a key names an option of the subcommand
-    (``lambda``, ``max-x``) or its destination (``lam``, ``max_x``)."""
+def _config_defaults(sub: argparse.ArgumentParser, command: str, path: str) -> dict:
+    """Defaults by destination from the key=value lines of a config file.  A
+    key names an option of the subcommand (``lambda``, ``max-x``) or its
+    destination (``lam``, ``max_x``), and no two keys name the same option."""
     options = {name.lstrip("-").replace("-", "_"): a for a in sub._actions
                for name in (*a.option_strings, a.dest) if a.dest not in ("help", "config")}
-    unknown = [key for key in config if key not in options]
-    if unknown:
-        raise UsageError(f"config key {unknown[0]!r} is not an option of {command!r}")
-    return {options[key].dest: _config_value(options[key], key, val)
-            for key, val in config.items()}
+    values = {}
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line {line!r} is not key=value")
+        key, _, text = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise UsageError(f"config key {key!r} is not an option of {command!r}")
+        action = options[key]
+        if action.dest in values:
+            raise UsageError(f"config key {key!r} sets {action.option_strings[0]} "
+                             f"a second time")
+        values[action.dest] = _config_value(action, key, text.strip())
+    return values
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -368,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--manifest", help="replay a recorded run manifest")
     sub = parser.add_subparsers(dest="_command")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+    def common(p):  # the options of the commands that draw
+        p.add_argument("--seed", type=int, default=0, help="default: ULAM_SEED, then 0")
         p.add_argument("--config", default=None)
 
     p = sub.add_parser("sample", help="sample uniform multiset words")
@@ -382,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("lis", help="longest chain length of a word or point list")
-    common(p)
+    p.add_argument("--config", default=None)
     p.add_argument("--input")
     p.add_argument("--word")
     p.add_argument("--order", choices=("strict", "weak"), default="strict")
@@ -423,9 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tails", help="exact tail-inequality certificates")
-    common(p)
-    p.add_argument("--kind", default="all",
-                   help="poisson | binomial | geomsum | all | a specific kind")
+    p.add_argument("--config", default=None)
+    p.add_argument("--kind", choices=TAIL_SELECTIONS, default="all")
     p.add_argument("--out", default="tails.csv")
     p.set_defaults(func=cmd_tails)
     return parser
@@ -449,6 +425,12 @@ def _manifest_value(action, key: str, value):
         raise UsageError(f"{what} must be {' or '.join(t.__name__ for t in types)}, "
                          f"got {value!r}")
     return _check_choice(action, what, value)
+
+
+# Parameters a replay skips: those a command derives from its options and
+# records in its manifest (a replay derives them again), and the seed that
+# tails manifests recorded while tails took --seed.
+_DERIVED = {"simulate": ("sink_param",), "tails": ("seed",)}
 
 
 def _replay(manifest_path: str) -> int:
@@ -490,10 +472,12 @@ def main(argv=None) -> int:
         if getattr(args, "_command", None) is None:
             parser.print_usage(sys.stderr)
             return 2
+        sub = _subcommands(parser)[args._command]
+        defaults = {"seed": _env_seed()} if "seed" in vars(args) else {}
         if args.config is not None:
-            sub = _subcommands(parser)[args._command]
-            sub.set_defaults(**_config_defaults(sub, args._command,
-                                                _read_config(args.config)))
+            defaults.update(_config_defaults(sub, args._command, args.config))
+        if defaults:
+            sub.set_defaults(**defaults)
             args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

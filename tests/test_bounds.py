@@ -10,7 +10,7 @@ from ulam.bounds import (BoundaryRates, binomial_lower_bound, binomial_upper_bou
                          log_poisson_upper, mean_bound, optimal_rates_strict,
                          optimal_rates_weak, poisson_tail_bound, predicted_mean,
                          regime_diagnostics, sqrt_gap, tail_bound,
-                         verify_tail_inequality)
+                         TAIL_KINDS, verify_tail_inequality)
 from ulam.sampling import make_rng
 
 
@@ -115,6 +115,14 @@ class TestTailBoundFormulas:
 
     def test_geomsum(self):
         assert geomsum_tail_bound(100, 0.5, 0.5) == pytest.approx(math.exp(-6.25))
+
+    def test_unknown_kind_raises(self):
+        assert TAIL_KINDS == ("poisson_lower", "poisson_upper", "binomial_upper",
+                              "binomial_lower", "geomsum_upper", "geomsum_lower")
+        with pytest.raises(ValueError, match="unknown tail kind 'bogus'"):
+            tail_bound("bogus", {"lam": 4.0, "a": 4.0})
+        with pytest.raises(ValueError, match="kind must be one of"):
+            verify_tail_inequality("bogus")
 
     def test_eps_range(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,6 +132,13 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    def test_domain_error_leaves_nothing(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        assert main(["simulate", "--x", "2", "--t", "3", "--lambda", "nan",
+                     "--out-dir", str(d)]) == 2
+        assert "domain error" in capsys.readouterr().err
+        assert not d.exists()
+
     def test_trace_written(self, tmp_path):
         d = tmp_path / "simt"
         main(["simulate", "--x", "3", "--t", "10", "--lambda", "1",
@@ -199,6 +208,19 @@ class TestEstimate:
                          "--out-dir", str(tmp_path / "e")]) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, extra, option", [
+        (["--n", "3", "--k", "2"], ["--x", "nan"], "--x"),
+        (["--n", "3", "--k", "2"], ["--t", "4"], "--t"),
+        (["--n", "3", "--k", "2"], ["--lambda", "1"], "--lambda"),
+        (["--mode", "poisson", "--x", "1", "--t", "4", "--lambda", "1"], ["--n", "3"], "--n"),
+        (["--mode", "poisson", "--x", "1", "--t", "4", "--lambda", "1"], ["--k", "2"], "--k"),
+    ])
+    def test_option_of_the_other_mode_exits_2(self, tmp_path, capsys, mode, extra, option):
+        assert main(["estimate", *mode, *extra, "--reps", "4",
+                     "--out-dir", str(tmp_path / "e")]) == 2
+        assert f"error: {option} " in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_poisson_mode(self, tmp_path):
         d = tmp_path / "estp"
         assert main(["estimate", "--mode", "poisson", "--x", "1", "--t", "4",
@@ -252,6 +274,42 @@ class TestVerifyAndTails:
         header = out.read_text().splitlines()[0]
         assert header.startswith("kind,lam,a,")
 
+    def test_tails_all_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "tails.csv"
+        assert main(["tails", "--kind", "all", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "tail certificates: 713/778 grid points passed\n"
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "270ecf90c96f0c6ad08427f39eb5bf417921cc454ff06a7705d67433a7c3a59a")
+
+    @pytest.mark.parametrize("kind, selected", [
+        ("all", ["poisson_lower", "poisson_upper", "binomial_upper", "binomial_lower",
+                 "geomsum_upper", "geomsum_lower"]),
+        ("poisson", ["poisson_lower", "poisson_upper"]),
+        ("binomial", ["binomial_upper", "binomial_lower"]),
+        ("geomsum", ["geomsum_upper", "geomsum_lower"]),
+        *[(kind, [kind]) for kind in ("poisson_lower", "poisson_upper", "binomial_upper",
+                                      "binomial_lower", "geomsum_upper", "geomsum_lower")],
+    ])
+    def test_tails_kind_selects_kinds_in_order(self, tmp_path, kind, selected):
+        out = tmp_path / "tails.csv"
+        assert main(["tails", "--kind", kind, "--out", str(out)]) in (0, 1)
+        with out.open(newline="") as fh:
+            kinds = [row["kind"] for row in csv.DictReader(fh)]
+        assert list(dict.fromkeys(kinds)) == selected
+        assert kinds == sorted(kinds, key=selected.index)  # each kind in one block
+
+    def test_tails_unknown_kind_exits_2(self, tmp_path):
+        res = run_cli("tails", "--kind", "bogus", "--out", str(tmp_path / "t.csv"))
+        assert res.returncode == 2 and "bogus" in res.stderr
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_tails_unknown_kind_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = bogus\nout = %s\n" % (tmp_path / "t.csv"))
+        assert main(["tails", "--config", str(cfg)]) == 2
+        assert "'kind'" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_tails_geomsum_reports_violations(self, tmp_path):
         # the geometric-sum closed form genuinely fails in the heavy corner;
         # the certificate must say so and exit nonzero
@@ -303,6 +361,32 @@ class TestReproducibility:
         res2 = run_cli("sample", "--n", "3", "--k", "1", "--count", "2",
                        "--seed", "77")
         assert res1.stdout == res2.stdout
+
+    def test_env_seed_read_only_where_a_seed_is_drawn(self, tmp_path):
+        res = run_cli("lis", "--word", "1,2", env_extra={"ULAM_SEED": "abc"})
+        assert (res.returncode, res.stdout) == (0, "2\n")
+        res = run_cli("sample", "--n", "2", "--k", "1", "--count", "1",
+                      env_extra={"ULAM_SEED": "abc"})
+        assert res.returncode == 2 and "ULAM_SEED" in res.stderr
+
+    @pytest.mark.parametrize("command", ["lis", "tails"])
+    def test_seed_only_on_seeded_commands(self, tmp_path, command):
+        argv = ["--word", "1,2"] if command == "lis" else ["--out", str(tmp_path / "t.csv")]
+        res = run_cli(command, *argv, "--seed", "5")
+        assert res.returncode == 2 and "unrecognized arguments" in res.stderr
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("n = 2\nn = 3\nk = 1\nreps = 2\n", "n"),
+        ("mode = poisson\nx = 1\nt = 2\nlambda = 1\nlam = 2\nreps = 2\n", "lam"),
+        ("n = 2\nk = 1\nreps = 2\nout-dir = {d}/a\nout_dir = {d}/b\n", "out_dir"),
+    ], ids=["same-key", "option-and-destination", "dash-and-underscore"])
+    def test_config_key_set_twice_exits_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.format(d=tmp_path))
+        assert main(["estimate", "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not any(p.is_dir() for p in tmp_path.iterdir())
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -450,6 +534,18 @@ class TestManifestReplay:
         assert "sink_param" in json.loads((d / "manifest.json").read_text())["parameters"]
         assert main(["--manifest", str(d / "manifest.json")]) == 0
         assert [(d / n).read_bytes() for n in ("counts.csv", "trace.csv")] == first
+
+    def test_tails_manifest_with_a_recorded_seed_replays(self, tmp_path):
+        out = tmp_path / "t" / "tails.csv"
+        assert main(["tails", "--kind", "binomial", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        path = out.parent / "manifest.json"
+        man = json.loads(path.read_text())
+        man["parameters"]["seed"] = 0  # recorded while tails took --seed
+        path.write_text(json.dumps(man))
+        out.unlink()
+        assert main(["--manifest", str(path)]) == 0
+        assert out.read_bytes() == first
 
 
 def test_infinite_point_exits_2(capsys):
