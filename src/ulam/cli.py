@@ -216,6 +216,7 @@ def cmd_estimate(args) -> int:
             raise UsageError(f"{_flag(given[0])} applies to --mode {mode}")
     names = _MODE_OPTIONS[args.mode]
     _require(args, "reps", *names)
+    _at_least(args, 1, "jobs")
     geometry = [getattr(args, name) for name in names]
     estimate = estimate_mean_subsequence if args.mode == "word" else estimate_poissonized
     report = estimate(*geometry, args.order, args.reps, args.seed, args.jobs)

@@ -297,8 +297,11 @@ def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: 
         s = sinks[i - 1] if sunk[i] else None
         if s is not None and not strict:  # exits come before the moves
             held = np.searchsorted(flat, pad[:, 0]) - rows * slab.shape[1]  # L + sent
-            sent = np.minimum(sent + s, held)
-            np.copyto(slab, floor, where=np.arange(slab.shape[1]) < sent[:, None])
+            gone = np.minimum(sent + s, held) - sent
+            # only the cells of the new sentinels are written, not the slab
+            first = np.repeat(rows * slab.shape[1] + sent - (np.cumsum(gone) - gone), gone)
+            flat[first + np.arange(first.size)] = np.repeat(floor[:, 0], gone)
+            sent += gone
         at = np.searchsorted(flat, pts)
         if strict and i:  # a cell's points all lie below its key: the least wins
             lead = s is not None and slab[rows, sent] < pad[:, 0]  # a live particle
@@ -319,16 +322,27 @@ def _cloud_order(flat: np.ndarray, sizes: np.ndarray, t_max: int) -> np.ndarray:
     """Indices of ``flat`` (sources, then xs row by row, ``sizes`` per row)
     in chain order: by x, the higher row first among equal x.  One sort of
     the int64 keys ``high bits of x | index`` orders distinct positive x, as
-    their float bits sort like their values; if two keys share their high
-    bits (or a sign bit is set), a lexsort by (x, -row) orders them."""
+    their float bits sort like their values.  Only the runs of keys that
+    share their high bits are then re-ordered, by one lexsort by (x, -row)
+    of their points; the whole array is, if a sign bit is set."""
     b = flat.size.bit_length()
     packed = np.sort(flat.view(np.int64) >> b << b | np.arange(flat.size))
-    high = packed >> b
-    if not flat.size or (packed[0] >= 0 and not np.any(high[1:] == high[:-1])):
-        return packed & ((1 << b) - 1)
-    # row numbers of 16 bits or less sort by radix
-    rows = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(t_max)), sizes)
-    return np.lexsort((t_max - rows, flat))
+    order = packed & ((1 << b) - 1)
+    if flat.size and packed[0] < 0:  # negative bits sort backwards
+        tied = slice(None)
+    else:
+        high = packed >> b
+        shared = high[1:] == high[:-1]
+        if not shared.any():
+            return order
+        first = np.flatnonzero(shared)
+        tied = np.union1d(first, first + 1)
+    # runs of equal high bits follow each other in x order, so one lexsort
+    # of all their points, put back in their places, orders every run
+    sub = order[tied]
+    rows = np.searchsorted(np.cumsum(sizes), sub, side="right")
+    order[tied] = sub[np.lexsort((t_max - rows, flat[sub]))]
+    return order
 
 
 def _chain_keys(clouds, boundaries=()) -> tuple:
@@ -337,8 +351,10 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
     row of a cloud, and the sinks (rows x clouds).  Each of ``boundaries``,
     if given, is taken after its cloud, whose height it must share; its
     sources are ranked as row 0, its sinks past the cloud's rows ignored.
-    A cloud is ranked as (sources, xs) by ``_cloud_order`` and dropped once
-    ranked; the clouds' row blocks then move to their rows in one scatter."""
+    A cloud is ranked as (sources, xs) by ``_cloud_order`` and dropped, its
+    ranks kept in their smallest unsigned dtype; once every size is known,
+    each cloud's row blocks move to their rows in one scatter of its own,
+    with no index array as long as the batch."""
     ranks, rows, sinks = [], [], []  # row 0 of each cloud holds its sources
     boundaries = iter(boundaries)
     for cloud in clouds:
@@ -350,29 +366,29 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
         if flat.size >= 1 << 31:
             raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")
         sizes = np.concatenate(([sources.size], np.diff(cloud.offsets)))
-        rank = np.empty(flat.size, dtype=np.int32)
+        small = np.min_scalar_type(flat.size)  # ranks run 1..size
+        rank = np.empty(flat.size, dtype=small)
         rank[_cloud_order(flat, sizes, cloud.t_max)] = np.arange(1, flat.size + 1,
-                                                                dtype=np.int32)
+                                                                dtype=small)
         ranks.append(rank)
         rows.append(sizes)
     sizes = np.asarray([r.size for r in ranks], dtype=np.int64)
     shift = int(sizes.max(initial=0) + 1).bit_length()
     dtype = _key_dtype(sizes.size, shift)
-    keys = np.concatenate(ranks, dtype=dtype) if ranks else np.empty(0, dtype)
-    keys |= np.repeat(np.arange(sizes.size, dtype=dtype) << shift, sizes)
     # grid[r, i] points of cloud r in row i; that block moves from its place
-    # in keys to the start of row i plus the row-i points of earlier clouds
+    # in the cloud to the start of row i plus the row-i points of earlier clouds
     grid = np.zeros((sizes.size, max((s.size for s in rows), default=1)), np.int64)
     for r, s in enumerate(rows):
         grid[r, :s.size] = s
     bounds = [0, *np.cumsum(grid.sum(axis=0)).tolist()]
     moved = np.asarray(bounds[:-1]) + np.cumsum(grid, axis=0) - grid
-    blocks = grid.reshape(-1)
-    moved = moved.reshape(-1) - (np.cumsum(blocks) - blocks)
-    out = np.empty_like(keys)
-    out[np.arange(keys.size) + np.repeat(moved, blocks)] = keys
+    keys = np.empty(int(sizes.sum()), dtype)
+    for r, (rank, s) in enumerate(zip(ranks, rows)):
+        at = np.repeat(moved[r, :s.size] - (np.cumsum(s) - s), s)
+        at += np.arange(rank.size)
+        keys[at] = rank | dtype(r << shift)
     sinks = np.stack(sinks, axis=1) if sinks else None
-    return out, bounds, sizes, shift, int(grid.max(initial=0)), sinks
+    return keys, bounds, sizes, shift, int(grid.max(initial=0)), sinks
 
 
 def batch_particle_counts(clouds, variant: str) -> np.ndarray:
@@ -387,17 +403,21 @@ def batch_particle_counts(clouds, variant: str) -> np.ndarray:
     return _slab_counts(*_chain_keys(clouds), variant)
 
 
-def _word_counts(letters: np.ndarray, k: int, variant: str) -> np.ndarray:
-    """``lis_strict`` or ``lnds_weak`` of each row of ``letters``, a multiset
-    word over 1..n with each letter k times (unchecked: the estimator draws
-    them).  A stable sort of a word (by radix for 16-bit letters) lists the
-    positions of each letter, its row, so words advance together as clouds.
-    """
-    reps, size = letters.shape
-    n, shift = size // k, size.bit_length()
+def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
+    """``lis_strict`` or ``lnds_weak`` of each of the ``reps`` words of the
+    iterable ``words``, multiset words over 1..n with each letter k times
+    (unchecked: the estimator draws them).  A stable sort of a word (by
+    radix, in its smallest letter dtype) lists the positions of each letter,
+    its row, straight into the word's key columns, so that words advance
+    together as clouds and each is dropped once laid out."""
+    size = n * k
+    shift = size.bit_length()
     keys = np.empty((n, reps, k), dtype=_key_dtype(reps, shift))
-    for r, word in enumerate(letters):
-        keys[:, r] = np.argsort(word, kind="stable").reshape(n, k) | (r << shift)
+    small = np.min_scalar_type(n)
+    for r, word in enumerate(words):
+        word = np.asarray(word).astype(small, copy=False)
+        keys[:, r] = np.argsort(word, kind="stable").reshape(n, k)
+        keys[:, r] |= r << shift
     bounds = [0, *(reps * k * i for i in range(n + 1))]  # no sources
     return _slab_counts(keys.reshape(-1), bounds, np.full(reps, size), shift, k, None,
                         variant)

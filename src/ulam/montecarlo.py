@@ -32,12 +32,14 @@ _TAG_DEVIATION = 4
 _TAG_EXPECTED = 5
 _MAX_REPS = 1 << 32
 
-# Replicas run in chunks that never depend on --jobs: Poisson clouds in chunks
-# of about _POINT_BUDGET expected points plus rows (13 replicas at x = t = 100,
-# 0.5 MB of keys), words in chunks of at most _WORD_BUDGET letters (52
-# replicas at n*k = 1e4, 2 MB of keys).
-_POINT_BUDGET = 1 << 17
-_WORD_BUDGET = 1 << 19
+# Replicas run in balanced chunks of at most _CHUNK_BYTES of keys plus slab
+# (`_chunks`), cut from the input alone, never from --jobs.  A slab row step
+# costs the same numpy calls whatever its width, so wide chunks are fast:
+# every benchmark geometry runs as one chunk per order (60 replicas of about
+# 1e4 points, 2.4 MB of keys), and k = 1 words at n = 1e5 run up to 81
+# replicas a chunk.  A run that fits one chunk runs in one process whatever
+# --jobs is.
+_CHUNK_BYTES = 1 << 25
 
 
 def _stream(tag: int, rep: int) -> int:
@@ -104,14 +106,33 @@ def _parallel_map(fn, argses: list, jobs: int) -> list:
         return list(pool.map(fn, argses, chunksize=chunk))
 
 
+def _replica_bytes(points: float, row: float) -> float:
+    """Bytes of one replica of ``points`` expected points, ``row`` in a row,
+    in a chunk: a 4-byte key per point and a slab row of at most 4 (L + row)
+    4-byte cells (the slab doubles when half full), where a chain of p
+    points is about L = 2 sqrt(p) long.  Within the budget keys are int32:
+    R replicas of p points have R << shift <= 2 R (p + 1), far below 2**31."""
+    return 4.0 * (1.0 + points + 4.0 * (2.0 * math.sqrt(max(points, 0.0)) + row))
+
+
+def _chunks(reps: int, points: float, row: float) -> list[range]:
+    """Replicas 0..reps-1 in the fewest balanced chunks of at most
+    ``_CHUNK_BYTES`` (`_replica_bytes`), or of one replica where one is more."""
+    per = _replica_bytes(points, row)
+    # a geometry the sampler rejects still gets chunks, so that the
+    # sampler's own check reports it
+    size = max(1, int(_CHUNK_BYTES // per)) if 0.0 < per < math.inf else 1
+    chunks = -(-reps // size)
+    cuts = [reps * i // chunks for i in range(chunks + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 # --- replica workers (top level so process pools can pickle them) ---------
 
 def _word_chunk(args) -> np.ndarray:
     seed, reps, n, k, order = args
-    letters = np.empty((len(reps), n * k), dtype=np.min_scalar_type(n))  # sorts by radix
-    for row, r in zip(letters, reps):
-        row[:] = _shuffled_letters(n, k, make_rng(seed, _stream(_TAG_WORD, r)))
-    return _word_counts(letters, k, order)
+    words = (_shuffled_letters(n, k, make_rng(seed, _stream(_TAG_WORD, r))) for r in reps)
+    return _word_counts(words, len(reps), n, k, order)
 
 
 def _poisson_chunk(args) -> np.ndarray:
@@ -135,12 +156,9 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
                     rates: BoundaryRates | None = None) -> np.ndarray:
     """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
     in replica order, drawn from stream block ``tag``."""
-    # a geometry the sampler rejects still gets a chunk size, so that the
-    # sampler's own check reports it
-    points = x * t * lam + t + (x * rates.source_rate if rates else 0.0)
-    size = max(1, int(_POINT_BUDGET // max(1.0, points)))
-    argses = [(seed, range(lo, min(lo + size, reps)), x, t, lam, order, tag, rates)
-              for lo in range(0, reps, size)]
+    sources = x * rates.source_rate if rates else 0.0
+    argses = [(seed, chunk, x, t, lam, order, tag, rates)
+              for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources))]
     return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism), axis=1)
 
 
@@ -155,9 +173,7 @@ def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
     ``rel_error`` are None."""
     predicted = predicted_mean(n, k, order)  # checks the order and n, k >= 1
     _check_reps(reps)
-    chunks = -(-reps * n * k // _WORD_BUDGET)
-    cuts = [reps * i // chunks for i in range(chunks + 1)]  # balanced
-    argses = [(seed, range(lo, hi), n, k, order) for lo, hi in zip(cuts, cuts[1:])]
+    argses = [(seed, chunk, n, k, order) for chunk in _chunks(reps, n * k, k)]
     vals = np.concatenate(_parallel_map(_word_chunk, argses, parallelism)).astype(float)
     return EstimateReport.from_values(vals, seed, {"n": n, "k": k, "order": order},
                                       predicted=predicted if k <= n else None)

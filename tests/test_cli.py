@@ -73,6 +73,18 @@ def test_count_below_its_range_exits_2(capsys, argv, option):
     assert out == "" and f"error: {option} must be >= " in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_estimate_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    for geometry in (["--n", "3", "--k", "2"],
+                     ["--mode", "poisson", "--x", "2", "--t", "3", "--lambda", "1"]):
+        argv = ["estimate", *geometry, "--reps", "4", "--jobs", jobs,
+                "--out-dir", str(tmp_path / "e")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: --jobs must be >= 1, got {jobs}" in err
+        assert not (tmp_path / "e").exists()
+
+
 class TestLis:
     def test_word_examples(self, capsys):
         assert main(["lis", "--word", "2,2,1,1", "--order", "strict"]) == 0

@@ -344,14 +344,46 @@ close_cloud = st.integers(min_value=1, max_value=4).flatmap(
         [(1.0 + j * 2.0 ** -52, r) for j, r in sorted(pts)], 2.0, t)))
 
 
+@st.composite
+def crowded_rows(draw):
+    """(flat, sizes, t_max): rows 0..t_max of up to 150 x each, all within
+    2000 ulps of one base, repeats allowed: the packed keys share their high
+    bits in many long runs.  A negative base sets every sign bit."""
+    t_max = draw(st.integers(min_value=0, max_value=5))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=150),
+                          min_size=t_max + 1, max_size=t_max + 1))
+    base = draw(st.sampled_from([1.0, 3.5, 1e-300, 0.0, -2.0]))
+    steps = draw(st.lists(st.integers(min_value=0, max_value=2000),
+                          min_size=sum(sizes), max_size=sum(sizes)))
+    flat = base + np.asarray(steps, dtype=float) * np.spacing(base)
+    return flat, np.asarray(sizes, dtype=np.int64), t_max
+
+
 class TestCloudOrder:
+    @staticmethod
+    def check(flat, sizes, t_max):
+        rows = np.repeat(np.arange(sizes.size), sizes)
+        order = hammersley._cloud_order(flat, sizes, t_max)
+        assert order.tolist() == np.lexsort((-rows, flat)).tolist()
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(grid_cloud, sampled_cloud, close_cloud))
     def test_order_is_x_then_higher_row_first(self, cloud):
         sizes = np.diff(cloud.offsets, prepend=0)  # no sources in row 0
-        rows = np.repeat(np.arange(sizes.size), sizes)
-        order = hammersley._cloud_order(cloud.xs, sizes, cloud.t_max)
-        assert order.tolist() == np.lexsort((-rows, cloud.xs)).tolist()
+        self.check(cloud.xs, sizes, cloud.t_max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(crowded_rows())
+    def test_runs_of_shared_high_bits(self, crowded):
+        self.check(*crowded)
+
+    def test_large_cloud_with_every_key_shared(self):
+        # 30000 x within 2**19 ulps of 1 and a 15-bit index: the keys fall
+        # in 16 runs of equal high bits, some x repeat within a row
+        rng = np.random.default_rng(7)
+        sizes = np.full(60, 500, dtype=np.int64)
+        flat = 1.0 + rng.integers(0, 1 << 19, sizes.sum()) * 2.0 ** -52
+        self.check(flat, sizes, 59)
 
 
 class TestBatchParticleCounts:
@@ -395,15 +427,16 @@ class TestBatchParticleCounts:
     @pytest.mark.parametrize("order", ["strict", "weak"])
     def test_estimate_split_into_small_chunks(self, monkeypatch, order):
         whole = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
-        # x*t*lam + t = 54 cells per replica, so a budget of 120 makes
-        # chunks of 2 replicas, the last one cut short
+        # a replica of x*t*lam = 45 expected points takes about 479 bytes, so
+        # a budget of 1000 bytes makes 4 balanced chunks of at most 2 replicas
+        assert 333 < montecarlo._replica_bytes(45.0, 5.0) <= 500
         chunks = []
         run_chunk = montecarlo._poisson_chunk
-        monkeypatch.setattr(montecarlo, "_POINT_BUDGET", 120)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1000)
         monkeypatch.setattr(montecarlo, "_poisson_chunk",
                             lambda args: chunks.append(list(args[1])) or run_chunk(args))
         split = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
-        assert chunks == [[0, 1], [2, 3], [4, 5], [6]]
+        assert chunks == [[0], [1, 2], [3, 4], [5, 6]]
         assert split == whole
         chain = lis_strict if order == "strict" else lnds_weak
         values = [chain(sample_poisson_cloud(5.0, 9, 1.0, make_rng(32, (2 << 32) | r)))
@@ -545,7 +578,8 @@ class TestWordCounts:
         n, k, words = words
         expected = word_oracles(n, k, words)
         for variant in ("strict", "weak"):
-            counts = hammersley._word_counts(np.asarray(words, dtype=dtype), k, variant)
+            counts = hammersley._word_counts(np.asarray(words, dtype=dtype), len(words), n,
+                                             k, variant)
             assert counts.tolist() == expected[variant]
 
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 6), (6, 1), (2, 2)])
@@ -554,7 +588,7 @@ class TestWordCounts:
         words = [rng.permutation(np.repeat(np.arange(1, n + 1), k)) for _ in range(5)]
         expected = word_oracles(n, k, words)
         for variant in ("strict", "weak"):
-            counts = hammersley._word_counts(np.asarray(words), k, variant)
+            counts = hammersley._word_counts(iter(words), len(words), n, k, variant)
             assert counts.tolist() == expected[variant]
 
     @settings(max_examples=40, deadline=None)
@@ -574,13 +608,12 @@ class TestWordCounts:
                 mock.patch.object(hammersley, "_slab_counts", record):
             for variant in ("strict", "weak"):
                 letters = np.asarray(words, dtype=np.uint16)
-                counts = hammersley._word_counts(letters, k, variant)
+                counts = hammersley._word_counts(letters, len(words), n, k, variant)
                 assert counts.tolist() == word_oracles(n, k, words)[variant]
         assert seen == [np.int64, np.int64]
 
     def test_empty_batch(self):
-        empty = np.empty((0, 6), dtype=np.uint8)
-        assert hammersley._word_counts(empty, 2, "weak").tolist() == []
+        assert hammersley._word_counts(iter(()), 0, 3, 2, "weak").tolist() == []
 
 
 @pytest.mark.perf

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -61,11 +62,13 @@ class TestWordChunks:
 
     @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
     def test_report_equals_patience_recount(self, monkeypatch, seed):
-        # 7 replicas of 36 letters and a budget of 100 letters make 3 chunks
+        # 7 replicas of 36 letters take 404 bytes each, so a budget of 1300
+        # bytes makes 3 chunks
         n, k, reps = 9, 4, 7
+        assert montecarlo._replica_bytes(n * k, k) == 404
         chunks = []
         run_chunk = montecarlo._word_chunk
-        monkeypatch.setattr(montecarlo, "_WORD_BUDGET", 100)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1300)
         monkeypatch.setattr(montecarlo, "_word_chunk",
                             lambda args: chunks.append(list(args[1])) or run_chunk(args))
         for order, chain in (("strict", lis_strict), ("weak", lnds_weak)):
@@ -78,9 +81,10 @@ class TestWordChunks:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 12), st.integers(2, 9),
-           st.integers(1, 400), st.integers(0, 2**64 - 1))
+           st.integers(1, 16_000), st.integers(0, 2**64 - 1))
     def test_any_chunking_matches_patience(self, n, k, reps, budget, seed):
-        with mock.patch.object(montecarlo, "_WORD_BUDGET", budget):
+        # up to 1650 bytes a replica: from one replica a chunk to one chunk
+        with mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
             for order, chain in (("strict", lis_strict), ("weak", lnds_weak)):
                 rep = estimate_mean_subsequence(n, k, order, reps, seed)
                 vals = np.asarray([chain(sample_uniform_multiset_permutation(
@@ -90,7 +94,7 @@ class TestWordChunks:
 
     @pytest.mark.parametrize("order", ["strict", "weak"])
     def test_parallelism_is_result_invariant(self, monkeypatch, order):
-        monkeypatch.setattr(montecarlo, "_WORD_BUDGET", 200)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2000)  # 8 chunks
         serial = estimate_mean_subsequence(10, 3, order, 40, seed=69, parallelism=1)
         parallel = estimate_mean_subsequence(10, 3, order, 40, seed=69, parallelism=2)
         assert serial == parallel
@@ -99,18 +103,94 @@ class TestWordChunks:
     def test_chunk_letters_are_the_sampled_words(self, monkeypatch, n, k):
         seen = []
         monkeypatch.setattr(montecarlo, "_word_counts",
-                            lambda letters, k, order: seen.append(letters) or letters[:, 0])
-        montecarlo._word_chunk((5, range(200), n, k, "weak"))
-        (letters,) = seen
-        assert letters.dtype == np.min_scalar_type(n)
-        for r, row in enumerate(letters):
+                            lambda words, reps, n, k, order: seen.append((reps, list(words))))
+        montecarlo._word_chunk((5, range(3, 200), n, k, "weak"))
+        ((reps, words),) = seen
+        assert reps == len(words) == 197
+        for r, letters in zip(range(3, 200), words):
             word = sample_uniform_multiset_permutation(n, k, make_rng(5, (1 << 32) | r))
-            assert row.tolist() == list(word.letters)
+            assert letters.tolist() == list(word.letters)
 
     def test_rejects_empty_words(self):
         for n, k in ((0, 3), (3, 0)):
             with pytest.raises(ValueError, match="n and k"):
                 estimate_mean_subsequence(n, k, "strict", 4, seed=0)
+
+
+class TestChunkPlan:
+    """One planner cuts words, clouds and boundary clouds by one byte budget."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3000), st.floats(0.0, 1e6), st.floats(0.0, 1e3),
+           st.integers(1, 1 << 26))
+    def test_balanced_chunks_within_the_budget(self, reps, points, row, budget):
+        with mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
+            plan = montecarlo._chunks(reps, points, row)
+        per = montecarlo._replica_bytes(points, row)
+        assert [r for chunk in plan for r in chunk] == list(range(reps))
+        assert max(map(len, plan)) - min(map(len, plan)) <= 1
+        # over the budget only with a single replica, and no more chunks
+        # than the budget needs
+        assert all(len(chunk) * per <= budget or len(chunk) == 1 for chunk in plan)
+        assert len(plan) == -(-reps // max(1, int(budget // per)))
+
+    def test_benchmark_geometries_run_as_one_chunk(self):
+        # words at n = 1000, k = 10; clouds at x = t = 100; the boundary
+        # process at x = 50, t = 200 with 50 or 100 expected sources
+        assert len(montecarlo._chunks(60, 1e4, 10)) == 1
+        assert len(montecarlo._chunks(60, 1e4, 100)) == 1
+        assert len(montecarlo._chunks(30, 1e4 + 100, 100)) == 1
+
+    def test_rejected_geometries_still_get_chunks(self):
+        for points in (math.nan, math.inf, -5.0):
+            assert montecarlo._chunks(3, points, 1.0) == [range(0, 1), range(1, 2),
+                                                          range(2, 3)]
+
+    def test_plan_does_not_depend_on_parallelism(self, monkeypatch):
+        plans = {}
+        real = montecarlo._parallel_map
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 3000)
+        for jobs in (1, 2):
+            seen = plans[jobs] = []
+            monkeypatch.setattr(montecarlo, "_parallel_map", lambda fn, argses, workers: (
+                seen.append([list(a[1]) for a in argses]) or real(fn, argses, workers)))
+            estimate_mean_subsequence(10, 3, "strict", 40, 70, jobs)
+            estimate_poissonized(6.0, 12, 1.0, "weak", 40, 70, jobs)
+            stationarity_test(5.0, 1.0, 1.0, "strict", 12, 23, 70, jobs)
+        assert plans[1] == plans[2]
+        assert [len(plan) for plan in plans[1]] == [5, 10, 6]
+
+
+def _peak_traced_bytes(run, args) -> int:
+    run(args)  # once untraced, so that first-call caches are not counted
+    tracemalloc.start()
+    try:
+        run(args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """The lean key layout: a chunk's peak memory grows by at most 12 bytes a
+    point (2-byte ranks, 4-byte keys, the slab), whatever its size.  A
+    layout with chunk-wide int64 index arrays took about 28."""
+
+    @pytest.mark.parametrize("rates", [None, BoundaryRates.weak_from_beta(1.0, 2.0)])
+    def test_poisson_chunk(self, rates):
+        x, t, lam = 50.0, 50, 1.0
+        points = x * t * lam + (x * rates.source_rate if rates else 0.0)
+        args = lambda reps: (7, range(reps), x, t, lam, "weak", 3, rates)
+        small = _peak_traced_bytes(montecarlo._poisson_chunk, args(4))
+        large = _peak_traced_bytes(montecarlo._poisson_chunk, args(40))
+        assert large - small <= 12 * 36 * points
+
+    def test_word_chunk(self):
+        n, k = 100, 20
+        args = lambda reps: (7, range(reps), n, k, "strict")
+        small = _peak_traced_bytes(montecarlo._word_chunk, args(4))
+        large = _peak_traced_bytes(montecarlo._word_chunk, args(40))
+        assert large - small <= 12 * 36 * n * k
 
 
 class TestReportJson:
@@ -151,7 +231,7 @@ class TestEstimatePoissonized:
     @pytest.mark.parametrize("order", ["strict", "weak"])
     def test_parallelism_is_result_invariant(self, monkeypatch, order):
         # a small budget gives several chunks to spread over the workers
-        monkeypatch.setattr(montecarlo, "_POINT_BUDGET", 400)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 3000)
         serial = estimate_poissonized(6.0, 12, 1.0, order, 40, seed=68, parallelism=1)
         parallel = estimate_poissonized(6.0, 12, 1.0, order, 40, seed=68, parallelism=2)
         assert serial == parallel
@@ -364,18 +444,19 @@ class TestBoundaryEstimators:
                  for order in ("strict", "weak")])
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=1, max_value=2_000))
+    @given(st.integers(min_value=1, max_value=20_000))
     def test_any_chunking(self, budget):
-        # 5 * 12 + 12 + 5 or 10 = 77 or 82 expected points per replica
+        # 5 * 12 + 5 or 10 = 65 or 70 expected points, 602 or 712 bytes, per
+        # replica: from one replica a chunk to one chunk of all 23
         whole = self.reports()
-        with mock.patch.object(montecarlo, "_POINT_BUDGET", budget):
+        with mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
             split = self.reports()
         assert all(np.array_equal(a, b) for a, b in zip(whole[0], split[0]))
         assert whole[1] == split[1]
 
     def test_parallelism_is_result_invariant(self, monkeypatch):
         serial = self.reports(1)
-        monkeypatch.setattr(montecarlo, "_POINT_BUDGET", 300)  # several chunks
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2000)  # several chunks
         parallel = self.reports(2)
         assert all(np.array_equal(a, b) for a, b in zip(serial[0], parallel[0]))
         assert serial[1] == parallel[1]
