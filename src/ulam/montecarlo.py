@@ -32,14 +32,19 @@ _TAG_DEVIATION = 4
 _TAG_EXPECTED = 5
 _MAX_REPS = 1 << 32
 
-# Replicas run in balanced chunks of at most _CHUNK_BYTES of keys plus slab
-# (`_chunks`), cut from the input alone, never from --jobs.  A slab row step
-# costs the same numpy calls whatever its width, so wide chunks are fast:
-# every benchmark geometry runs as one chunk per order (60 replicas of about
-# 1e4 points, 2.4 MB of keys), and k = 1 words at n = 1e5 run up to 81
-# replicas a chunk.  A run that fits one chunk runs in one process whatever
-# --jobs is.
-_CHUNK_BYTES = 1 << 25
+# Replicas run in balanced chunks of at most _CHUNK_REPS replicas and at
+# most _CHUNK_BYTES of keys, slab and per-row arrays (`_chunks`), cut from
+# the input alone, never from --jobs.  A slab row step costs the same numpy
+# calls whatever its width, so wide chunks are fast: every benchmark
+# geometry runs as one chunk per order (at most 60 replicas of about 1e4
+# points, 2.4 MB of keys).  The replica cap leaves a run of more replicas
+# several chunks for --jobs to spread; a run that fits one chunk runs in
+# one process whatever --jobs is.  The budget binds only on large replicas:
+# 2**24 is the least at which k = 1 words at n = 1e5 (32 replicas a chunk)
+# run level with a patience pass per replica; 2**25 saves another tenth
+# there for 12-15 MB more peak RSS, and no budget speeds up n = k = 1e3.
+_CHUNK_REPS = 64
+_CHUNK_BYTES = 1 << 24
 
 
 def _stream(tag: int, rep: int) -> int:
@@ -106,22 +111,27 @@ def _parallel_map(fn, argses: list, jobs: int) -> list:
         return list(pool.map(fn, argses, chunksize=chunk))
 
 
-def _replica_bytes(points: float, row: float) -> float:
+def _replica_bytes(points: float, row: float, rows: float = 0.0) -> float:
     """Bytes of one replica of ``points`` expected points, ``row`` in a row,
-    in a chunk: a 4-byte key per point and a slab row of at most 4 (L + row)
-    4-byte cells (the slab doubles when half full), where a chain of p
-    points is about L = 2 sqrt(p) long.  Within the budget keys are int32:
+    ``rows`` rows, in a chunk: a 4-byte key per point, a slab row of at
+    most 4 (L + row) 4-byte cells (the slab doubles when half full), where a
+    chain of p points is about L = 2 sqrt(p) long, and six 8-byte cells a
+    row for a cloud's row sizes, layout grid, offsets and sinks (a word's
+    rows are shared, so it passes none).  Within the budget keys are int32:
     R replicas of p points have R << shift <= 2 R (p + 1), far below 2**31."""
-    return 4.0 * (1.0 + points + 4.0 * (2.0 * math.sqrt(max(points, 0.0)) + row))
+    return (4.0 * (1.0 + points + 4.0 * (2.0 * math.sqrt(max(points, 0.0)) + row))
+            + 48.0 * rows)
 
 
-def _chunks(reps: int, points: float, row: float) -> list[range]:
+def _chunks(reps: int, points: float, row: float, rows: float = 0.0) -> list[range]:
     """Replicas 0..reps-1 in the fewest balanced chunks of at most
-    ``_CHUNK_BYTES`` (`_replica_bytes`), or of one replica where one is more."""
-    per = _replica_bytes(points, row)
+    ``_CHUNK_REPS`` replicas and ``_CHUNK_BYTES`` (`_replica_bytes`), or of
+    one replica where one is more."""
+    per = _replica_bytes(points, row, rows)
     # a geometry the sampler rejects still gets chunks, so that the
     # sampler's own check reports it
-    size = max(1, int(_CHUNK_BYTES // per)) if 0.0 < per < math.inf else 1
+    size = (min(_CHUNK_REPS, max(1, int(_CHUNK_BYTES // per)))
+            if 0.0 < per < math.inf else 1)
     chunks = -(-reps // size)
     cuts = [reps * i // chunks for i in range(chunks + 1)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -158,7 +168,7 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
     in replica order, drawn from stream block ``tag``."""
     sources = x * rates.source_rate if rates else 0.0
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
-              for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources))]
+              for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources), t + 1)]
     return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism), axis=1)
 
 

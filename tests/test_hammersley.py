@@ -427,12 +427,13 @@ class TestBatchParticleCounts:
     @pytest.mark.parametrize("order", ["strict", "weak"])
     def test_estimate_split_into_small_chunks(self, monkeypatch, order):
         whole = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
-        # a replica of x*t*lam = 45 expected points takes about 479 bytes, so
-        # a budget of 1000 bytes makes 4 balanced chunks of at most 2 replicas
-        assert 333 < montecarlo._replica_bytes(45.0, 5.0) <= 500
+        # a replica of x*t*lam = 45 expected points in 10 rows takes about
+        # 959 bytes, so a budget of 2000 bytes makes 4 balanced chunks of at
+        # most 2 replicas
+        assert 667 < montecarlo._replica_bytes(45.0, 5.0, 10) <= 1000
         chunks = []
         run_chunk = montecarlo._poisson_chunk
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1000)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2000)
         monkeypatch.setattr(montecarlo, "_poisson_chunk",
                             lambda args: chunks.append(list(args[1])) or run_chunk(args))
         split = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
@@ -611,6 +612,24 @@ class TestWordCounts:
                 counts = hammersley._word_counts(letters, len(words), n, k, variant)
                 assert counts.tolist() == word_oracles(n, k, words)[variant]
         assert seen == [np.int64, np.int64]
+
+    @pytest.mark.parametrize("n, small", [(200, np.uint8), (300, np.uint16)])
+    def test_words_sort_in_their_smallest_dtype(self, n, small):
+        # int64 letters narrow before the stable argsort, which then sorts
+        # by radix
+        rng = np.random.default_rng(41)
+        words = [rng.permutation(np.repeat(np.arange(1, n + 1), 2)) for _ in range(3)]
+        sorted_dtypes = []
+        argsort = np.argsort
+
+        def record(a, *args, **kwargs):
+            sorted_dtypes.append(a.dtype)
+            return argsort(a, *args, **kwargs)
+
+        with mock.patch.object(np, "argsort", record):
+            counts = hammersley._word_counts(iter(words), len(words), n, 2, "strict")
+        assert sorted_dtypes == [small] * len(words)
+        assert counts.tolist() == word_oracles(n, 2, words)["strict"]
 
     def test_empty_batch(self):
         assert hammersley._word_counts(iter(()), 0, 3, 2, "weak").tolist() == []

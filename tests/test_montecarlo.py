@@ -122,24 +122,39 @@ class TestChunkPlan:
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3000), st.floats(0.0, 1e6), st.floats(0.0, 1e3),
-           st.integers(1, 1 << 26))
-    def test_balanced_chunks_within_the_budget(self, reps, points, row, budget):
+           st.integers(0, 10**6), st.integers(1, 1 << 26))
+    def test_balanced_chunks_within_the_budget(self, reps, points, row, rows, budget):
         with mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
-            plan = montecarlo._chunks(reps, points, row)
-        per = montecarlo._replica_bytes(points, row)
+            plan = montecarlo._chunks(reps, points, row, rows)
+        per = montecarlo._replica_bytes(points, row, rows)
+        assert per >= 48 * rows
         assert [r for chunk in plan for r in chunk] == list(range(reps))
         assert max(map(len, plan)) - min(map(len, plan)) <= 1
-        # over the budget only with a single replica, and no more chunks
-        # than the budget needs
+        # over the budget only with a single replica, never over the replica
+        # cap, and no more chunks than the budget and the cap need
         assert all(len(chunk) * per <= budget or len(chunk) == 1 for chunk in plan)
-        assert len(plan) == -(-reps // max(1, int(budget // per)))
+        assert max(map(len, plan)) <= montecarlo._CHUNK_REPS
+        size = min(montecarlo._CHUNK_REPS, max(1, int(budget // per)))
+        assert len(plan) == -(-reps // size)
 
     def test_benchmark_geometries_run_as_one_chunk(self):
         # words at n = 1000, k = 10; clouds at x = t = 100; the boundary
         # process at x = 50, t = 200 with 50 or 100 expected sources
         assert len(montecarlo._chunks(60, 1e4, 10)) == 1
-        assert len(montecarlo._chunks(60, 1e4, 100)) == 1
-        assert len(montecarlo._chunks(30, 1e4 + 100, 100)) == 1
+        assert len(montecarlo._chunks(60, 1e4, 100, 101)) == 1
+        assert len(montecarlo._chunks(30, 1e4 + 100, 100, 201)) == 1
+
+    def test_more_replicas_leave_chunks_to_spread(self):
+        # 512 replicas of a benchmark geometry run as 8 chunks of 64, so
+        # that --jobs has chunks to spread
+        for plan in (montecarlo._chunks(512, 1e4, 10), montecarlo._chunks(512, 1e4, 100, 101)):
+            assert list(map(len, plan)) == [64] * 8
+
+    def test_tall_thin_clouds_count_their_rows(self):
+        # x = 0.01, t = 1e6: 1e4 points in 1e6 + 1 rows, whose row sizes,
+        # layout and sinks outweigh the keys: one replica a chunk
+        assert montecarlo._replica_bytes(1e4, 0.01, 1e6 + 1) > montecarlo._CHUNK_BYTES
+        assert len(montecarlo._chunks(1000, 1e4, 0.01, 1e6 + 1)) == 1000
 
     def test_rejected_geometries_still_get_chunks(self):
         for points in (math.nan, math.inf, -5.0):
@@ -158,7 +173,7 @@ class TestChunkPlan:
             estimate_poissonized(6.0, 12, 1.0, "weak", 40, 70, jobs)
             stationarity_test(5.0, 1.0, 1.0, "strict", 12, 23, 70, jobs)
         assert plans[1] == plans[2]
-        assert [len(plan) for plan in plans[1]] == [5, 10, 6]
+        assert [len(plan) for plan in plans[1]] == [5, 20, 12]
 
 
 def _peak_traced_bytes(run, args) -> int:
@@ -184,6 +199,22 @@ class TestChunkMemory:
         small = _peak_traced_bytes(montecarlo._poisson_chunk, args(4))
         large = _peak_traced_bytes(montecarlo._poisson_chunk, args(40))
         assert large - small <= 12 * 36 * points
+
+    def test_tall_thin_chunk_within_the_budget(self, monkeypatch):
+        # x = 0.01, t = 5000: about 50 points in 5001 rows a replica, whose
+        # row sizes, layout and sinks outweigh the keys; what the replicas of
+        # a planned chunk add to one replica's peak stays within the budget
+        x, t, lam, rates = 0.01, 5000, 1.0, BoundaryRates.weak_from_beta(1.0, 2.0)
+        planned = []
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 20)
+        monkeypatch.setattr(montecarlo, "_parallel_map", lambda fn, argses, jobs: (
+            planned.extend(argses) or [np.zeros((2, 0))]))
+        montecarlo._poisson_counts(x, t, lam, "weak", 16, 7, 1, 3, rates)
+        args = planned[0]
+        assert len(args[1]) >= 2
+        one = _peak_traced_bytes(montecarlo._poisson_chunk, (args[0], range(1), *args[2:]))
+        full = _peak_traced_bytes(montecarlo._poisson_chunk, args)
+        assert full - one <= montecarlo._CHUNK_BYTES
 
     def test_word_chunk(self):
         n, k = 100, 20
@@ -444,10 +475,11 @@ class TestBoundaryEstimators:
                  for order in ("strict", "weak")])
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=1, max_value=20_000))
+    @given(st.integers(min_value=1, max_value=32_000))
     def test_any_chunking(self, budget):
-        # 5 * 12 + 5 or 10 = 65 or 70 expected points, 602 or 712 bytes, per
-        # replica: from one replica a chunk to one chunk of all 23
+        # 5 * 12 + 5 or 10 = 65 or 70 expected points in 13 rows, 1226 or
+        # 1336 bytes, per replica: from one replica a chunk to one chunk of
+        # all 23
         whole = self.reports()
         with mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
             split = self.reports()
