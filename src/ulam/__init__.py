@@ -6,12 +6,12 @@ __version__ = "0.1.0"
 
 from .bounds import (BoundaryRates, MeanBound, mean_bound, optimal_rates_strict,
                      optimal_rates_weak, predicted_mean, regime_diagnostics,
-                     sqrt_gap, tail_bound, verify_tail_inequality)
+                     tail_bound, verify_tail_inequality)
 from .couplings import (CoupledSample, group_heights, poissonized_coupling_lower,
                         poissonized_coupling_upper, project_to_multiset)
-from .hammersley import (DynamicsRecord, ParticleState, Witness, batch_particle_counts,
-                         extract_witness, run_dynamics, run_process, step_strict,
-                         step_weak, verify_line_identity)
+from .hammersley import (DynamicsRecord, ParticleState, batch_particle_counts,
+                         run_dynamics, run_process, step_strict, step_weak,
+                         verify_line_identity)
 from .montecarlo import (DepoissonizationReport, DeviationProfile, EstimateReport,
                          StationarityReport, depoissonization_report,
                          deviation_profile, estimate_expected_lis,
@@ -28,16 +28,14 @@ __all__ = [
     "BoundaryRates", "BoundarySample", "CoupledSample", "DepoissonizationReport",
     "DeviationProfile", "DynamicsRecord", "EstimateReport", "MeanBound",
     "MultisetWord", "ParticleState", "PlanarPointSet", "RngStream",
-    "StationarityReport", "Witness", "batch_particle_counts",
-    "brute_force_longest_chain",
+    "StationarityReport", "batch_particle_counts", "brute_force_longest_chain",
     "depoissonization_report", "deviation_profile", "estimate_expected_lis",
     "estimate_mean_subsequence", "estimate_poissonized", "exact_expected_lis",
-    "extract_witness", "group_heights", "lis_strict", "lnds_weak",
-    "longest_chain_with_boundary", "make_rng", "mean_bound",
-    "optimal_rates_strict", "optimal_rates_weak", "poissonized_coupling_lower",
-    "poissonized_coupling_upper", "predicted_mean", "project_to_multiset",
-    "regime_diagnostics", "run_dynamics", "run_process", "sample_boundary",
-    "sample_poisson_cloud", "sample_uniform_multiset_permutation",
-    "sample_uniform_permutation", "sqrt_gap", "stationarity_test", "step_strict",
-    "step_weak", "tail_bound", "verify_line_identity", "verify_tail_inequality",
+    "group_heights", "lis_strict", "lnds_weak", "longest_chain_with_boundary",
+    "make_rng", "mean_bound", "optimal_rates_strict", "optimal_rates_weak",
+    "poissonized_coupling_lower", "poissonized_coupling_upper", "predicted_mean",
+    "project_to_multiset", "regime_diagnostics", "run_dynamics", "run_process",
+    "sample_boundary", "sample_poisson_cloud", "sample_uniform_multiset_permutation",
+    "sample_uniform_permutation", "stationarity_test", "step_strict", "step_weak",
+    "tail_bound", "verify_line_identity", "verify_tail_inequality",
 ]

@@ -78,11 +78,6 @@ class MeanBound:
     strict_mean: float
     weak_mean: float
 
-    @property
-    def in_domain(self) -> bool:
-        """True on the validated domain t >= x*lam (where strict_mean >= 0)."""
-        return self.t >= self.x * self.lam
-
 
 def mean_bound(x: float, t: float, lam: float) -> MeanBound:
     if x <= 0 or t <= 0 or lam <= 0:
@@ -130,14 +125,6 @@ def predicted_mean(n: int, k: int, order: str) -> float:
         raise ValueError("n and k must be >= 1")
     root = 2.0 * math.sqrt(n * k)
     return root - k if order == "strict" else root + k
-
-
-def sqrt_gap(eps: float) -> float:
-    """2 - eps - 2*sqrt(1-eps): first-order cost of forcing a path through
-    an eps-fraction boundary strip.  Zero at 0, increasing, 1 at 1."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    return 2.0 - eps - 2.0 * math.sqrt(1.0 - eps)
 
 
 def augmented_tail_rate(eps: float) -> float:

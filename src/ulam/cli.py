@@ -115,6 +115,7 @@ def cmd_sample(args) -> int:
         text = json.dumps([w.letters.tolist() for w in words]) + "\n"
     if args.out:
         out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
         with _manifest(args, [out]):
             out.write_text(text)
     else:
@@ -163,6 +164,9 @@ def cmd_lis(args) -> int:
         ps = PlanarPointSet.from_points(parsed, x_max, t_max)
         length = lis_strict(ps) if args.order == "strict" else lnds_weak(ps)
     else:
+        big = [v for v in parsed if not -2**63 <= v < 2**63]
+        if big:
+            raise UsageError(f"letter {big[0]} does not fit in a 64-bit integer")
         rows = np.asarray(parsed, dtype=np.int64)
         length = int(lis_strict(rows) if args.order == "strict" else lnds_weak(rows))
     print(length)

@@ -54,8 +54,7 @@ import numpy as np
 from .bounds import BoundaryRates, _check_variant
 from .sampling import (BoundarySample, PlanarPointSet, RngStream,
                        sample_boundary, sample_poisson_cloud)
-from .subsequences import (boundary_chain_witness, lis_strict, lnds_weak,
-                           longest_chain_with_boundary)
+from .subsequences import lis_strict, lnds_weak, longest_chain_with_boundary
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,26 +157,18 @@ class DynamicsRecord:
     exit_counts: np.ndarray  # cumulative exits after each step
     cloud: PlanarPointSet
     boundary: BoundarySample | None
-    events: list | None = None       # (step, particle_index, position, event)
-    line_visits: list | None = None  # per line: [(x, row), ...] points visited
+    events: list | None = None  # (step, particle_index, position, event)
 
 
-def _diff_events(step: int, old_pos, new_pos, n_exit: int,
-                 events: list, line_ids: list[int], visits: list[list]) -> None:
+def _diff_events(step: int, old_pos, new_pos, n_exit: int, events: list) -> None:
     for j in range(n_exit):
         events.append((step, j, float(old_pos[j]), "exit"))
-    del line_ids[:n_exit]
     rem = old_pos[n_exit:]
     for j in range(len(rem)):
-        if new_pos[j] != rem[j]:
-            events.append((step, n_exit + j, float(new_pos[j]), "move"))
-            visits[line_ids[j]].append((float(new_pos[j]), step))
-        else:
-            events.append((step, n_exit + j, float(new_pos[j]), "stay"))
+        kind = "move" if new_pos[j] != rem[j] else "stay"
+        events.append((step, n_exit + j, float(new_pos[j]), kind))
     for j in range(len(rem), len(new_pos)):
         events.append((step, j, float(new_pos[j]), "birth"))
-        visits.append([(float(new_pos[j]), step)])
-        line_ids.append(len(visits) - 1)
 
 
 def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
@@ -207,13 +198,11 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
     ends = cloud.offsets.tolist()
     exits = 0
     events = [] if trace else None
-    visits = [[(float(x), 0)] for x in y] if trace else None
-    line_ids = list(range(len(y))) if trace else None
     counts, exit_counts = [], []
     for step, sink in enumerate(sinks, start=1):
         new_y, n_exit = rule(y, xs[ends[step - 1]:ends[step]], sink)
         if trace:
-            _diff_events(step, y, new_y, n_exit, events, line_ids, visits)
+            _diff_events(step, y, new_y, n_exit, events)
         y = new_y
         exits += n_exit
         counts.append(len(y))
@@ -221,7 +210,7 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
     state = ParticleState(np.asarray(y, dtype=float), exits, cloud.x_max)
     return DynamicsRecord(state, np.array(counts, dtype=np.int64),
                           np.array(exit_counts, dtype=np.int64), cloud, boundary,
-                          events, visits)
+                          events)
 
 
 # --- replica-batched row steps ----------------------------------------------
@@ -450,61 +439,3 @@ def verify_line_identity(cloud: PlanarPointSet, boundary: BoundarySample | None,
         return rec.state.count == expected
     expected = longest_chain_with_boundary(cloud, boundary, order=variant)
     return rec.state.count + boundary.total_sinks == expected
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A certified maximizing chain.
-
-    points are (x, row) pairs in chain order; for boundary witnesses the
-    sources_used / sinks_used counters report how much of the chain runs
-    along the edges.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    length: int
-    sources_used: int
-    sinks_used: int
-
-
-def _witness_from_lines(cloud: PlanarPointSet, variant: str) -> Witness:
-    rec = run_dynamics(cloud, None, variant, trace=True)
-    visits = rec.line_visits or []
-    if not visits:
-        return Witness((), 0, 0, 0)
-    strict = variant == "strict"
-    chain: list[tuple[float, int]] = []
-    # Walk lines right to left; each line contributes one visited cloud point.
-    x_cur, row_cur = visits[-1][-1]
-    chain.append((x_cur, row_cur))
-    for line in reversed(visits[:-1]):
-        ok = [(x, r) for (x, r) in line
-              if x < x_cur and (r < row_cur if strict else r <= row_cur)]
-        if not ok:
-            raise AssertionError("line witness reconstruction failed")
-        x_cur, row_cur = max(ok, key=lambda p: (p[1], p[0]))
-        chain.append((x_cur, row_cur))
-    chain.reverse()
-    for (x0, r0), (x1, r1) in zip(chain, chain[1:]):
-        valid = x0 < x1 and (r0 < r1 if strict else r0 <= r1)
-        if not valid:
-            raise AssertionError("reconstructed chain violates the order")
-    if len(chain) != rec.state.count:
-        raise AssertionError("witness length does not match the particle count")
-    return Witness(tuple(chain), len(chain), 0, 0)
-
-
-def extract_witness(cloud: PlanarPointSet, boundary: BoundarySample | None = None,
-                    variant: str = "strict") -> Witness:
-    """Produce one maximizing chain and certify it.
-
-    Without boundary the chain is rebuilt from the recorded particle
-    trajectories (one point per line); with boundary it comes from the chain
-    DP and reports how many sources and sinks the path uses.
-    """
-    _check_variant(variant)
-    if boundary is None:
-        return _witness_from_lines(cloud, variant)
-    length, chain, n_src, n_sink = boundary_chain_witness(cloud, boundary, variant)
-    pts = tuple((x, float(r)) for (x, r, _kind) in chain)
-    return Witness(pts, length, n_src, n_sink)

@@ -127,11 +127,7 @@ def _chunks(reps: int, points: float, row: float, rows: float = 0.0) -> list[ran
     """Replicas 0..reps-1 in the fewest balanced chunks of at most
     ``_CHUNK_REPS`` replicas and ``_CHUNK_BYTES`` (`_replica_bytes`), or of
     one replica where one is more."""
-    per = _replica_bytes(points, row, rows)
-    # a geometry the sampler rejects still gets chunks, so that the
-    # sampler's own check reports it
-    size = (min(_CHUNK_REPS, max(1, int(_CHUNK_BYTES // per)))
-            if 0.0 < per < math.inf else 1)
+    size = min(_CHUNK_REPS, max(1, int(_CHUNK_BYTES // _replica_bytes(points, row, rows))))
     chunks = -(-reps // size)
     cuts = [reps * i // chunks for i in range(chunks + 1)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -165,7 +161,13 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
                     parallelism: int, tag: int = _TAG_POISSON,
                     rates: BoundaryRates | None = None) -> np.ndarray:
     """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
-    in replica order, drawn from stream block ``tag``."""
+    in replica order, drawn from stream block ``tag``.  The geometry is
+    checked once, here, before any chunk is planned."""
+    if not (0 < x < math.inf and 0 < lam < math.inf):  # written so that NaN fails it too
+        raise ValueError(f"x and lam must be positive and finite, got x={x}, lam={lam}")
+    low = 0 if rates else 1  # the boundary process also runs at t = 0
+    if t < low:
+        raise ValueError(f"t must be >= {low}")
     sources = x * rates.source_rate if rates else 0.0
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
               for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources), t + 1)]

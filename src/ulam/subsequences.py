@@ -49,30 +49,6 @@ def _patience_length(rows, strict: bool) -> int:
     return len(tails)
 
 
-def _patience_witness(rows, strict: bool) -> list[int]:
-    """Indices of one maximizing chain, via per-pile back pointers."""
-    bis = bisect_left if strict else bisect_right
-    tails: list = []
-    tails_idx: list[int] = []
-    prev = [-1] * len(rows)
-    for j, v in enumerate(rows):
-        i = bis(tails, v)
-        prev[j] = tails_idx[i - 1] if i > 0 else -1
-        if i == len(tails):
-            tails.append(v)
-            tails_idx.append(j)
-        else:
-            tails[i] = v
-            tails_idx[i] = j
-    chain: list[int] = []
-    j = tails_idx[-1] if tails_idx else -1
-    while j >= 0:
-        chain.append(j)
-        j = prev[j]
-    chain.reverse()
-    return chain
-
-
 def lis_strict(obj) -> int:
     """Length of the longest strictly increasing chain."""
     return _patience_length(_row_sequence(obj).tolist(), strict=True)
@@ -95,65 +71,35 @@ def _boundary_nodes(points: PlanarPointSet, boundary: BoundarySample):
     """
     xs: list[float] = []
     rows: list[int] = []
-    kinds: list[int] = []  # 0 interior, 1 source, 2 sink
     n_src = boundary.sources.size
     for i, x in enumerate(boundary.sources):
         xs.append(float(x))
         rows.append(-(n_src - i))
-        kinds.append(1)
     total = boundary.total_sinks
     j = 0
     for r, mult in enumerate(boundary.sinks, start=1):
         for _ in range(int(mult)):
             xs.append(float(-(total - j)))
             rows.append(r)
-            kinds.append(2)
             j += 1
     for x, r in points.points():
         xs.append(x)
         rows.append(r)
-        kinds.append(0)
-    return np.asarray(xs), np.asarray(rows, dtype=np.int64), np.asarray(kinds, dtype=np.int64)
-
-
-def _boundary_chain(points: PlanarPointSet, boundary: BoundarySample, order: str,
-                    witness: bool):
-    _check_variant(order)
-    if order == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
-        raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
-    xs, rows, kinds = _boundary_nodes(points, boundary)
-    if xs.size == 0:
-        return (0, [], 0, 0) if witness else 0
-    # Weak sink units at an equal row must still chain, and the x tie-break
-    # (row descending) would forbid it; mapped sink x values are distinct,
-    # so plain lexsort is safe here.
-    order_idx = np.lexsort((-rows, xs))
-    seq = rows[order_idx].tolist()
-    if not witness:
-        return _patience_length(seq, strict=(order == "strict"))
-    chain_pos = _patience_witness(seq, strict=(order == "strict"))
-    chosen = order_idx[chain_pos]
-    used_sources = int(np.sum(kinds[chosen] == 1))
-    used_sinks = int(np.sum(kinds[chosen] == 2))
-    chain = [(float(xs[i]), int(rows[i]), int(kinds[i])) for i in chosen]
-    return len(chain), chain, used_sources, used_sinks
+    return np.asarray(xs), np.asarray(rows, dtype=np.int64)
 
 
 def longest_chain_with_boundary(points: PlanarPointSet, boundary: BoundarySample,
                                 order: str) -> int:
     """Longest chain through interior points, sources, and sink units."""
-    return _boundary_chain(points, boundary, order, witness=False)
-
-
-def boundary_chain_witness(points: PlanarPointSet, boundary: BoundarySample,
-                           order: str):
-    """(length, chain, sources_used, sinks_used) for one maximizing chain.
-
-    Chain entries are (mapped_x, mapped_row, kind) with kind 0 interior,
-    1 source, 2 sink; boundary elements keep their real coordinate on the
-    non-mapped axis.
-    """
-    return _boundary_chain(points, boundary, order, witness=True)
+    _check_variant(order)
+    if order == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
+        raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
+    xs, rows = _boundary_nodes(points, boundary)
+    # Weak sink units at an equal row must still chain, and the x tie-break
+    # (row descending) would forbid it; mapped sink x values are distinct,
+    # so plain lexsort is safe here.
+    seq = rows[np.lexsort((-rows, xs))].tolist()
+    return _patience_length(seq, strict=(order == "strict"))
 
 
 # ---------------------------------------------------------------------------

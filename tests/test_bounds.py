@@ -9,7 +9,7 @@ from ulam.bounds import (BoundaryRates, binomial_lower_bound, binomial_upper_bou
                          log_geomsum_lower, log_geomsum_upper, log_poisson_lower,
                          log_poisson_upper, mean_bound, optimal_rates_strict,
                          optimal_rates_weak, poisson_tail_bound, predicted_mean,
-                         regime_diagnostics, sqrt_gap, tail_bound,
+                         regime_diagnostics, tail_bound,
                          TAIL_KINDS, verify_tail_inequality)
 from ulam.sampling import make_rng
 
@@ -82,25 +82,7 @@ class TestPredictedMean:
     def test_mean_bound_ordering(self):
         mb = mean_bound(3.0, 10.0, 1.0)
         assert mb.strict_mean <= mb.weak_mean
-        assert mb.in_domain and mb.strict_mean >= 0
-
-
-class TestSqrtGap:
-    def test_pinned_values(self):
-        assert sqrt_gap(0.0) == 0.0
-        assert sqrt_gap(0.75) == pytest.approx(0.25, abs=1e-14)
-        assert sqrt_gap(1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_strictly_increasing_on_grid(self):
-        grid = np.linspace(0.0, 1.0, 1001)
-        vals = [sqrt_gap(e) for e in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sqrt_gap(-0.1)
-        with pytest.raises(ValueError):
-            sqrt_gap(1.1)
+        assert mb.strict_mean >= 0
 
 
 class TestTailBoundFormulas:

@@ -41,6 +41,14 @@ class TestSample:
         data = json.loads(out.read_text())
         assert isinstance(data, list) and len(data) == 2
 
+    def test_out_creates_missing_directories(self, tmp_path):
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert main(["sample", "--n", "2", "--k", "2", "--count", "1",
+                     "--out", str(out)]) == 0
+        assert sorted(out.read_text().strip().split(",")) == ["1", "1", "2", "2"]
+        man = json.loads((out.parent / "manifest.json").read_text())
+        assert man["output_paths"] == [str(out)]
+
     def test_missing_n_exits_2(self):
         res = run_cli("sample", "--k", "2", "--count", "1")
         assert res.returncode == 2
@@ -118,6 +126,12 @@ class TestLis:
         f.write_text("0.5,1\nnan,2\n")
         assert main(["lis", "--input", str(f)]) == 2
         assert "must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", ["99999999999999999999", "1,99999999999999999999",
+                                      "-99999999999999999999,1"])
+    def test_letter_beyond_int64_exits_2(self, capsys, word):
+        assert main(["lis", f"--word={word}"]) == 2
+        assert "99999999999999999999 does not fit" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ulam import hammersley, montecarlo
 from ulam.bounds import BoundaryRates
 from ulam.hammersley import (ParticleState, batch_particle_counts, empty_state,
-                             extract_witness, run_dynamics, run_process,
-                             step_strict, step_weak, verify_line_identity)
+                             run_dynamics, run_process, step_strict, step_weak,
+                             verify_line_identity)
 from ulam.sampling import (BoundarySample, MultisetWord, PlanarPointSet, make_rng,
                            sample_boundary, sample_poisson_cloud)
 from ulam.subsequences import (brute_force_longest_chain, lis_strict, lnds_weak,
@@ -245,29 +245,6 @@ class TestLineIdentity:
 
 
 class TestWitness:
-    def test_witness_certified_on_random_clouds(self):
-        rng = make_rng(26)
-        for variant, fn in (("strict", lis_strict), ("weak", lnds_weak)):
-            for _ in range(40):
-                cloud = sample_poisson_cloud(2 + 10 * rng.random(),
-                                             int(rng.integers(1, 12)),
-                                             0.2 + 1.5 * rng.random(), rng)
-                w = extract_witness(cloud, None, variant)
-                assert w.length == fn(cloud)
-                cloud_pts = set(cloud.points())
-                assert all((x, int(r)) in cloud_pts for x, r in w.points)
-
-    def test_witness_with_boundary_reports_edge_usage(self):
-        rng = make_rng(27)
-        cloud = sample_poisson_cloud(8.0, 8, 1.0, rng)
-        rates = BoundaryRates.strict_from_alpha(1.0, 1.5)
-        b = sample_boundary(8.0, 8, rates, rng)
-        w = extract_witness(cloud, b, "strict")
-        assert w.length == longest_chain_with_boundary(cloud, b, "strict")
-        assert w.sources_used <= b.sources.size
-        assert w.sinks_used <= b.total_sinks
-        assert w.sources_used == 0 or w.sinks_used == 0
-
     def test_trace_events_cover_all_transitions(self):
         rng = make_rng(28)
         run = run_process(5.0, 10, 1.0, "strict", None, rng, trace=True)

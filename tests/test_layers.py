@@ -1,7 +1,10 @@
 """The package's modules form layers: each imports only the modules before
-it in LAYERS (the package's ``__init__`` re-exports them all and is exempt)."""
+it in LAYERS (the package's ``__init__`` re-exports them all and is exempt),
+and ``ulam.__all__`` names each export once, none of them stale."""
 import ast
 from pathlib import Path
+
+import ulam
 
 LAYERS = ["bounds", "sampling", "subsequences", "hammersley", "couplings",
           "montecarlo", "cli"]
@@ -32,3 +35,9 @@ def test_modules_import_only_earlier_layers():
     for rank, name in enumerate(LAYERS):
         later = package_imports(PACKAGE / f"{name}.py") - set(LAYERS[:rank])
         assert not later, f"{name} imports {sorted(later)}, which come later"
+
+
+def test_every_export_resolves_once():
+    assert len(ulam.__all__) == len(set(ulam.__all__))
+    missing = [name for name in ulam.__all__ if not hasattr(ulam, name)]
+    assert not missing, f"ulam.__all__ names {missing}, which the package lacks"

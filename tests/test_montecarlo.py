@@ -156,10 +156,26 @@ class TestChunkPlan:
         assert montecarlo._replica_bytes(1e4, 0.01, 1e6 + 1) > montecarlo._CHUNK_BYTES
         assert len(montecarlo._chunks(1000, 1e4, 0.01, 1e6 + 1)) == 1000
 
-    def test_rejected_geometries_still_get_chunks(self):
-        for points in (math.nan, math.inf, -5.0):
-            assert montecarlo._chunks(3, points, 1.0) == [range(0, 1), range(1, 2),
-                                                          range(2, 3)]
+    def test_rejected_geometries_plan_no_chunks(self):
+        # the geometry is checked before the plan, so a rejected one costs
+        # nothing however many replicas it asks for
+        calls = [
+            (lambda: estimate_poissonized(math.inf, 1, 1.0, "weak", 10**6, 0),
+             "x and lam must be positive"),
+            (lambda: estimate_poissonized(1.0, 1, math.nan, "weak", 10**6, 0),
+             "x and lam must be positive"),
+            (lambda: estimate_poissonized(1.0, 1, math.inf, "weak", 10**6, 0),
+             "x and lam must be positive"),
+            (lambda: estimate_poissonized(1.0, -5, 1.0, "weak", 10**6, 0), "t must be >= 1"),
+            (lambda: stationarity_test(math.nan, 1.0, 2.0, "weak", 0, 10**6, 0),
+             "x and lam must be positive"),
+            (lambda: stationarity_test(1.0, 1.0, 2.0, "weak", -1, 10**6, 0), "t must be >= 0"),
+        ]
+        with mock.patch.object(montecarlo, "_chunks") as chunks:
+            for call, message in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
+        chunks.assert_not_called()
 
     def test_plan_does_not_depend_on_parallelism(self, monkeypatch):
         plans = {}

@@ -10,9 +10,8 @@ from ulam.bounds import BoundaryRates
 from ulam.sampling import (BoundarySample, MultisetWord, PlanarPointSet,
                            make_rng, sample_boundary, sample_poisson_cloud,
                            sample_uniform_multiset_permutation)
-from ulam.subsequences import (boundary_chain_witness, brute_force_longest_chain,
-                               exact_expected_lis, lis_strict, lnds_weak,
-                               longest_chain_with_boundary)
+from ulam.subsequences import (brute_force_longest_chain, exact_expected_lis,
+                               lis_strict, lnds_weak, longest_chain_with_boundary)
 
 
 def word(*letters):
@@ -121,17 +120,13 @@ class TestBoundaryChain:
             assert (longest_chain_with_boundary(cloud, bw, "weak")
                     == brute_force_longest_chain(cloud, bw, "weak"))
 
-    def test_witness_is_certified(self):
-        rng = make_rng(6)
-        cloud = sample_poisson_cloud(8.0, 8, 1.0, rng)
-        b = sample_boundary(8.0, 8, BoundaryRates.strict_from_alpha(1.0, 1.0), rng)
-        length, chain, n_src, n_sink = boundary_chain_witness(cloud, b, "strict")
-        assert length == longest_chain_with_boundary(cloud, b, "strict")
-        assert len(chain) == length
-        assert n_src + n_sink <= length
-        # mapped coordinates must be strictly chainable
-        for (x0, r0, _), (x1, r1, _) in zip(chain, chain[1:]):
-            assert x0 < x1 and r0 < r1
+    @pytest.mark.parametrize("rows", [(), (np.empty(0),)], ids=["no_rows", "empty_row"])
+    def test_empty_cloud_and_boundary(self, rows):
+        cloud = PlanarPointSet.from_rows(rows, 1.0)
+        b = BoundarySample(np.empty(0), np.zeros(len(rows), dtype=np.int64))
+        for order in ("strict", "weak"):
+            assert longest_chain_with_boundary(cloud, b, order) == 0
+            assert brute_force_longest_chain(cloud, b, order) == 0
 
 
 class TestExactExpectation:
