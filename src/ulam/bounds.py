@@ -55,16 +55,18 @@ class BoundaryRates:
 
     @staticmethod
     def strict_from_alpha(lam: float, alpha: float) -> "BoundaryRates":
-        if lam <= 0 or alpha <= 0:
-            raise ValueError("lam and alpha must be positive")
+        if not (0 < lam < math.inf and 0 < alpha < math.inf):  # NaN fails it too
+            raise ValueError(f"lam and alpha must be positive and finite, got lam={lam}, "
+                             f"alpha={alpha}")
         return BoundaryRates("strict", alpha, lam / (lam + alpha), lam)
 
     @staticmethod
     def weak_from_beta(lam: float, beta: float) -> "BoundaryRates":
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        if beta <= lam:
-            raise ValueError("weak variant requires beta > lam")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got lam={lam}")
+        if not lam < beta < math.inf:
+            raise ValueError(f"weak variant requires beta > lam and beta finite, got "
+                             f"beta={beta}, lam={lam}")
         return BoundaryRates("weak", beta, lam / beta, lam)
 
 
@@ -348,14 +350,6 @@ TAIL_SELECTIONS = {"all": TAIL_KINDS,
                    **{f: tuple(k for k in TAIL_KINDS if _FAMILY[k] == f)
                       for f in _FAMILY.values()},
                    **{k: (k,) for k in TAIL_KINDS}}
-
-
-def tail_bound(kind: str, params: dict) -> float:
-    """The closed-form tail bound of a kind at ``params``."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown tail kind {kind!r}")
-    names, _, bound, _ = _KINDS[kind]
-    return bound(*[params[name] for name in names])
 
 
 def verify_tail_inequality(kind: str, grid: list[dict] | None = None) -> TailCertificate:

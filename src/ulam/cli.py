@@ -9,7 +9,7 @@ the results are written; ``ulam --manifest FILE`` replays a recorded run and
 reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 verification or certificate failure, 2 usage or
-domain error.
+domain error, or an input too large for memory.
 """
 from __future__ import annotations
 
@@ -159,9 +159,13 @@ def cmd_lis(args) -> int:
     if parsed is None:
         length = 0
     elif parsed and isinstance(parsed[0], tuple):
-        x_max = max(p[0] for p in parsed)
-        t_max = max(p[1] for p in parsed)
-        ps = PlanarPointSet.from_points(parsed, x_max, t_max)
+        xs, rows = zip(*parsed)
+        # a chain sees only the order of the rows: ranks keep large rows cheap
+        distinct, rank = np.unique(rows, return_inverse=True)
+        if distinct[0] < 1:
+            raise UsageError(f"row {distinct[0]} is not a positive integer")
+        ps = PlanarPointSet.from_points(np.column_stack((xs, rank + 1)), max(xs),
+                                        distinct.size)
         length = lis_strict(ps) if args.order == "strict" else lnds_weak(ps)
     else:
         big = [v for v in parsed if not -2**63 <= v < 2**63]
@@ -490,6 +494,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large for memory
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a missing or unreadable --config, --input or manifest
         print(f"error: {exc}", file=sys.stderr)

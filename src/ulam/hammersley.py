@@ -79,19 +79,6 @@ class ParticleState:
         return int(self.positions.size)
 
 
-def empty_state(x_max: float) -> ParticleState:
-    return ParticleState(np.empty(0), 0, float(x_max))
-
-
-def _check_row_points(pts: np.ndarray, x_max: float) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    if pts.size and not (pts[0] > 0 and pts[-1] <= x_max):
-        raise ValueError("row points must lie in (0, x_max]")
-    if pts.size > 1 and not np.all(np.diff(pts) >= 0):
-        raise ValueError("row points must be sorted")
-    return pts
-
-
 def _strict_rule(y: np.ndarray, pts: np.ndarray, sink: bool) -> tuple[np.ndarray, int]:
     """One strict step on plain arrays: (new positions, number of exits)."""
     n_exit = 0
@@ -134,20 +121,6 @@ def _weak_rule(y: list[float], pts: list[float], sink: int) -> tuple[list[float]
     return new_pos, n_exit
 
 
-def step_strict(state: ParticleState, row_points, sink_present: bool) -> ParticleState:
-    pts = _check_row_points(row_points, state.x_max)
-    new_y, n_exit = _strict_rule(state.positions, pts, bool(sink_present))
-    return ParticleState(new_y, state.exits + n_exit, state.x_max)
-
-
-def step_weak(state: ParticleState, row_points, sink_multiplicity: int) -> ParticleState:
-    if sink_multiplicity < 0:
-        raise ValueError("sink multiplicity must be nonnegative")
-    pts = _check_row_points(row_points, state.x_max)
-    new_y, n_exit = _weak_rule(state.positions.tolist(), pts.tolist(), int(sink_multiplicity))
-    return ParticleState(np.asarray(new_y, dtype=float), state.exits + n_exit, state.x_max)
-
-
 @dataclass(frozen=True, eq=False)
 class DynamicsRecord:
     """Outcome of running the dynamics over a full cloud."""
@@ -173,7 +146,8 @@ def _diff_events(step: int, old_pos, new_pos, n_exit: int, events: list) -> None
 
 def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
                  variant: str, trace: bool = False) -> DynamicsRecord:
-    """Apply the deterministic dynamics of one variant to a given cloud.
+    """Apply the deterministic dynamics of one variant to a given cloud: the
+    one entry into the scalar step rules.
 
     Input is checked once, here (the cloud checked its rows when built).  The
     rows then step on plain arrays (strict) or on slices of one list of the
@@ -224,7 +198,8 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # order is x ascending, ties by row descending (as in `chain_rows`), with a
 # cloud's sources as row 0, ranked in one array with its xs, and ranks from
 # 1; a word's positions are its ranks (words have no sinks, no sentinel).
-# Keys are distinct, and an equal-x pair never chains.
+# Keys are distinct, and an equal-x pair never chains.  The kernel's callers
+# are the estimators' chunk workers, whose batches `montecarlo._chunks` sizes.
 #
 # The slab: row r of an (R, C) array holds replica r's exited particles as
 # sentinels r << shift, then its live particles ascending, padded with
@@ -378,18 +353,6 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
         keys[at] = rank | dtype(r << shift)
     sinks = np.stack(sinks, axis=1) if sinks else None
     return keys, bounds, sizes, shift, int(grid.max(initial=0)), sinks
-
-
-def batch_particle_counts(clouds, variant: str) -> np.ndarray:
-    """Final particle count of the boundary-free dynamics on each cloud.
-
-    All clouds advance together through the slab's row steps, and the counts
-    equal ``run_dynamics(cloud, None, variant)``'s, i.e. ``lis_strict`` or
-    ``lnds_weak`` of each cloud.  ``clouds`` may be any iterable, such as a
-    generator that samples them one by one; each is dropped once ranked.
-    """
-    _check_variant(variant)
-    return _slab_counts(*_chain_keys(clouds), variant)
 
 
 def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:

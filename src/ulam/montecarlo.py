@@ -19,8 +19,8 @@ import numpy as np
 from .bounds import (BoundaryRates, _check_variant, augmented_tail_rate, mean_bound,
                      optimal_rates_strict, optimal_rates_weak, predicted_mean)
 from .hammersley import _chain_keys, _slab_counts, _word_counts
-from .sampling import (PlanarPointSet, _shuffled_letters, make_rng, sample_boundary,
-                       sample_poisson_cloud)
+from .sampling import (PlanarPointSet, _check_geometry, _shuffled_letters, make_rng,
+                       sample_boundary, sample_poisson_cloud)
 from .subsequences import exact_expected_lis, lis_strict
 
 # Disjoint stream-id blocks per operation; replica r of op with tag g uses
@@ -163,11 +163,7 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
     """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
     in replica order, drawn from stream block ``tag``.  The geometry is
     checked once, here, before any chunk is planned."""
-    if not (0 < x < math.inf and 0 < lam < math.inf):  # written so that NaN fails it too
-        raise ValueError(f"x and lam must be positive and finite, got x={x}, lam={lam}")
-    low = 0 if rates else 1  # the boundary process also runs at t = 0
-    if t < low:
-        raise ValueError(f"t must be >= {low}")
+    _check_geometry(x, t, lam, 0 if rates else 1)  # the boundary process runs at t = 0
     sources = x * rates.source_rate if rates else 0.0
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
               for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources), t + 1)]

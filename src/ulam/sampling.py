@@ -215,6 +215,17 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
     return MultisetWord(n=n, k=k, letters=_shuffled_letters(n, k, rng))
 
 
+def _check_geometry(x: float, t: int, lam: float | None = None, t_min: int = 1) -> None:
+    """Reject x (and lam, if given) unless positive and finite, and t below
+    ``t_min``; the comparisons are written so that NaN fails them too."""
+    if not (0 < x < np.inf and (lam is None or 0 < lam < np.inf)):
+        named = {"x": x} if lam is None else {"x": x, "lam": lam}
+        raise ValueError(f"{' and '.join(named)} must be positive and finite, got "
+                         + ", ".join(f"{name}={v}" for name, v in named.items()))
+    if t < t_min:
+        raise ValueError(f"t must be >= {t_min}")
+
+
 def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> PlanarPointSet:
     """Independent rows: row i carries Poisson(lam*x) points, i.i.d. uniform in (0, x].
 
@@ -225,10 +236,7 @@ def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> Planar
     neighbours (a 2**-53 event per pair) rewinds the stream and replays the
     per-row draws, whose re-draw of duplicates fixes the stream from there.
     """
-    if not (0 < x < np.inf and lam > 0):  # written so that NaN fails it too
-        raise ValueError(f"x and lam must be positive and x finite, got x={x}, lam={lam}")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_geometry(x, t, lam)
     counts = rng.poisson(lam * x, size=t)
     before = rng.bit_generator.state
     xs = x * (1.0 - rng.random(int(counts.sum())))
@@ -251,8 +259,7 @@ def sample_boundary(x: float, t: int, rates, rng: RngStream) -> BoundarySample:
     row: Bernoulli(p) for the strict variant, Geometric_{>=0}(1 - beta*) for
     the weak one.  Sources are drawn before sinks.
     """
-    if x <= 0 or t < 1:
-        raise ValueError("x must be positive and t >= 1")
+    _check_geometry(x, t)
     n_src = int(rng.poisson(rates.source_rate * x))
     sources = _uniform_positions(rng, n_src, x)
     if rates.variant == "strict":

@@ -69,23 +69,13 @@ def _boundary_nodes(points: PlanarPointSet, boundary: BoundarySample):
     sinks stays impossible: a source has positive x and negative row while a
     sink has negative x and positive row.
     """
-    xs: list[float] = []
-    rows: list[int] = []
-    n_src = boundary.sources.size
-    for i, x in enumerate(boundary.sources):
-        xs.append(float(x))
-        rows.append(-(n_src - i))
-    total = boundary.total_sinks
-    j = 0
-    for r, mult in enumerate(boundary.sinks, start=1):
-        for _ in range(int(mult)):
-            xs.append(float(-(total - j)))
-            rows.append(r)
-            j += 1
-    for x, r in points.points():
-        xs.append(x)
-        rows.append(r)
-    return np.asarray(xs), np.asarray(rows, dtype=np.int64)
+    n_src, total = boundary.sources.size, boundary.total_sinks
+    xs = np.concatenate((boundary.sources.astype(float), np.arange(-total, 0.0), points.xs))
+    rows = np.concatenate((
+        np.arange(-n_src, 0, dtype=np.int64),
+        np.repeat(np.arange(1, boundary.sinks.size + 1, dtype=np.int64), boundary.sinks),
+        np.repeat(np.arange(1, points.t_max + 1, dtype=np.int64), np.diff(points.offsets))))
+    return xs, rows
 
 
 def longest_chain_with_boundary(points: PlanarPointSet, boundary: BoundarySample,

@@ -9,8 +9,7 @@ from ulam.bounds import (BoundaryRates, binomial_lower_bound, binomial_upper_bou
                          log_geomsum_lower, log_geomsum_upper, log_poisson_lower,
                          log_poisson_upper, mean_bound, optimal_rates_strict,
                          optimal_rates_weak, poisson_tail_bound, predicted_mean,
-                         regime_diagnostics, tail_bound,
-                         TAIL_KINDS, verify_tail_inequality)
+                         regime_diagnostics, TAIL_KINDS, verify_tail_inequality)
 from ulam.sampling import make_rng
 
 
@@ -28,6 +27,20 @@ class TestBoundaryRates:
             BoundaryRates.weak_from_beta(1.0, 0.5)  # beta <= lam
         with pytest.raises(ValueError):
             BoundaryRates("weak", 2.0, 0.4, 1.0)  # beta* * beta != lam
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_are_named(self, value):
+        # named as given, not as the sink_param derived from them
+        for lam, alpha in ((value, 1.0), (1.0, value)):
+            with pytest.raises(ValueError, match=f"^lam and alpha must be positive and "
+                                                 f"finite, got lam={lam}, alpha={alpha}$"):
+                BoundaryRates.strict_from_alpha(lam, alpha)
+        with pytest.raises(ValueError, match=f"^lam must be positive and finite, got "
+                                             f"lam={value}$"):
+            BoundaryRates.weak_from_beta(value, 2.0)
+        with pytest.raises(ValueError, match=f"^weak variant requires beta > lam and beta "
+                                             f"finite, got beta={value}, lam=1.0$"):
+            BoundaryRates.weak_from_beta(1.0, value)
 
 
 class TestOptimalRates:
@@ -88,7 +101,6 @@ class TestPredictedMean:
 class TestTailBoundFormulas:
     def test_poisson(self):
         assert poisson_tail_bound(4.0, 4.0) == pytest.approx(math.exp(-1.0))
-        assert tail_bound("poisson_lower", {"lam": 4.0, "a": 4.0}) == pytest.approx(math.exp(-1.0))
 
     def test_binomial(self):
         # upper tail carries the /3 exponent, lower tail the /2 exponent
@@ -101,8 +113,6 @@ class TestTailBoundFormulas:
     def test_unknown_kind_raises(self):
         assert TAIL_KINDS == ("poisson_lower", "poisson_upper", "binomial_upper",
                               "binomial_lower", "geomsum_upper", "geomsum_lower")
-        with pytest.raises(ValueError, match="unknown tail kind 'bogus'"):
-            tail_bound("bogus", {"lam": 4.0, "a": 4.0})
         with pytest.raises(ValueError, match="kind must be one of"):
             verify_tail_inequality("bogus")
 

@@ -133,6 +133,18 @@ class TestLis:
         assert main(["lis", f"--word={word}"]) == 2
         assert "99999999999999999999 does not fit" in capsys.readouterr().err
 
+    def test_large_row_numbers_cost_no_memory(self, capsys):
+        # rows are ranked before the point set is built, so a row near 1e11
+        # needs no offset per row up to it
+        assert main(["lis", "--word", "0.5,100000000000"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert main(["lis", "--word", "0.5,3\n0.7,1000000000000", "--order", "strict"]) == 0
+        assert capsys.readouterr().out == "2\n"
+
+    def test_row_below_one_exits_2(self, capsys):
+        assert main(["lis", "--word", "0.5,2\n0.7,0"]) == 2
+        assert "row 0 is not a positive integer" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_counts_non_decreasing(self, tmp_path):
@@ -164,6 +176,38 @@ class TestSimulate:
                      "--out-dir", str(d)]) == 2
         assert "domain error" in capsys.readouterr().err
         assert not d.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option, extra, message", [
+        ("x", [], "x and lam must be positive and finite, got x={}, lam=1.0"),
+        ("lambda", [], "x and lam must be positive and finite, got x=1.0, lam={}"),
+        ("lambda", ["--alpha", "1"],
+         "lam and alpha must be positive and finite, got lam={}, alpha=1.0"),
+        ("lambda", ["--variant", "weak", "--beta", "2"],
+         "lam must be positive and finite, got lam={}"),
+        ("alpha", [], "lam and alpha must be positive and finite, got lam=1.0, alpha={}"),
+        ("beta", ["--variant", "weak"],
+         "weak variant requires beta > lam and beta finite, got beta={}, lam=1.0"),
+    ], ids=["x", "lam", "lam-alpha", "lam-beta", "alpha", "beta"])
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys, option, extra, message,
+                                           value):
+        geometry = {"x": "1", "t": "3", "lambda": "1"}
+        geometry[option] = value
+        d = tmp_path / "d"
+        assert main(["simulate", *(f"--{k}={v}" for k, v in geometry.items()), *extra,
+                     "--out-dir", str(d)]) == 2
+        assert message.format(value) in capsys.readouterr().err
+        assert not d.exists()
+
+    def test_input_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        # 1e15 rows of Poisson counts ask for 7.11 PiB, more than any address
+        # space: numpy fails at once and nothing is allocated
+        d = tmp_path / "d"
+        assert main(["simulate", "--x", "1", "--t", "1000000000000000", "--lambda", "1",
+                     "--out-dir", str(d)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: not enough memory: ")
+        assert "Traceback" not in err and not d.exists()
 
     def test_trace_written(self, tmp_path):
         d = tmp_path / "simt"

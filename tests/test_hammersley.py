@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from ulam import hammersley, montecarlo
 from ulam.bounds import BoundaryRates
-from ulam.hammersley import (ParticleState, batch_particle_counts, empty_state,
-                             run_dynamics, run_process, step_strict, step_weak,
+from ulam.hammersley import (ParticleState, run_dynamics, run_process,
                              verify_line_identity)
 from ulam.sampling import (BoundarySample, MultisetWord, PlanarPointSet, make_rng,
                            sample_boundary, sample_poisson_cloud)
@@ -17,113 +16,121 @@ from ulam.subsequences import (brute_force_longest_chain, lis_strict, lnds_weak,
                                longest_chain_with_boundary)
 
 
-def state(*positions, exits=0, x_max=1.0):
-    return ParticleState(np.asarray(positions, dtype=float), exits, x_max)
+def state(*positions, x_max=1.0):
+    return ParticleState(np.asarray(positions, dtype=float), 0, x_max)
+
+
+def step(variant, start: ParticleState, row, sink) -> ParticleState:
+    """One row step through `run_dynamics`: a one-row cloud, the particles of
+    ``start`` as its sources and ``sink`` as its one sink multiplicity."""
+    cloud = PlanarPointSet.from_rows([row], start.x_max)
+    boundary = BoundarySample(start.positions, np.asarray([int(sink)]))
+    return run_dynamics(cloud, boundary, variant).state
 
 
 class TestStepStrict:
     def test_moves_and_birth(self):
-        s = step_strict(state(0.5, 0.8), [0.2, 0.6, 0.9], sink_present=False)
+        s = step("strict", state(0.5, 0.8), [0.2, 0.6, 0.9], sink=False)
         assert s.positions.tolist() == [0.2, 0.6, 0.9]
         assert s.exits == 0
 
     def test_sink_absorbs_leftmost(self):
-        s = step_strict(state(0.4, 0.7), [0.5], sink_present=True)
+        s = step("strict", state(0.4, 0.7), [0.5], sink=True)
         assert s.positions.tolist() == [0.5]
         assert s.exits == 1
 
     def test_birth_from_empty(self):
-        s = step_strict(empty_state(1.0), [0.3, 0.7], sink_present=False)
+        s = step("strict", state(), [0.3, 0.7], sink=False)
         assert s.positions.tolist() == [0.3]
 
     def test_sink_invalidates_below_exiting_particle(self):
         # the leaving particle sweeps everything below its old position
-        s = step_strict(state(0.4, 0.7), [0.3, 0.5], sink_present=True)
+        s = step("strict", state(0.4, 0.7), [0.3, 0.5], sink=True)
         assert s.positions.tolist() == [0.5]
         assert s.exits == 1
 
     def test_sink_without_particles_swallows_the_row(self):
-        s = step_strict(empty_state(1.0), [0.3, 0.7], sink_present=True)
+        s = step("strict", state(), [0.3, 0.7], sink=True)
         assert s.positions.size == 0
         assert s.exits == 0  # no particle actually left
 
     def test_gap_rule_uses_old_positions(self):
         # second particle's gap ends at its own old position, starts at the
         # first particle's old position, even after the first one moved
-        s = step_strict(state(0.4, 0.8), [0.1, 0.2, 0.5], sink_present=False)
+        s = step("strict", state(0.4, 0.8), [0.1, 0.2, 0.5], sink=False)
         assert s.positions.tolist() == [0.1, 0.5]
 
     def test_single_birth_only(self):
-        s = step_strict(state(0.2), [0.5, 0.7, 0.9], sink_present=False)
+        s = step("strict", state(0.2), [0.5, 0.7, 0.9], sink=False)
         assert s.positions.tolist() == [0.2, 0.5]
 
     def test_rejects_out_of_range_points(self):
         with pytest.raises(ValueError):
-            step_strict(state(0.5), [1.5], sink_present=False)
+            step("strict", state(0.5), [1.5], sink=False)
         with pytest.raises(ValueError):
-            step_strict(state(0.5), [np.nan], sink_present=False)
+            step("strict", state(0.5), [np.nan], sink=False)
 
     def test_exit_swallows_point_at_its_x(self):
         # the row point at the exiting particle's x ranks below it
-        s = step_strict(state(0.4, 0.7), [0.4, 0.5], sink_present=True)
+        s = step("strict", state(0.4, 0.7), [0.4, 0.5], sink=True)
         assert s.positions.tolist() == [0.5]
         assert s.exits == 1
 
     def test_exit_of_the_only_particle_with_points_above(self):
         # the points above the exiting particle stay available: the least is born
-        s = step_strict(state(0.4), [0.2, 0.6, 0.8], sink_present=True)
+        s = step("strict", state(0.4), [0.2, 0.6, 0.8], sink=True)
         assert s.positions.tolist() == [0.6]
         assert s.exits == 1
 
     def test_point_at_a_particle_is_taken_by_it(self):
         # the point ranks below the particle at its x, so it lies in that
         # particle's gap; the particle stays and the next one keeps its gap
-        s = step_strict(state(0.4, 0.7), [0.4, 0.6], sink_present=False)
+        s = step("strict", state(0.4, 0.7), [0.4, 0.6], sink=False)
         assert s.positions.tolist() == [0.4, 0.6]
 
     def test_point_at_the_old_maximum_is_not_born(self):
-        s = step_strict(state(0.4, 0.7), [0.7], sink_present=False)
+        s = step("strict", state(0.4, 0.7), [0.7], sink=False)
         assert s.positions.tolist() == [0.4, 0.7]
 
     def test_empty_row(self):
-        s = step_strict(state(0.4, 0.7), [], sink_present=False)
+        s = step("strict", state(0.4, 0.7), [], sink=False)
         assert s.positions.tolist() == [0.4, 0.7] and s.exits == 0
-        s = step_strict(state(0.4, 0.7), [], sink_present=True)
+        s = step("strict", state(0.4, 0.7), [], sink=True)
         assert s.positions.tolist() == [0.7] and s.exits == 1
 
 
 class TestStepWeak:
     def test_moves_keep_other_points_available(self):
-        s = step_weak(state(0.5, 0.8), [0.2, 0.3, 0.9], sink_multiplicity=0)
+        s = step("weak", state(0.5, 0.8), [0.2, 0.3, 0.9], sink=0)
         assert s.positions.tolist() == [0.2, 0.3, 0.9]
 
     def test_births_for_every_free_point_on_the_right(self):
-        s = step_weak(state(0.5), [0.6, 0.7, 0.9], sink_multiplicity=0)
+        s = step("weak", state(0.5), [0.6, 0.7, 0.9], sink=0)
         assert s.positions.tolist() == [0.5, 0.6, 0.7, 0.9]
 
     def test_sink_multiplicity_absorbs(self):
-        s = step_weak(state(0.4, 0.7), [], sink_multiplicity=2)
+        s = step("weak", state(0.4, 0.7), [], sink=2)
         assert s.positions.size == 0
         assert s.exits == 2
 
     def test_sink_multiplicity_capped_by_particles(self):
-        s = step_weak(state(0.4), [], sink_multiplicity=3)
+        s = step("weak", state(0.4), [], sink=3)
         assert s.exits == 1
 
     def test_unconsumed_point_below_old_max_is_born(self):
         # two same-row points below the particle already chain weakly, so
         # both locations carry particles afterwards
-        s = step_weak(state(0.5), [0.3, 0.4], sink_multiplicity=0)
+        s = step("weak", state(0.5), [0.3, 0.4], sink=0)
         assert s.positions.tolist() == [0.3, 0.4]
 
     def test_two_particles_share_row_points_in_order(self):
-        s = step_weak(state(0.4, 0.5), [0.3], sink_multiplicity=0)
+        s = step("weak", state(0.4, 0.5), [0.3], sink=0)
         assert s.positions.tolist() == [0.3, 0.5]
 
     def test_point_at_particle_x_is_consumed(self):
         # the row point at a particle's x ranks below it, so the particle
         # takes it and nothing is born on top of the particle
-        s = step_weak(state(0.5, 0.8), [0.5, 0.8], sink_multiplicity=0)
+        s = step("weak", state(0.5, 0.8), [0.5, 0.8], sink=0)
         assert s.positions.tolist() == [0.5, 0.8]
 
 
@@ -178,7 +185,6 @@ class TestRunDynamics:
         check = ParticleState.__post_init__
         monkeypatch.setattr(ParticleState, "__post_init__",
                             lambda self: built.append(self) or check(self))
-        monkeypatch.setattr(hammersley, "_check_row_points", None)
         rng = make_rng(29)
         for rates in (BoundaryRates.strict_from_alpha(1.0, 1.0),
                       BoundaryRates.weak_from_beta(1.0, 2.0)):
@@ -363,28 +369,34 @@ class TestCloudOrder:
         self.check(flat, sizes, 59)
 
 
+def slab_counts(clouds, variant: str) -> np.ndarray:
+    """The slab's final particle counts of boundary-free clouds, laid out in
+    one batch as the chunk workers lay out theirs."""
+    return hammersley._slab_counts(*hammersley._chain_keys(clouds), variant)
+
+
 class TestBatchParticleCounts:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(grid_cloud, sampled_cloud), max_size=6))
     def test_counts_match_both_oracles(self, clouds):
         for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
-            counts = batch_particle_counts(iter(clouds), variant)
+            counts = slab_counts(iter(clouds), variant)
             assert counts.tolist() == [chain(c) for c in clouds]
             for cloud, count in zip(clouds, counts):
                 assert count == run_dynamics(cloud, None, variant).state.count
 
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_empty_inputs(self, variant):
-        assert batch_particle_counts([], variant).tolist() == []
+        assert slab_counts([], variant).tolist() == []
         empty = [PlanarPointSet.from_rows((), 1.0),
                  PlanarPointSet.from_rows((np.empty(0),) * 4, 1.0)]
-        assert batch_particle_counts(empty, variant).tolist() == [0, 0]
+        assert slab_counts(empty, variant).tolist() == [0, 0]
 
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_single_full_size_replica(self, variant):
         cloud = sample_poisson_cloud(100.0, 100, 1.0, make_rng(31))
         chain = lis_strict if variant == "strict" else lnds_weak
-        assert batch_particle_counts([cloud], variant).tolist() == [chain(cloud)]
+        assert slab_counts([cloud], variant).tolist() == [chain(cloud)]
 
     def test_int64_keys_when_int32_cannot_hold_them(self):
         # 2**14 replicas of 2**17 keys each end at 2**31, past int32
@@ -394,12 +406,20 @@ class TestBatchParticleCounts:
         assert hammersley._chain_keys(clouds[-2:])[0][0].dtype == np.int32
         assert hammersley._chain_keys(clouds)[0][0].dtype == np.int64
         for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
-            counts = batch_particle_counts(clouds, variant)
+            counts = slab_counts(clouds, variant)
             assert counts[-1] == chain(big) and not counts[:-1].any()
 
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            batch_particle_counts([], "lax")
+    def test_estimators_reject_unknown_variant(self):
+        # the slab reads any variant but "strict" as weak: its callers check
+        calls = [lambda: montecarlo.estimate_mean_subsequence(3, 2, "lax", 4, 0),
+                 lambda: montecarlo.estimate_poissonized(2.0, 3, 1.0, "lax", 4, 0),
+                 lambda: montecarlo.stationarity_test(2.0, 1.0, 2.0, "lax", 3, 4, 0),
+                 lambda: montecarlo.deviation_profile(2.0, 9, 1.0, "lax", [0.5], 4, 0)]
+        with mock.patch.object(montecarlo, "_slab_counts") as slab:
+            for call in calls:
+                with pytest.raises(ValueError, match="variant must be one of"):
+                    call()
+        slab.assert_not_called()
 
     @pytest.mark.parametrize("order", ["strict", "weak"])
     def test_estimate_split_into_small_chunks(self, monkeypatch, order):
@@ -428,7 +448,7 @@ class TestTiedGridClouds:
     def test_batch_matches_brute_force(self, clouds):
         # many equal x within and across rows, all clouds in one slab
         for variant in ("strict", "weak"):
-            counts = batch_particle_counts(clouds, variant)
+            counts = slab_counts(clouds, variant)
             assert counts.tolist() == [brute_force_longest_chain(c, order=variant)
                                        for c in clouds]
 

@@ -167,9 +167,11 @@ class TestPoissonCloud:
 
     def test_rejects_nan_and_infinite_params(self):
         # checked at entry: NaN fails every comparison, so the check is
-        # written to reject it
-        for x, lam in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (-math.inf, 1.0)):
-            with pytest.raises(ValueError, match="x and lam must be positive"):
+        # written to reject it; an infinite lam must fail here, not in numpy's draw
+        for x, lam in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (-math.inf, 1.0),
+                       (1.0, math.inf)):
+            with pytest.raises(ValueError, match=f"^x and lam must be positive and finite, "
+                                                 f"got x={x}, lam={lam}$"):
                 sample_poisson_cloud(x, 2, lam, make_rng(0))
 
     def test_draw_is_not_rechecked(self, monkeypatch):
@@ -252,6 +254,15 @@ class TestBoundarySampling:
         rates = BoundaryRates.strict_from_alpha(1.0, 2.0)
         b = sample_boundary(50.0, 5, rates, make_rng(109))
         assert np.all(np.diff(b.sources) > 0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0])
+    def test_names_a_nan_or_infinite_x(self, x):
+        # NaN must fail the check, not numpy's Poisson draw
+        rates = BoundaryRates.strict_from_alpha(1.0, 1.0)
+        with pytest.raises(ValueError, match=f"^x must be positive and finite, got x={x}$"):
+            sample_boundary(x, 3, rates, make_rng(0))
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
+            sample_boundary(1.0, 0, rates, make_rng(0))
 
 
 class TestDomainTypes:
