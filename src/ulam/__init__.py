@@ -4,7 +4,7 @@ whose particle counts realize them."""
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundaryRates, MeanBound, mean_bound, optimal_rates_strict,
+from .bounds import (BoundaryRates, mean_bound, optimal_rates_strict,
                      optimal_rates_weak, predicted_mean, regime_diagnostics,
                      verify_tail_inequality)
 from .couplings import (CoupledSample, group_heights, poissonized_coupling_lower,
@@ -25,7 +25,7 @@ from .subsequences import (brute_force_longest_chain, exact_expected_lis,
 
 __all__ = [
     "BoundaryRates", "BoundarySample", "CoupledSample", "DepoissonizationReport",
-    "DeviationProfile", "DynamicsRecord", "EstimateReport", "MeanBound", "MultisetWord",
+    "DeviationProfile", "DynamicsRecord", "EstimateReport", "MultisetWord",
     "ParticleState", "PlanarPointSet", "RngStream", "StationarityReport",
     "brute_force_longest_chain", "depoissonization_report", "deviation_profile",
     "estimate_expected_lis", "estimate_mean_subsequence", "estimate_poissonized",

@@ -23,6 +23,17 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
+def _check_positive(**values: float) -> None:
+    """Reject the values unless each is positive and finite, naming every
+    value given: "x, t and lam must be ..., got x=nan, t=4, lam=1.0"."""
+    for v in values.values():
+        if not 0 < v < math.inf:  # written so that NaN fails it too
+            *most, last = values
+            names = f"{', '.join(most)} and {last}" if most else last
+            raise ValueError(f"{names} must be positive and finite, got "
+                             + ", ".join(f"{name}={u}" for name, u in values.items()))
+
+
 @dataclass(frozen=True)
 class BoundaryRates:
     """Source/sink intensities tied by the stationarity constraint.
@@ -40,8 +51,7 @@ class BoundaryRates:
 
     def __post_init__(self) -> None:
         _check_variant(self.variant)
-        if self.lam <= 0 or self.source_rate <= 0:
-            raise ValueError("lam and source_rate must be positive")
+        _check_positive(lam=self.lam, source_rate=self.source_rate)
         if not 0.0 < self.sink_param < 1.0:
             raise ValueError("sink_param must lie in (0, 1)")
         if self.variant == "strict":
@@ -55,37 +65,24 @@ class BoundaryRates:
 
     @staticmethod
     def strict_from_alpha(lam: float, alpha: float) -> "BoundaryRates":
-        if not (0 < lam < math.inf and 0 < alpha < math.inf):  # NaN fails it too
-            raise ValueError(f"lam and alpha must be positive and finite, got lam={lam}, "
-                             f"alpha={alpha}")
+        _check_positive(lam=lam, alpha=alpha)
         return BoundaryRates("strict", alpha, lam / (lam + alpha), lam)
 
     @staticmethod
     def weak_from_beta(lam: float, beta: float) -> "BoundaryRates":
-        if not 0 < lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got lam={lam}")
+        _check_positive(lam=lam)
         if not lam < beta < math.inf:
             raise ValueError(f"weak variant requires beta > lam and beta finite, got "
                              f"beta={beta}, lam={lam}")
         return BoundaryRates("weak", beta, lam / beta, lam)
 
 
-@dataclass(frozen=True)
-class MeanBound:
-    """First-order mean values 2*sqrt(x*t*lam) -/+ x*lam for the two orders."""
-
-    x: float
-    t: float
-    lam: float
-    strict_mean: float
-    weak_mean: float
-
-
-def mean_bound(x: float, t: float, lam: float) -> MeanBound:
-    if x <= 0 or t <= 0 or lam <= 0:
-        raise ValueError("x, t, lam must be positive")
+def mean_bound(x: float, t: float, lam: float, order: str) -> float:
+    """First-order mean chain length 2*sqrt(x*t*lam) - x*lam (strict) or + x*lam."""
+    _check_variant(order)
+    _check_positive(x=x, t=t, lam=lam)
     root = 2.0 * math.sqrt(x * t * lam)
-    return MeanBound(x, t, lam, root - x * lam, root + x * lam)
+    return root - x * lam if order == "strict" else root + x * lam
 
 
 def optimal_rates_strict(x: float, t: float, lam: float) -> tuple[BoundaryRates, float]:
@@ -95,10 +92,9 @@ def optimal_rates_strict(x: float, t: float, lam: float) -> tuple[BoundaryRates,
     x*alpha + t*p equals 2*sqrt(x*t*lam) - x*lam.  Requires t > x*lam so
     that alpha > 0 and p < 1.
     """
-    if x <= 0 or t <= 0 or lam <= 0:
-        raise ValueError("x, t, lam must be positive")
+    _check_positive(x=x, t=t, lam=lam)
     if t <= x * lam:
-        raise ValueError("domain error: need t > x*lam for a positive source rate")
+        raise ValueError("need t > x*lam for a positive source rate")
     alpha = math.sqrt(t * lam / x) - lam
     p = math.sqrt(x * lam / t)
     cost = x * alpha + t * p
@@ -112,8 +108,7 @@ def optimal_rates_weak(x: float, t: float, lam: float) -> tuple[BoundaryRates, f
     x*beta + t*beta*/(1-beta*) equals 2*sqrt(x*t*lam) + x*lam, and
     beta > lam always holds.
     """
-    if x <= 0 or t <= 0 or lam <= 0:
-        raise ValueError("x, t, lam must be positive")
+    _check_positive(x=x, t=t, lam=lam)
     beta = math.sqrt(t * lam / x) + lam
     beta_star = 1.0 / (1.0 + math.sqrt(t / (x * lam)))
     cost = x * beta + t * beta_star / (1.0 - beta_star)
@@ -123,8 +118,7 @@ def optimal_rates_weak(x: float, t: float, lam: float) -> tuple[BoundaryRates, f
 def predicted_mean(n: int, k: int, order: str) -> float:
     """First-order mean subsequence length: 2*sqrt(n*k) - k (strict) or + k (weak)."""
     _check_variant(order)
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+    _check_positive(n=n, k=k)
     root = 2.0 * math.sqrt(n * k)
     return root - k if order == "strict" else root + k
 
@@ -142,8 +136,7 @@ def augmented_tail_rate(eps: float) -> float:
 
 def poisson_tail_bound(lam: float, a: float) -> float:
     """exp(-a^2 / (4*lam)), the bound for both Poisson tails at lam -/+ a."""
-    if lam <= 0 or a <= 0:
-        raise ValueError("lam and a must be positive")
+    _check_positive(lam=lam, a=a)
     return math.exp(-a * a / (4.0 * lam))
 
 
@@ -401,8 +394,7 @@ class RegimeDiagnostics:
 
 
 def regime_diagnostics(n: int, k: int, expo: float = 0.5) -> RegimeDiagnostics:
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+    _check_positive(n=n, k=k)
     if not 0.0 < expo < 1.0:
         raise ValueError("expo must lie in (0, 1)")
     log_small = 2.0 * math.log(k) + math.lgamma(k + 1) - 0.5 * math.log(n)

@@ -163,8 +163,10 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
     """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
     in replica order, drawn from stream block ``tag``.  The geometry is
     checked once, here, before any chunk is planned."""
-    _check_geometry(x, t, lam, 0 if rates else 1)  # the boundary process runs at t = 0
-    sources = x * rates.source_rate if rates else 0.0
+    source_rate = rates.source_rate if rates else 0.0
+    # the boundary process runs at t = 0
+    _check_geometry(x, t, lam, 0 if rates else 1, source_rate)
+    sources = x * source_rate
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
               for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources), t + 1)]
     return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism), axis=1)
@@ -196,10 +198,8 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
     if order == "strict" and t < x * lam:
         raise ValueError("strict comparison requires t >= x*lam")
     vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)[0]
-    mb = mean_bound(x, t, lam)
-    predicted = mb.strict_mean if order == "strict" else mb.weak_mean
-    return EstimateReport.from_values(
-        vals, seed, {"x": x, "t": t, "lam": lam, "order": order}, predicted=predicted)
+    return EstimateReport.from_values(vals, seed, {"x": x, "t": t, "lam": lam, "order": order},
+                                      predicted=mean_bound(x, t, lam, order))
 
 
 def estimate_expected_lis(row_counts, reps: int, seed: int) -> EstimateReport:
@@ -347,8 +347,7 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
         tag = _TAG_DEVIATION
         rates, _ = (optimal_rates_strict if order == "strict" else optimal_rates_weak)(x, t, lam)
     vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism, tag, rates).sum(0)
-    mb = mean_bound(x, t, lam)
-    center = mb.strict_mean if order == "strict" else mb.weak_mean
+    center = mean_bound(x, t, lam, order)
     upper = tuple(float(np.mean(vals > (1 + e) * center)) for e in eps_grid)
     lower = tuple(float(np.mean(vals < (1 - e) * center)) for e in eps_grid)
     scale = math.sqrt(x * t * lam) - x * lam

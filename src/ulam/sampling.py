@@ -13,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_positive
+
 # Streams are numpy Generators driven by counter-based Philox; the alias is
 # the type used throughout the package.
 RngStream = np.random.Generator
 
 _SEED_LIMIT = 1 << 64
+# numpy's Poisson sampler rejects a larger mean ("lam value too large")
+_POISSON_MAX = 9.223372006484771e18
 
 
 def make_rng(seed: int, stream_id: int = 0) -> RngStream:
@@ -53,8 +57,7 @@ class MultisetWord:
     letters: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 1:
-            raise ValueError("n and k must be >= 1")
+        _check_positive(n=self.n, k=self.k)
         letters = np.asarray(self.letters)
         if letters.shape != (self.n * self.k,) or letters.dtype.kind not in "iu":
             raise ValueError("the word must be k*n integer letters")
@@ -210,18 +213,19 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
     multinomial(kn; k,...,k) distinct words because every word corresponds
     to the same number (k!)^n of shuffle outcomes.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+    _check_positive(n=n, k=k)
     return MultisetWord(n=n, k=k, letters=_shuffled_letters(n, k, rng))
 
 
-def _check_geometry(x: float, t: int, lam: float | None = None, t_min: int = 1) -> None:
-    """Reject x (and lam, if given) unless positive and finite, and t below
-    ``t_min``; the comparisons are written so that NaN fails them too."""
-    if not (0 < x < np.inf and (lam is None or 0 < lam < np.inf)):
-        named = {"x": x} if lam is None else {"x": x, "lam": lam}
-        raise ValueError(f"{' and '.join(named)} must be positive and finite, got "
-                         + ", ".join(f"{name}={v}" for name, v in named.items()))
+def _check_geometry(x: float, t: int, lam: float | None = None, t_min: int = 1,
+                    source_rate: float | None = None) -> None:
+    """Reject x (and lam, if given) unless positive and finite, a Poisson mean
+    x*lam or x*source_rate past numpy's ceiling, and t below ``t_min``."""
+    _check_positive(**({"x": x} if lam is None else {"x": x, "lam": lam}))
+    for name, rate in (("lam", lam), ("source_rate", source_rate)):
+        if rate is not None and x * rate >= _POISSON_MAX:
+            raise ValueError(f"x*{name} must be below {_POISSON_MAX!r}, the largest "
+                             f"Poisson mean numpy draws, got x={x}, {name}={rate}")
     if t < t_min:
         raise ValueError(f"t must be >= {t_min}")
 
@@ -259,7 +263,7 @@ def sample_boundary(x: float, t: int, rates, rng: RngStream) -> BoundarySample:
     row: Bernoulli(p) for the strict variant, Geometric_{>=0}(1 - beta*) for
     the weak one.  Sources are drawn before sinks.
     """
-    _check_geometry(x, t)
+    _check_geometry(x, t, source_rate=rates.source_rate)
     n_src = int(rng.poisson(rates.source_rate * x))
     sources = _uniform_positions(rng, n_src, x)
     if rates.variant == "strict":

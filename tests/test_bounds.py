@@ -10,7 +10,9 @@ from ulam.bounds import (BoundaryRates, binomial_lower_bound, binomial_upper_bou
                          log_poisson_upper, mean_bound, optimal_rates_strict,
                          optimal_rates_weak, poisson_tail_bound, predicted_mean,
                          regime_diagnostics, TAIL_KINDS, verify_tail_inequality)
-from ulam.sampling import make_rng
+from ulam.montecarlo import deviation_profile
+from ulam.sampling import (MultisetWord, make_rng, sample_boundary, sample_poisson_cloud,
+                           sample_uniform_multiset_permutation)
 
 
 class TestBoundaryRates:
@@ -93,9 +95,11 @@ class TestPredictedMean:
         assert abs(predicted_mean(10_000, 1, "weak") - 200.0) <= 1.0
 
     def test_mean_bound_ordering(self):
-        mb = mean_bound(3.0, 10.0, 1.0)
-        assert mb.strict_mean <= mb.weak_mean
-        assert mb.strict_mean >= 0
+        strict, weak = (mean_bound(3.0, 10.0, 1.0, order) for order in ("strict", "weak"))
+        assert 0 <= strict <= weak
+        assert (strict, weak) == (2.0 * math.sqrt(30.0) - 3.0, 2.0 * math.sqrt(30.0) + 3.0)
+        with pytest.raises(ValueError, match="variant must be one of"):
+            mean_bound(3.0, 10.0, 1.0, "both")
 
 
 class TestTailBoundFormulas:
@@ -218,3 +222,55 @@ class TestRegimeDiagnostics:
         assert math.isfinite(d.log_small) and math.isfinite(d.log_large)
         assert d.small_ratio == math.inf  # linear value overflows, log does not
         assert d.large_ratio < 1e-2
+
+
+# Every public entry that takes a rate, geometry or count: a call by keyword
+# and valid arguments, each of which must be positive and finite.
+_CHECKED = {
+    "mean_bound": (lambda x, t, lam: mean_bound(x, t, lam, "strict"),
+                   {"x": 1.0, "t": 4.0, "lam": 1.0}),
+    "optimal_rates_strict": (optimal_rates_strict, {"x": 1.0, "t": 4.0, "lam": 1.0}),
+    "optimal_rates_weak": (optimal_rates_weak, {"x": 1.0, "t": 4.0, "lam": 1.0}),
+    "BoundaryRates": (lambda lam, source_rate: BoundaryRates("strict", source_rate, 0.5, lam),
+                      {"lam": 1.0, "source_rate": 1.0}),
+    "strict_from_alpha": (BoundaryRates.strict_from_alpha, {"lam": 1.0, "alpha": 1.0}),
+    "weak_from_beta": (BoundaryRates.weak_from_beta, {"lam": 1.0, "beta": 2.0}),
+    "poisson_tail_bound": (poisson_tail_bound, {"lam": 4.0, "a": 4.0}),
+    "predicted_mean": (lambda n, k: predicted_mean(n, k, "weak"), {"n": 4, "k": 2}),
+    "regime_diagnostics": (regime_diagnostics, {"n": 4, "k": 2}),
+    "MultisetWord": (lambda n, k: MultisetWord(n, k, [1, 1]), {"n": 1, "k": 2}),
+    "sample_poisson_cloud": (lambda x, lam: sample_poisson_cloud(x, 2, lam, make_rng(0)),
+                             {"x": 1.0, "lam": 1.0}),
+    "sample_boundary": (lambda x: sample_boundary(
+        x, 2, BoundaryRates.strict_from_alpha(1.0, 1.0), make_rng(0)), {"x": 1.0}),
+    "sample_uniform_multiset_permutation": (
+        lambda n, k: sample_uniform_multiset_permutation(n, k, make_rng(0)), {"n": 3, "k": 2}),
+}
+
+
+def _named_values(message: str) -> dict:
+    """The ``name=value`` pairs after "got " in a rejection message."""
+    return dict(pair.split("=") for pair in message.partition(", got ")[2].split(", "))
+
+
+class TestPositiveChecks:
+    @pytest.mark.parametrize("entry, name, value", [
+        (entry, name, value) for entry, (_, valid) in _CHECKED.items() for name in valid
+        for value in (math.nan, math.inf, 0, -1)])
+    def test_a_bad_value_is_named(self, entry, name, value):
+        call, valid = _CHECKED[entry]
+        call(**valid)
+        with pytest.raises(ValueError) as info:
+            call(**{**valid, name: value})
+        assert _named_values(str(info.value))[name] == str(value)
+
+    def test_augmented_profile_names_x(self):
+        # optimal_rates_strict is the first to see x here: NaN must fail its
+        # check, not pass it and fail later as a derived sink_param
+        with pytest.raises(ValueError) as info:
+            deviation_profile(math.nan, 4, 1.0, "strict", [0.5], 2, 0, augmented=True)
+        assert _named_values(str(info.value))["x"] == "nan"
+
+    def test_message_lists_every_name(self):
+        assert str(pytest.raises(ValueError, mean_bound, math.nan, 4, 1.0, "weak").value) == (
+            "x, t and lam must be positive and finite, got x=nan, t=4, lam=1.0")

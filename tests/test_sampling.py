@@ -1,5 +1,6 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_cellwise_four_sigma, assert_chi_square_pmf, assert_within_sigma
+from ulam import montecarlo
 from ulam.bounds import BoundaryRates
-from ulam.sampling import (BoundarySample, MultisetWord, PlanarPointSet,
+from ulam.cli import main
+from ulam.sampling import (_POISSON_MAX, BoundarySample, MultisetWord, PlanarPointSet,
                            _uniform_positions, make_rng, sample_boundary,
                            sample_poisson_cloud, sample_uniform_multiset_permutation,
                            sample_uniform_permutation)
@@ -263,6 +266,42 @@ class TestBoundarySampling:
             sample_boundary(x, 3, rates, make_rng(0))
         with pytest.raises(ValueError, match="^t must be >= 1$"):
             sample_boundary(1.0, 0, rates, make_rng(0))
+
+
+class TestPoissonCeiling:
+    """A Poisson mean numpy's sampler refuses is rejected, naming both of its
+    factors, before anything is drawn or planned."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--x", "1e10", "--t", "1", "--lambda", "1e10"],
+         "x=10000000000.0, lam=10000000000.0"),
+        (["estimate", "--mode", "poisson", "--order", "weak", "--x", "1e10", "--t", "1",
+          "--lambda", "1e10", "--reps", "2"], "x=10000000000.0, lam=10000000000.0"),
+        (["simulate", "--x", "1", "--t", "1", "--lambda", "1", "--alpha", "1e19"],
+         "x=1.0, source_rate=1e+19"),
+    ], ids=["simulate", "estimate", "simulate-alpha"])
+    def test_cli_exits_2(self, tmp_path, capsys, argv, named):
+        d = tmp_path / "d"
+        assert main([*argv, "--out-dir", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: x*") and err.rstrip().endswith(named)
+        assert not d.exists()
+
+    def test_stationarity_plans_nothing(self):
+        with mock.patch.object(montecarlo, "_chunks") as chunks:
+            with pytest.raises(ValueError, match="^x\\*source_rate must be below .*, got "
+                                                 "x=1.0, source_rate=1e\\+19$"):
+                montecarlo.stationarity_test(1.0, 1.0, 1e19, "strict", 1, 2, 0)
+        chunks.assert_not_called()
+
+    def test_samplers_draw_nothing(self):
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match="^x\\*lam must be below"):
+            sample_poisson_cloud(2.0, 1, _POISSON_MAX / 2, rng)
+        stub = SimpleNamespace(variant="strict", source_rate=_POISSON_MAX, sink_param=0.5)
+        with pytest.raises(ValueError, match="^x\\*source_rate must be below"):
+            sample_boundary(1.0, 1, stub, rng)
+        assert rng.random() == make_rng(0).random()  # the stream is untouched
 
 
 class TestDomainTypes:
