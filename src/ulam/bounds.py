@@ -23,14 +23,15 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _check_positive(**values: float) -> None:
-    """Reject the values unless each is positive and finite, naming every
-    value given: "x, t and lam must be ..., got x=nan, t=4, lam=1.0"."""
+def _check_positive(*, integer: bool = False, **values: float) -> None:
+    """Reject values not positive and finite (or, if ``integer``, not whole), naming
+    every value given: "x, t and lam must be positive and finite, got x=nan, t=4, lam=1.0"."""
     for v in values.values():
-        if not 0 < v < math.inf:  # written so that NaN fails it too
+        if not 0 < v < math.inf or integer and v % 1:  # written so that NaN fails
             *most, last = values
             names = f"{', '.join(most)} and {last}" if most else last
-            raise ValueError(f"{names} must be positive and finite, got "
+            raise ValueError(f"{names} must be positive "
+                             + ("integers" if integer else "and finite") + ", got "
                              + ", ".join(f"{name}={u}" for name, u in values.items()))
 
 
@@ -118,7 +119,7 @@ def optimal_rates_weak(x: float, t: float, lam: float) -> tuple[BoundaryRates, f
 def predicted_mean(n: int, k: int, order: str) -> float:
     """First-order mean subsequence length: 2*sqrt(n*k) - k (strict) or + k (weak)."""
     _check_variant(order)
-    _check_positive(n=n, k=k)
+    _check_positive(n=n, k=k, integer=True)
     root = 2.0 * math.sqrt(n * k)
     return root - k if order == "strict" else root + k
 
@@ -394,7 +395,7 @@ class RegimeDiagnostics:
 
 
 def regime_diagnostics(n: int, k: int, expo: float = 0.5) -> RegimeDiagnostics:
-    _check_positive(n=n, k=k)
+    _check_positive(n=n, k=k, integer=True)
     if not 0.0 < expo < 1.0:
         raise ValueError("expo must lie in (0, 1)")
     log_small = 2.0 * math.log(k) + math.lgamma(k + 1) - 0.5 * math.log(n)

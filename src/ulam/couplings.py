@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import (MultisetWord, RngStream, _uniform_positions,
+from .sampling import (MultisetWord, RngStream, _chain_order, _uniform_positions,
                        sample_poisson_cloud)
 
 
@@ -44,10 +44,10 @@ def project_to_multiset(sigma: MultisetWord, k: int) -> MultisetWord:
 
 
 def _word_from_cloud_rows(xs: np.ndarray, n: int, k: int) -> MultisetWord:
-    """Word of row labels in chain order (`PlanarPointSet.chain_rows`);
+    """Word of row labels in chain order, as `PlanarPointSet.chain_rows`;
     ``xs`` holds rows 1..n in turn, k points each."""
     labels = np.repeat(np.arange(1, n + 1, dtype=np.int64), k)
-    return MultisetWord(n=n, k=k, letters=labels[np.lexsort((-labels, xs))])
+    return MultisetWord(n=n, k=k, letters=_chain_order(xs, labels))
 
 
 def poissonized_coupling_upper(n: int, k: int, lam: float, rng: RngStream) -> CoupledSample:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundaryRates, _check_variant
-from .sampling import (BoundarySample, PlanarPointSet, RngStream,
+from .sampling import (BoundarySample, PlanarPointSet, RngStream, _check_geometry,
                        sample_boundary, sample_poisson_cloud)
 from .subsequences import lis_strict, lnds_weak, longest_chain_with_boundary
 
@@ -384,12 +384,12 @@ def run_process(x: float, t: int, lam: float, variant: str,
     the stream alone.
     """
     _check_variant(variant)
-    cloud = sample_poisson_cloud(x, t, lam, rng)
-    boundary = None
-    if rates is not None:
+    if rates is not None:  # a rejected boundary must not pay for its cloud
+        _check_geometry(x, t, lam, source_rate=rates.source_rate)
         if rates.variant != variant:
             raise ValueError("rates variant does not match process variant")
-        boundary = sample_boundary(x, t, rates, rng)
+    cloud = sample_poisson_cloud(x, t, lam, rng)
+    boundary = None if rates is None else sample_boundary(x, t, rates, rng)
     return run_dynamics(cloud, boundary, variant, trace=trace)
 
 

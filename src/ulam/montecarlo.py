@@ -163,8 +163,7 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
     """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
     in replica order, drawn from stream block ``tag``.  The geometry is
     checked once, here, before any chunk is planned."""
-    source_rate = rates.source_rate if rates else 0.0
-    # the boundary process runs at t = 0
+    source_rate = rates.source_rate if rates else 0.0  # a boundary process runs at t = 0
     _check_geometry(x, t, lam, 0 if rates else 1, source_rate)
     sources = x * source_rate
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
@@ -181,7 +180,7 @@ def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
     The first-order value applies for k <= n, the matched cloud's domain
     t >= x*lam in `estimate_poissonized`; for k > n ``predicted`` and
     ``rel_error`` are None."""
-    predicted = predicted_mean(n, k, order)  # checks the order and n, k >= 1
+    predicted = predicted_mean(n, k, order)  # checks the order and the counts n, k
     _check_reps(reps)
     argses = [(seed, chunk, n, k, order) for chunk in _chunks(reps, n * k, k)]
     vals = np.concatenate(_parallel_map(_word_chunk, argses, parallelism)).astype(float)

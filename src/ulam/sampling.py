@@ -57,7 +57,7 @@ class MultisetWord:
     letters: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_positive(n=self.n, k=self.k)
+        _check_positive(n=self.n, k=self.k, integer=True)
         letters = np.asarray(self.letters)
         if letters.shape != (self.n * self.k,) or letters.dtype.kind not in "iu":
             raise ValueError("the word must be k*n integer letters")
@@ -133,8 +133,7 @@ class PlanarPointSet:
         partial order, so the planar problem reduces to a subsequence
         problem on the returned row sequence.
         """
-        rows = self._row_of(np.arange(self.size))
-        return rows[np.lexsort((-rows, self.xs))]
+        return _chain_order(self.xs, self._row_of(np.arange(self.size)))
 
     def restrict(self, x_lo: float = 0.0, x_hi: float | None = None) -> "PlanarPointSet":
         """Sub point set with positions in (x_lo, x_hi]."""
@@ -194,6 +193,11 @@ def _uniform_positions(rng: RngStream, count: int, x: float) -> np.ndarray:
     return pos
 
 
+def _chain_order(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` sorted by ``xs`` ascending, ties broken by row descending."""
+    return rows[np.lexsort((-rows, xs))]
+
+
 def _shuffled_letters(n: int, k: int, rng: RngStream) -> np.ndarray:
     """(1^k, ..., n^k) in uniform order: the letters of every word sampler."""
     letters = np.repeat(np.arange(1, n + 1, dtype=np.int64), k)
@@ -213,7 +217,7 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
     multinomial(kn; k,...,k) distinct words because every word corresponds
     to the same number (k!)^n of shuffle outcomes.
     """
-    _check_positive(n=n, k=k)
+    _check_positive(n=n, k=k, integer=True)
     return MultisetWord(n=n, k=k, letters=_shuffled_letters(n, k, rng))
 
 

@@ -264,6 +264,16 @@ class TestPositiveChecks:
             call(**{**valid, name: value})
         assert _named_values(str(info.value))[name] == str(value)
 
+    @pytest.mark.parametrize("entry, name", [
+        (entry, name) for entry in ("predicted_mean", "regime_diagnostics", "MultisetWord",
+                                    "sample_uniform_multiset_permutation")
+        for name in ("n", "k")])
+    def test_a_fractional_count_is_named(self, entry, name):
+        call, valid = _CHECKED[entry]
+        with pytest.raises(ValueError, match=r"^n and k must be positive integers, got ") as info:
+            call(**{**valid, name: 0.5})
+        assert _named_values(str(info.value))[name] == "0.5"
+
     def test_augmented_profile_names_x(self):
         # optimal_rates_strict is the first to see x here: NaN must fail its
         # check, not pass it and fail later as a derived sink_param

@@ -206,6 +206,18 @@ class TestRunDynamics:
         assert run.counts.tolist() == rec.counts.tolist()
         assert run.exit_counts.tolist() == rec.exit_counts.tolist()
 
+    @pytest.mark.parametrize("variant, rates, match", [
+        ("strict", BoundaryRates.strict_from_alpha(1.0, 1e19), "^x\\*source_rate must be below"),
+        ("strict", BoundaryRates.weak_from_beta(1.0, 2.0), "variant does not match"),
+    ], ids=["source-rate-ceiling", "variant-mismatch"])
+    def test_run_process_rejects_a_boundary_before_its_cloud(self, variant, rates, match):
+        rng = make_rng(31)
+        with mock.patch.object(hammersley, "sample_poisson_cloud") as cloud:
+            with pytest.raises(ValueError, match=match):
+                run_process(1.0, 3_000_000, 1.0, variant, rates, rng)
+        cloud.assert_not_called()
+        assert rng.random() == make_rng(31).random()  # the stream is untouched
+
 
 class TestLineIdentity:
     def test_empty_and_single_point(self):
