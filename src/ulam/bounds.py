@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -24,10 +25,12 @@ def _check_variant(variant: str) -> None:
 
 
 def _check_positive(*, integer: bool = False, **values: float) -> None:
-    """Reject values not positive and finite (or, if ``integer``, not whole), naming
-    every value given: "x, t and lam must be positive and finite, got x=nan, t=4, lam=1.0"."""
+    """Reject values not positive and finite (or, if ``integer``, not of an integer
+    type), naming every value given: "x, t and lam must be positive and finite, got
+    x=nan, t=4, lam=1.0"."""
     for v in values.values():
-        if not 0 < v < math.inf or integer and v % 1:  # written so that NaN fails
+        # written so that NaN fails; a whole float is no count: numpy wants an int
+        if not 0 < v < math.inf or integer and not isinstance(v, numbers.Integral):
             *most, last = values
             names = f"{', '.join(most)} and {last}" if most else last
             raise ValueError(f"{names} must be positive "
@@ -382,7 +385,7 @@ def certificate_rows(certs: Iterable[TailCertificate]) -> list[list]:
 class RegimeDiagnostics:
     """Scaling ratios for the small/large multiplicity regimes.
 
-    small_ratio = k^2 * k! / sqrt(n); large_ratio = n^2 * k * exp(-k^expo)
+    small_ratio = k^2 * k! / sqrt(n); large_ratio = n^2 * k * exp(-sqrt(k))
     / sqrt(n*k).  Both are asymptotic diagnostics, so no verdict is
     attached; log values are always finite even when the linear value
     overflows.
@@ -394,12 +397,10 @@ class RegimeDiagnostics:
     log_large: float
 
 
-def regime_diagnostics(n: int, k: int, expo: float = 0.5) -> RegimeDiagnostics:
+def regime_diagnostics(n: int, k: int) -> RegimeDiagnostics:
     _check_positive(n=n, k=k, integer=True)
-    if not 0.0 < expo < 1.0:
-        raise ValueError("expo must lie in (0, 1)")
     log_small = 2.0 * math.log(k) + math.lgamma(k + 1) - 0.5 * math.log(n)
-    log_large = 2.0 * math.log(n) + math.log(k) - k ** expo - 0.5 * math.log(n * k)
+    log_large = 2.0 * math.log(n) + math.log(k) - k ** 0.5 - 0.5 * math.log(n * k)
     def lin(v: float) -> float:
         return math.exp(v) if v < 700 else math.inf
     return RegimeDiagnostics(lin(log_small), lin(log_large), log_small, log_large)

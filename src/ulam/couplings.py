@@ -24,7 +24,6 @@ class CoupledSample:
     inequality is guaranteed on this very sample.
     """
 
-    variant: str
     objects: dict
     event_flag: bool
 
@@ -70,7 +69,7 @@ def poissonized_coupling_upper(n: int, k: int, lam: float, rng: RngStream) -> Co
         kept = [row[rng.choice(row.size, size=k, replace=False)]
                 for row in map(cloud.row, range(1, n + 1))]
         objects["word"] = _word_from_cloud_rows(np.concatenate(kept), n, k)
-    return CoupledSample("poissonized_upper", objects, flag)
+    return CoupledSample(objects, flag)
 
 
 def poissonized_coupling_lower(n: int, k: int, lam: float, rng: RngStream) -> CoupledSample:
@@ -91,7 +90,7 @@ def poissonized_coupling_lower(n: int, k: int, lam: float, rng: RngStream) -> Co
                 row = np.unique(np.concatenate([row, extra]))
             completed.append(row)
         objects["word"] = _word_from_cloud_rows(np.concatenate(completed), n, k)
-    return CoupledSample("poissonized_lower", objects, flag)
+    return CoupledSample(objects, flag)
 
 
 def group_heights(word: MultisetWord, group_size: int) -> MultisetWord:

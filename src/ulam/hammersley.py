@@ -52,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundaryRates, _check_variant
-from .sampling import (BoundarySample, PlanarPointSet, RngStream, _check_geometry,
-                       sample_boundary, sample_poisson_cloud)
+from .sampling import (BoundarySample, PlanarPointSet, RngStream, _check_boundary,
+                       _check_geometry, sample_boundary, sample_poisson_cloud)
 from .subsequences import lis_strict, lnds_weak, longest_chain_with_boundary
 
 
@@ -158,9 +158,8 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
     if boundary is not None:
         if boundary.sinks.size != cloud.t_max:
             raise ValueError("need one sink multiplicity per row")
-        if strict and boundary.sinks.size and int(boundary.sinks.max()) > 1:
-            raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
-        y = ParticleState(boundary.sources.astype(float), 0, cloud.x_max).positions
+        _check_boundary(boundary, cloud.x_max, variant)
+        y = boundary.sources.astype(float)
         sinks = boundary.sinks.tolist()
     else:
         y = np.empty(0)
@@ -284,23 +283,21 @@ def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: 
 
 def _cloud_order(flat: np.ndarray, sizes: np.ndarray, t_max: int) -> np.ndarray:
     """Indices of ``flat`` (sources, then xs row by row, ``sizes`` per row)
-    in chain order: by x, the higher row first among equal x.  One sort of
-    the int64 keys ``high bits of x | index`` orders distinct positive x, as
-    their float bits sort like their values.  Only the runs of keys that
-    share their high bits are then re-ordered, by one lexsort by (x, -row)
-    of their points; the whole array is, if a sign bit is set."""
+    in chain order: by x, the higher row first among equal x.  Every x must
+    be positive, as the samplers draw them in (0, x]: one sort of the int64
+    keys ``high bits of x | index`` then orders distinct x, as their float
+    bits sort like their values.  Only the runs of keys that share their
+    high bits are then re-ordered, by one lexsort by (x, -row) of their
+    points."""
     b = flat.size.bit_length()
     packed = np.sort(flat.view(np.int64) >> b << b | np.arange(flat.size))
     order = packed & ((1 << b) - 1)
-    if flat.size and packed[0] < 0:  # negative bits sort backwards
-        tied = slice(None)
-    else:
-        high = packed >> b
-        shared = high[1:] == high[:-1]
-        if not shared.any():
-            return order
-        first = np.flatnonzero(shared)
-        tied = np.union1d(first, first + 1)
+    high = packed >> b
+    shared = high[1:] == high[:-1]
+    if not shared.any():
+        return order
+    first = np.flatnonzero(shared)
+    tied = np.union1d(first, first + 1)
     # runs of equal high bits follow each other in x order, so one lexsort
     # of all their points, put back in their places, orders every run
     sub = order[tied]
@@ -362,7 +359,7 @@ def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
     radix, in its smallest letter dtype) lists the positions of each letter,
     its row, straight into the word's key columns, so that words advance
     together as clouds and each is dropped once laid out."""
-    size = n * k
+    size = int(n) * int(k)  # a numpy integer has no bit_length
     shift = size.bit_length()
     keys = np.empty((n, reps, k), dtype=_key_dtype(reps, shift))
     small = np.min_scalar_type(n)

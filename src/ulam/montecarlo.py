@@ -83,11 +83,11 @@ class EstimateReport:
             rel = abs(mean - predicted) / abs(predicted)
         return EstimateReport(mean, stderr, reps, seed, dict(params), predicted, rel)
 
-    def to_json_dict(self, command: str | None = None) -> dict:
-        """The JSON fields; a non-finite float (a NaN mean, say) is None."""
+    def to_json(self, command: str | None = None) -> str:
+        """The report as JSON; a non-finite float (a NaN mean, say) is null."""
         def finite(v):
             return None if isinstance(v, float) and not math.isfinite(v) else v
-        return {
+        return json.dumps({
             "command": command,
             "params": {key: finite(v) for key, v in self.params.items()},
             "seed": self.seed,
@@ -96,10 +96,7 @@ class EstimateReport:
             "reps": self.reps,
             "predicted": finite(self.predicted),
             "rel_error": finite(self.rel_error),
-        }
-
-    def to_json(self, command: str | None = None) -> str:
-        return json.dumps(self.to_json_dict(command), indent=2, allow_nan=False)
+        }, indent=2, allow_nan=False)
 
 
 def _parallel_map(fn, argses: list, jobs: int) -> list:
@@ -316,13 +313,6 @@ class DeviationProfile:
     bound_upper: tuple[float, ...]
     reps: int
     seed: int
-
-    def rows(self) -> list[list]:
-        return [
-            [e, uf, lf, b]
-            for e, uf, lf, b in zip(self.eps_grid, self.upper_freq,
-                                    self.lower_freq, self.bound_upper)
-        ]
 
 
 def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,

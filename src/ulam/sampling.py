@@ -8,6 +8,7 @@ bit-reproducible across runs and platforms.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -135,13 +136,6 @@ class PlanarPointSet:
         """
         return _chain_order(self.xs, self._row_of(np.arange(self.size)))
 
-    def restrict(self, x_lo: float = 0.0, x_hi: float | None = None) -> "PlanarPointSet":
-        """Sub point set with positions in (x_lo, x_hi]."""
-        hi = self.x_max if x_hi is None else x_hi
-        keep = (self.xs > x_lo) & (self.xs <= hi)
-        kept = np.concatenate(([0], np.cumsum(keep)))  # kept points before each index
-        return PlanarPointSet(self.xs[keep], kept[self.offsets], self.x_max)
-
     @staticmethod
     def from_rows(rows, x_max: float) -> "PlanarPointSet":
         """The point set whose row i holds the sorted positions ``rows[i - 1]``."""
@@ -181,6 +175,16 @@ class BoundarySample:
     @property
     def total_sinks(self) -> int:
         return int(self.sinks.sum())
+
+
+def _check_boundary(boundary: BoundarySample, x_max: float, variant: str) -> None:
+    """Reject what neither boundary engine takes: a source outside [0, x_max]
+    (NaN included) and, in the strict variant, a sink multiplicity above 1."""
+    sources = boundary.sources
+    if not np.all((sources >= 0) & (sources <= x_max)):
+        raise ValueError("source positions must lie in [0, x_max]")
+    if variant == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
+        raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
 
 
 def _uniform_positions(rng: RngStream, count: int, x: float) -> np.ndarray:
@@ -224,12 +228,15 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
 def _check_geometry(x: float, t: int, lam: float | None = None, t_min: int = 1,
                     source_rate: float | None = None) -> None:
     """Reject x (and lam, if given) unless positive and finite, a Poisson mean
-    x*lam or x*source_rate past numpy's ceiling, and t below ``t_min``."""
+    x*lam or x*source_rate past numpy's ceiling, and t unless an integer of at
+    least ``t_min``."""
     _check_positive(**({"x": x} if lam is None else {"x": x, "lam": lam}))
     for name, rate in (("lam", lam), ("source_rate", source_rate)):
         if rate is not None and x * rate >= _POISSON_MAX:
             raise ValueError(f"x*{name} must be below {_POISSON_MAX!r}, the largest "
                              f"Poisson mean numpy draws, got x={x}, {name}={rate}")
+    if not isinstance(t, numbers.Integral):
+        raise ValueError(f"t must be an integer, got t={t}")
     if t < t_min:
         raise ValueError(f"t must be >= {t_min}")
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import _check_variant
-from .sampling import BoundarySample, MultisetWord, PlanarPointSet
+from .sampling import (BoundarySample, MultisetWord, PlanarPointSet, _chain_order,
+                       _check_boundary)
 
 _BRUTE_FORCE_CAP = 2000
 
@@ -82,13 +83,9 @@ def longest_chain_with_boundary(points: PlanarPointSet, boundary: BoundarySample
                                 order: str) -> int:
     """Longest chain through interior points, sources, and sink units."""
     _check_variant(order)
-    if order == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
-        raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
-    xs, rows = _boundary_nodes(points, boundary)
-    # Weak sink units at an equal row must still chain, and the x tie-break
-    # (row descending) would forbid it; mapped sink x values are distinct,
-    # so plain lexsort is safe here.
-    seq = rows[np.lexsort((-rows, xs))].tolist()
+    _check_boundary(boundary, points.x_max, order)
+    # mapped sink units have distinct x, so the tie-break never splits them
+    seq = _chain_order(*_boundary_nodes(points, boundary)).tolist()
     return _patience_length(seq, strict=(order == "strict"))
 
 

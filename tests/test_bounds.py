@@ -10,7 +10,7 @@ from ulam.bounds import (BoundaryRates, binomial_lower_bound, binomial_upper_bou
                          log_poisson_upper, mean_bound, optimal_rates_strict,
                          optimal_rates_weak, poisson_tail_bound, predicted_mean,
                          regime_diagnostics, TAIL_KINDS, verify_tail_inequality)
-from ulam.montecarlo import deviation_profile
+from ulam.montecarlo import deviation_profile, estimate_mean_subsequence
 from ulam.sampling import (MultisetWord, make_rng, sample_boundary, sample_poisson_cloud,
                            sample_uniform_multiset_permutation)
 
@@ -273,6 +273,37 @@ class TestPositiveChecks:
         with pytest.raises(ValueError, match=r"^n and k must be positive integers, got ") as info:
             call(**{**valid, name: 0.5})
         assert _named_values(str(info.value))[name] == "0.5"
+
+    @pytest.mark.parametrize("entry, name", [
+        (entry, name) for entry in ("predicted_mean", "regime_diagnostics", "MultisetWord",
+                                    "sample_uniform_multiset_permutation")
+        for name in ("n", "k")])
+    def test_a_whole_float_count_is_named(self, entry, name):
+        # 2.0 is whole, but numpy takes no float for a count
+        call, valid = _CHECKED[entry]
+        with pytest.raises(ValueError, match=r"^n and k must be positive integers, got ") as info:
+            call(**{**valid, name: float(valid[name])})
+        assert _named_values(str(info.value))[name] == str(float(valid[name]))
+
+    @pytest.mark.parametrize("t", [math.nan, 2.5, 1.0])
+    @pytest.mark.parametrize("call", [
+        lambda t: sample_poisson_cloud(1.0, t, 1.0, make_rng(0)),
+        lambda t: sample_boundary(1.0, t, BoundaryRates.strict_from_alpha(1.0, 1.0),
+                                  make_rng(0))], ids=["cloud", "boundary"])
+    def test_a_t_not_an_integer_is_named(self, call, t):
+        with pytest.raises(ValueError, match=r"^t must be an integer, got ") as info:
+            call(t)
+        assert _named_values(str(info.value)) == {"t": str(t)}
+
+    def test_numpy_integers_are_counts(self):
+        n, k, t = np.int64(3), np.int32(2), np.int64(4)
+        assert predicted_mean(n, k, "weak") == predicted_mean(3, 2, "weak")
+        assert (sample_uniform_multiset_permutation(n, k, make_rng(0)).letters.tolist()
+                == sample_uniform_multiset_permutation(3, 2, make_rng(0)).letters.tolist())
+        assert (estimate_mean_subsequence(n, k, "strict", 4, 0)
+                == estimate_mean_subsequence(3, 2, "strict", 4, 0))
+        assert (sample_poisson_cloud(1.0, t, 1.0, make_rng(0)).xs.tolist()
+                == sample_poisson_cloud(1.0, 4, 1.0, make_rng(0)).xs.tolist())
 
     def test_augmented_profile_names_x(self):
         # optimal_rates_strict is the first to see x here: NaN must fail its

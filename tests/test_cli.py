@@ -170,6 +170,18 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--alpha", "1", "--beta", "2"], "give at most one of --alpha / --beta"),
+        (["--alpha", "1", "--variant", "weak"], "--alpha applies to the strict variant"),
+        (["--beta", "2"], "--beta applies to the weak variant"),
+    ], ids=["alpha-and-beta", "alpha-weak", "beta-strict"])
+    def test_rate_of_the_other_variant_exits_2(self, tmp_path, capsys, extra, message):
+        d = tmp_path / "d"
+        assert main(["simulate", "--x", "1", "--t", "3", "--lambda", "1", *extra,
+                     "--out-dir", str(d)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not d.exists()
+
     def test_domain_error_leaves_nothing(self, tmp_path, capsys):
         d = tmp_path / "d"
         assert main(["simulate", "--x", "2", "--t", "3", "--lambda", "nan",
@@ -490,6 +502,7 @@ class TestReproducibility:
         ("simulate", "x = 2\nt = 3.5\nlambda = 1\n", "t"),
         ("simulate", "x = 2\nt = 3\nlambda = 1\nvariant = lax\n", "variant"),
         ("simulate", "x = 2\nt = 3\nlambda = 1\ntrace = yes\n", "trace"),
+        ("simulate", "# a comment\n\nx = 2\nt = 3\nlambda = 1\ntrace\n", "trace"),
     ])
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command,
                                                     text, key):
@@ -572,6 +585,7 @@ class TestManifestReplay:
         ('{"command": "estimate"}', "'parameters'"),
         ('{"command": "estimate", "parameters": []}', "'parameters'"),
         ('{"command": 3, "parameters": {}}', "'command'"),
+        ('{"command": "frobnicate", "parameters": {}}', "unknown command 'frobnicate'"),
     ])
     def test_not_a_manifest_exits_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "manifest.json"
@@ -595,6 +609,19 @@ class TestManifestReplay:
         assert main(["--manifest", str(path)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (d / "report.json").exists()
+
+    def test_flag_recorded_as_two_exits_2(self, tmp_path, capsys):
+        d = tmp_path / "s"
+        assert main(["simulate", "--x", "2", "--t", "3", "--lambda", "1",
+                     "--out-dir", str(d)]) == 0
+        man = json.loads((d / "manifest.json").read_text())
+        man["parameters"]["trace"] = 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(man))
+        (d / "counts.csv").unlink()
+        assert main(["--manifest", str(path)]) == 2
+        assert "'trace' must be true, false, 0 or 1, got 2" in capsys.readouterr().err
+        assert not (d / "counts.csv").exists()
 
     def test_simulate_with_derived_rate_replays(self, tmp_path):
         d = tmp_path / "s"
@@ -621,3 +648,13 @@ class TestManifestReplay:
 def test_infinite_point_exits_2(capsys):
     assert main(["lis", "--word", "inf,1"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "usage: ulam"), (["--manifest", "a", "b"], "--manifest takes exactly one"),
+], ids=["no-command", "two-manifests"])
+def test_no_command_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

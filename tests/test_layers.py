@@ -41,3 +41,47 @@ def test_every_export_resolves_once():
     assert len(ulam.__all__) == len(set(ulam.__all__))
     missing = [name for name in ulam.__all__ if not hasattr(ulam, name)]
     assert not missing, f"ulam.__all__ names {missing}, which the package lacks"
+
+
+# The three ways the package computes a chain length: the replica-batched
+# slab, the scalar step rules with the patience pass, and the quadratic DP.
+# Each is the others' oracle, so none may reach a function of another.
+FAMILIES = {
+    "slab": {"_slab_counts", "_chain_keys", "_cloud_order", "_word_counts", "_key_dtype"},
+    "scalar rules and patience pass": {
+        "run_dynamics", "_strict_rule", "_weak_rule", "lis_strict", "lnds_weak",
+        "_patience_length", "_row_sequence", "longest_chain_with_boundary",
+        "_boundary_nodes", "chain_rows", "_chain_order"},
+    "quadratic DP": {"brute_force_longest_chain", "_as_nodes"},
+}
+CHECKED = ["bounds", "sampling", "subsequences", "hammersley", "couplings", "montecarlo"]
+
+
+def function_references() -> dict[str, set[str]]:
+    """Each function and method of the CHECKED modules, by its bare name, to
+    the names and attributes its body mentions."""
+    refs: dict[str, set[str]] = {}
+    for name in CHECKED:
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.FunctionDef):
+                names = refs.setdefault(node.name, set())
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Name):
+                        names.add(inner.id)
+                    elif isinstance(inner, ast.Attribute):
+                        names.add(inner.attr)
+    return refs
+
+
+def test_oracles_share_no_code_with_the_paths_they_check():
+    refs = function_references()
+    for family, members in FAMILIES.items():
+        assert members <= refs.keys(), f"{family}: {sorted(members - refs.keys())} not found"
+        others = set().union(*(m for f, m in FAMILIES.items() if f != family))
+        seen, todo = set(), list(members)
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(refs[name] & refs.keys())
+        assert not seen & others, f"the {family} reaches {sorted(seen & others)}"

@@ -170,6 +170,12 @@ class TestChunkPlan:
             (lambda: stationarity_test(math.nan, 1.0, 2.0, "weak", 0, 10**6, 0),
              "x and lam must be positive"),
             (lambda: stationarity_test(1.0, 1.0, 2.0, "weak", -1, 10**6, 0), "t must be >= 0"),
+            (lambda: estimate_poissonized(1.0, 2.5, 1.0, "weak", 10**6, 0),
+             "^t must be an integer, got t=2.5$"),
+            (lambda: stationarity_test(1.0, 1.0, 1.0, "strict", 2.5, 10**6, 0),
+             "^t must be an integer, got t=2.5$"),
+            (lambda: estimate_mean_subsequence(3, 2.0, "strict", 10**6, 0),
+             "^n and k must be positive integers, got n=3, k=2.0$"),
         ]
         with mock.patch.object(montecarlo, "_chunks") as chunks:
             for call, message in calls:
@@ -362,6 +368,11 @@ class TestStationarity:
         assert abs(rep.z_mean) < 4.0
         assert rep.p_value > P_FOUR_SIGMA
 
+    def test_no_bin_reaches_five_expected(self):
+        # 3 replicas of mean 0.005: the bins merge into one, tested on 1 dof
+        rep = stationarity_test(0.01, 1.0, 0.5, "strict", 1, 3, 0)
+        assert (rep.chi2_dof, rep.chi2_stat, rep.p_value) == (1, 0.0, 1.0)
+
 
 # Run in a fresh interpreter: conftest imports scipy.stats into this one.
 COLD_START = """
@@ -438,6 +449,8 @@ class TestDeviationProfile:
             deviation_profile(10.0, 20, 1.0, "strict", [1.5], reps=10, seed=0)
         with pytest.raises(ValueError):
             deviation_profile(10.0, 5, 1.0, "strict", [0.5], reps=10, seed=0)
+        with pytest.raises(ValueError, match="augmented statistic needs t > x\\*lam"):
+            deviation_profile(10.0, 10, 1.0, "strict", [0.5], reps=10, seed=0, augmented=True)
 
 
 def boundary_rates(variant: str, rate: float) -> BoundaryRates:
@@ -484,11 +497,11 @@ class TestBoundaryEstimators:
 
     @staticmethod
     def reports(parallelism: int = 1):
+        profiles = [deviation_profile(5.0, 12, 1.0, order, EPS, 23, 8, parallelism,
+                                      augmented=True) for order in ("strict", "weak")]
         return ([stationarity_test(5.0, 1.0, rate, variant, 12, 23, 8, parallelism).counts
                  for variant, rate in (("strict", 1.0), ("weak", 2.0))],
-                [deviation_profile(5.0, 12, 1.0, order, EPS, 23, 8, parallelism,
-                                   augmented=True).rows()
-                 for order in ("strict", "weak")])
+                [(p.upper_freq, p.lower_freq, p.bound_upper) for p in profiles])
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=1, max_value=32_000))

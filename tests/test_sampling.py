@@ -368,9 +368,8 @@ class TestFlatPointSet:
     """The flat storage against per-row definitions written here."""
 
     @settings(max_examples=200, deadline=None)
-    @given(grid_rows, st.integers(min_value=0, max_value=8),
-           st.integers(min_value=0, max_value=8))
-    def test_matches_per_row_definitions(self, rows, lo, hi):
+    @given(grid_rows)
+    def test_matches_per_row_definitions(self, rows):
         ps = PlanarPointSet.from_rows(rows, 2.0)
         assert (ps.t_max, ps.size) == (len(rows), sum(map(len, rows)))
         assert [ps.row(i).tolist() for i in range(1, ps.t_max + 1)] == rows
@@ -382,9 +381,6 @@ class TestFlatPointSet:
         # the chain order: x ascending, equal x by row descending
         assert ps.chain_rows().tolist() == [
             r for _, r in sorted(points, key=lambda p: (p[0], -p[1]))]
-        sub = ps.restrict(lo / 4, hi / 4)
-        assert [sub.row(i).tolist() for i in range(1, sub.t_max + 1)] == [
-            [x for x in row if lo / 4 < x <= hi / 4] for row in rows]
 
     @settings(max_examples=100, deadline=None)
     @given(st.booleans(), st.integers(min_value=0, max_value=3),

@@ -221,7 +221,9 @@ class TestProperties:
         rng = make_rng(seed, 78)
         cloud = sample_poisson_cloud(6.0, 5, 1.0, rng)
         cut = 6.0 * rng.random()
-        left, right = cloud.restrict(0, cut), cloud.restrict(cut)
+        rows = [cloud.row(i) for i in range(1, cloud.t_max + 1)]
+        left = PlanarPointSet.from_rows([r[r <= cut] for r in rows], 6.0)
+        right = PlanarPointSet.from_rows([r[r > cut] for r in rows], 6.0)
         for fn in (lis_strict, lnds_weak):
             assert fn(cloud) <= fn(left) + fn(right)
             assert fn(cloud) >= max(fn(left), fn(right))
