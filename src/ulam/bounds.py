@@ -218,6 +218,28 @@ def log_poisson_lower(lam: float, threshold: float) -> float:
     return _log_range_sum([_log_poisson_pmf(lam, j) for j in range(m + 1)])
 
 
+def log_chi2_upper(stat: float, dof: int) -> float:
+    """log P(chi-square(dof) >= stat), the regularized upper incomplete gamma
+    Q(dof/2, stat/2), summed exactly in log space.
+
+    With h = stat/2: for even dof, Q(m, h) = P(Poisson(h) <= m - 1); for odd
+    dof, Q(m + 1/2, h) = erfc(sqrt h) + sum_{j<m} h^(j+1/2) e^-h / Gamma(j+3/2).
+    Where erfc(sqrt h) underflows (stat above about 1480) its term is dropped.
+    """
+    _check_positive(dof=dof, integer=True)
+    if not 0.0 <= stat < math.inf:
+        raise ValueError(f"stat must be nonnegative and finite, got stat={stat}")
+    if stat == 0.0:
+        return 0.0
+    h = 0.5 * stat
+    m, odd = divmod(dof, 2)
+    if not odd:
+        return log_poisson_lower(h, m - 1)
+    log_h, tail = math.log(h), math.erfc(math.sqrt(h))
+    return _log_range_sum([math.log(tail) if tail else -math.inf]
+                          + [(j + 0.5) * log_h - h - math.lgamma(j + 1.5) for j in range(m)])
+
+
 def _log_binom_pmfs(n: int, p: float, js: Iterable[int]) -> list[float]:
     """log P(Binomial(n, p) = j) for each j; the logs free of j are taken once."""
     log_top, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)

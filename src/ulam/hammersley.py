@@ -359,7 +359,7 @@ def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
     radix, in its smallest letter dtype) lists the positions of each letter,
     its row, straight into the word's key columns, so that words advance
     together as clouds and each is dropped once laid out."""
-    size = int(n) * int(k)  # a numpy integer has no bit_length
+    size = n * k
     shift = size.bit_length()
     keys = np.empty((n, reps, k), dtype=_key_dtype(reps, shift))
     small = np.min_scalar_type(n)

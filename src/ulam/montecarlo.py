@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BoundaryRates, _check_variant, augmented_tail_rate, mean_bound,
-                     optimal_rates_strict, optimal_rates_weak, predicted_mean)
+from .bounds import (BoundaryRates, _check_variant, _log_poisson_pmf, augmented_tail_rate,
+                     log_chi2_upper, mean_bound, optimal_rates_strict, optimal_rates_weak,
+                     predicted_mean)
 from .hammersley import _chain_keys, _slab_counts, _word_counts
 from .sampling import (PlanarPointSet, _check_geometry, _shuffled_letters, make_rng,
                        sample_boundary, sample_poisson_cloud)
@@ -81,7 +82,7 @@ class EstimateReport:
         rel = None
         if predicted is not None and predicted != 0:
             rel = abs(mean - predicted) / abs(predicted)
-        return EstimateReport(mean, stderr, reps, seed, dict(params), predicted, rel)
+        return EstimateReport(mean, stderr, reps, int(seed), dict(params), predicted, rel)
 
     def to_json(self, command: str | None = None) -> str:
         """The report as JSON; a non-finite float (a NaN mean, say) is null."""
@@ -179,6 +180,7 @@ def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
     ``rel_error`` are None."""
     predicted = predicted_mean(n, k, order)  # checks the order and the counts n, k
     _check_reps(reps)
+    n, k = int(n), int(k)  # a numpy integer count has no bit_length and no JSON form
     argses = [(seed, chunk, n, k, order) for chunk in _chunks(reps, n * k, k)]
     vals = np.concatenate(_parallel_map(_word_chunk, argses, parallelism)).astype(float)
     return EstimateReport.from_values(vals, seed, {"n": n, "k": k, "order": order},
@@ -193,8 +195,9 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
     _check_reps(reps)
     if order == "strict" and t < x * lam:
         raise ValueError("strict comparison requires t >= x*lam")
-    vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)[0]
-    return EstimateReport.from_values(vals, seed, {"x": x, "t": t, "lam": lam, "order": order},
+    vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)[0]  # checks t
+    return EstimateReport.from_values(vals, seed, {"x": x, "t": int(t), "lam": lam,
+                                                   "order": order},
                                       predicted=mean_bound(x, t, lam, order))
 
 
@@ -239,11 +242,14 @@ class StationarityReport:
 
 
 def _poisson_chi_square(sample: np.ndarray, mu: float) -> tuple[float, int, float]:
-    """Chi-square GOF against Poisson(mu), merging bins to expected >= 5."""
-    from scipy import stats as _st  # the only user of scipy: keep it off `import ulam`
+    """Chi-square GOF against Poisson(mu), merging bins to expected >= 5.
+
+    The pmf is exp of the log-space terms of `bounds._log_poisson_pmf`, and the
+    p-value exp of `bounds.log_chi2_upper`, the exact finite sum for the
+    upper incomplete gamma at a whole or half-integer shape."""
     reps = sample.size
     hi = int(max(sample.max(), mu + 8 * math.sqrt(mu))) + 1
-    pmf = _st.poisson.pmf(np.arange(hi + 1), mu)
+    pmf = np.exp([_log_poisson_pmf(mu, j) for j in range(hi + 1)])
     pmf = np.append(pmf, max(0.0, 1.0 - pmf.sum()))
     obs = np.bincount(sample, minlength=pmf.size).astype(float)[: pmf.size]
     exp = reps * pmf
@@ -266,7 +272,7 @@ def _poisson_chi_square(sample: np.ndarray, mu: float) -> tuple[float, int, floa
     m_exp = np.asarray(m_exp)
     stat = float(((m_obs - m_exp) ** 2 / m_exp).sum())
     dof = max(1, m_obs.size - 1)
-    return stat, dof, float(_st.chi2.sf(stat, dof))
+    return stat, dof, math.exp(log_chi2_upper(stat, dof))
 
 
 def stationarity_test(x: float, lam: float, source_rate: float, variant: str,

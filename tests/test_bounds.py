@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ulam.bounds import (BoundaryRates, binomial_lower_bound, binomial_upper_bound,
-                         geomsum_tail_bound, log_binomial_lower, log_binomial_upper,
-                         log_geomsum_lower, log_geomsum_upper, log_poisson_lower,
-                         log_poisson_upper, mean_bound, optimal_rates_strict,
+from ulam.bounds import (BoundaryRates, _log_poisson_pmf, binomial_lower_bound,
+                         binomial_upper_bound, geomsum_tail_bound, log_binomial_lower,
+                         log_binomial_upper, log_chi2_upper, log_geomsum_lower,
+                         log_geomsum_upper, log_poisson_lower, log_poisson_upper,
+                         mean_bound, optimal_rates_strict,
                          optimal_rates_weak, poisson_tail_bound, predicted_mean,
                          regime_diagnostics, TAIL_KINDS, verify_tail_inequality)
 from ulam.montecarlo import deviation_profile, estimate_mean_subsequence
@@ -173,6 +174,63 @@ class TestExactTails:
         # far beyond double range in linear space, still finite in log space
         val = log_poisson_upper(128.0, 128.0 + 4 * 128.0)
         assert -700 < val < -400
+
+
+def assert_chi2_matches_scipy(stat: float, dof: int) -> None:
+    """p to 1e-12 relative where scipy's p exceeds 1e-300, log p to 1e-9
+    absolute below that."""
+    got, ref = log_chi2_upper(stat, dof), float(stats.chi2.logsf(stat, dof))
+    assert ref > -math.inf, "outside scipy's range"
+    if ref > math.log(1e-300):
+        assert math.exp(got) == pytest.approx(math.exp(ref), rel=1e-12), (stat, dof)
+    else:
+        assert got == pytest.approx(ref, abs=1e-9), (stat, dof)
+
+
+class TestChiSquareTail:
+    """`log_chi2_upper` and the Poisson pmf of the stationarity test against
+    scipy, the independent oracle."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_dof_up_to_300(self, parity):
+        for dof in range(1 + (not parity), 301, 2):
+            for stat in (0.0, 1e-6, 0.3, 0.5 * dof, dof - 1.0, dof, 1.5 * dof, 3.0 * dof,
+                         dof + 40.0, dof + 400.0, 1000.0, 1400.0):
+                assert_chi2_matches_scipy(stat, dof)
+
+    def test_large_dof_does_not_underflow(self):
+        # e^-(stat/2) alone is e^-1000, below the smallest double
+        for dof in (1999, 2000, 2001):
+            for stat in (1800.0, 2000.0, 2200.0):
+                assert math.exp(-stat / 2) == 0.0
+                assert_chi2_matches_scipy(stat, dof)
+
+    def test_odd_dof_where_erfc_vanishes(self):
+        for dof in (1, 3, 301, 2001):
+            for stat in (1500.0, 2000.0, 1e5):
+                assert math.erfc(math.sqrt(stat / 2)) == 0.0
+                got = log_chi2_upper(stat, dof)
+                assert got == -math.inf or -math.inf < got < 0.0
+        assert log_chi2_upper(1e5, 1) == -math.inf
+        assert_chi2_matches_scipy(2000.0, 2001)
+        assert_chi2_matches_scipy(1500.0, 301)
+
+    def test_zero_stat_is_certain(self):
+        assert [log_chi2_upper(0.0, dof) for dof in (1, 2, 7)] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("stat, dof", [(-1.0, 2), (math.nan, 2), (math.inf, 2),
+                                           (1.0, 0), (1.0, 2.0)])
+    def test_rejects_bad_input(self, stat, dof):
+        with pytest.raises(ValueError):
+            log_chi2_upper(stat, dof)
+
+    @pytest.mark.parametrize("mu", [0.005, 7.0, 50.0, 100.0, 1000.0])
+    def test_poisson_pmf(self, mu):
+        # at mu = 1000 the log terms reach 1e4, whose last bit is 1.8e-12
+        js = np.arange(int(mu + 8 * math.sqrt(mu)) + 2)
+        got = np.exp([_log_poisson_pmf(mu, int(j)) for j in js])
+        ref = stats.poisson.pmf(js, mu)
+        assert got == pytest.approx(ref, rel=1e-12 if mu <= 100 else 2e-12, abs=0.0)
 
 
 class TestCertificates:

@@ -1,6 +1,7 @@
 """The package's modules form layers: each imports only the modules before
 it in LAYERS (the package's ``__init__`` re-exports them all and is exempt),
-and ``ulam.__all__`` names each export once, none of them stale."""
+``ulam.__all__`` names each export once, none of them stale, and no module
+imports scipy."""
 import ast
 from pathlib import Path
 
@@ -11,19 +12,23 @@ LAYERS = ["bounds", "sampling", "subsequences", "hammersley", "couplings",
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ulam"
 
 
-def package_imports(path: Path) -> set[str]:
-    """The package modules that ``path`` imports, by relative or absolute name."""
+def imported_names(path: Path) -> set[str]:
+    """Every module ``path`` imports, at any depth of its body, and each name
+    it imports from one, with relative names made absolute."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
             base = ".".join(filter(None, ["ulam" if node.level else "", node.module]))
-            names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            found.update([base, *(f"{base}.{alias.name}" for alias in node.names)])
         elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        found.update(name.split(".")[1] for name in names if name.startswith("ulam."))
-    return found & set(LAYERS)
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports, by relative or absolute name."""
+    return {name.split(".")[1] for name in imported_names(path)
+            if name.startswith("ulam.")} & set(LAYERS)
 
 
 def test_every_module_has_a_layer():
@@ -35,6 +40,13 @@ def test_modules_import_only_earlier_layers():
     for rank, name in enumerate(LAYERS):
         later = package_imports(PACKAGE / f"{name}.py") - set(LAYERS[:rank])
         assert not later, f"{name} imports {sorted(later)}, which come later"
+
+
+def test_no_module_imports_scipy():
+    # the library needs numpy alone; scipy.stats costs about 60 MB and 1 s
+    for path in sorted(PACKAGE.glob("*.py")):
+        scipy = sorted(n for n in imported_names(path) if n.split(".")[0] == "scipy")
+        assert not scipy, f"{path.name} imports {scipy}"
 
 
 def test_every_export_resolves_once():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import P_FOUR_SIGMA, assert_within_sigma
 from ulam import montecarlo
@@ -260,6 +261,16 @@ class TestReportJson:
         assert data["predicted"] is None and data["params"] == {"x": None, "n": 2}
         assert data["reps"] == 2 and data["command"] == "estimate"
 
+    def test_numpy_integer_counts_serialize(self):
+        # the counts and the seed are held as int where they enter
+        n, k, t, seed = np.int64(3), np.int32(2), np.int64(4), np.int64(5)
+        pairs = [(estimate_mean_subsequence(n, k, "strict", 4, seed),
+                  estimate_mean_subsequence(3, 2, "strict", 4, 5)),
+                 (estimate_poissonized(1.0, t, 1.0, "weak", 4, seed),
+                  estimate_poissonized(1.0, 4, 1.0, "weak", 4, 5))]
+        for numpy_rep, int_rep in pairs:
+            assert numpy_rep.to_json("estimate") == int_rep.to_json("estimate")
+
 
 class TestEstimatePoissonized:
     @pytest.mark.statistical
@@ -379,23 +390,21 @@ COLD_START = """
 import json, sys
 import ulam, ulam.cli
 from ulam.montecarlo import stationarity_test
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 rep = stationarity_test(10.0, 1.0, 1.0, "strict", 20, 50, 3)
-print(json.dumps({"loaded": loaded, "stats": "scipy.stats" in sys.modules,
-                  "p_value": rep.p_value.hex(), "chi2_stat": rep.chi2_stat.hex(),
-                  "counts": rep.counts.tolist()}))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"loaded": loaded, "p_value": rep.p_value.hex(),
+                  "chi2_stat": rep.chi2_stat.hex(), "counts": rep.counts.tolist()}))
 """
 
 
 class TestColdStart:
-    def test_scipy_loads_only_for_the_stationarity_test(self):
+    def test_no_scipy_even_after_the_stationarity_test(self):
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True,
                               text=True, check=True, env={**os.environ, "PYTHONPATH": path})
         child = json.loads(proc.stdout)
         assert child["loaded"] == []
-        assert child["stats"]
         rep = stationarity_test(10.0, 1.0, 1.0, "strict", 20, 50, 3)
         assert child["p_value"] == rep.p_value.hex()
         assert child["chi2_stat"] == rep.chi2_stat.hex()
@@ -536,9 +545,10 @@ class TestBoundaryEstimators:
 
     def test_time_zero_counts_the_sources(self):
         # the boundary is drawn with one row and its sources are counted;
-        # the numbers are those of the per-replica path this one replaced
-        pinned = {"strict": (6.64, 7.156666666666667, 1.5311374910907958, 0.4650693496208145),
-                  "weak": (14.44, 19.506666666666668, 0.8981020990326283, 0.8258857919747612)}
+        # the mean and variance are those of the per-replica path this one
+        # replaced, the chi-square those of the log-space pmf and tail
+        pinned = {"strict": (6.64, 7.156666666666667, 1.5311374910907984, 0.4650693496208138),
+                  "weak": (14.44, 19.506666666666668, 0.8981020990326326, 0.8258857919747602)}
         for variant, rate in (("strict", 1.0), ("weak", 2.0)):
             rep = stationarity_test(7.0, 1.0, rate, variant, 0, 25, seed=9)
             expected = [sample_boundary(7.0, 1, boundary_rates(variant, rate),
@@ -546,6 +556,14 @@ class TestBoundaryEstimators:
                         for r in range(25)]
             assert rep.counts.tolist() == expected
             assert (rep.mean, rep.variance, rep.chi2_stat, rep.p_value) == pinned[variant]
+            # the same bins with scipy's pmf and chi-square tail
+            with mock.patch.object(montecarlo, "_log_poisson_pmf",
+                                   lambda mu, j: stats.poisson.logpmf(j, mu)), \
+                    mock.patch.object(montecarlo, "log_chi2_upper", stats.chi2.logsf):
+                stat, dof, p = montecarlo._poisson_chi_square(rep.counts, rep.target_mean)
+            assert dof == rep.chi2_dof
+            assert rep.chi2_stat == pytest.approx(stat, rel=1e-12)
+            assert rep.p_value == pytest.approx(p, rel=1e-12)
 
 
 class TestDepoissonization:
