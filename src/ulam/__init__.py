@@ -13,9 +13,8 @@ from .hammersley import (DynamicsRecord, ParticleState, run_dynamics, run_proces
                          verify_line_identity)
 from .montecarlo import (DepoissonizationReport, DeviationProfile, EstimateReport,
                          StationarityReport, depoissonization_report,
-                         deviation_profile, estimate_expected_lis,
-                         estimate_mean_subsequence, estimate_poissonized,
-                         stationarity_test)
+                         deviation_profile, estimate_mean_subsequence,
+                         estimate_poissonized, stationarity_test)
 from .sampling import (BoundarySample, MultisetWord, PlanarPointSet, RngStream,
                        make_rng, sample_boundary, sample_poisson_cloud,
                        sample_uniform_multiset_permutation,
@@ -28,7 +27,7 @@ __all__ = [
     "DeviationProfile", "DynamicsRecord", "EstimateReport", "MultisetWord",
     "ParticleState", "PlanarPointSet", "RngStream", "StationarityReport",
     "brute_force_longest_chain", "depoissonization_report", "deviation_profile",
-    "estimate_expected_lis", "estimate_mean_subsequence", "estimate_poissonized",
+    "estimate_mean_subsequence", "estimate_poissonized",
     "exact_expected_lis", "group_heights", "lis_strict", "lnds_weak",
     "longest_chain_with_boundary", "make_rng", "mean_bound", "optimal_rates_strict",
     "optimal_rates_weak", "poissonized_coupling_lower", "poissonized_coupling_upper",

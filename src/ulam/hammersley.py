@@ -310,8 +310,8 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
     """Keys of a batch of clouds laid out row by row, the bounds of their
     sources and rows, each cloud's size, the shift, the most points in one
     row of a cloud, and the sinks (rows x clouds).  Each of ``boundaries``,
-    if given, is taken after its cloud, whose height it must share; its
-    sources are ranked as row 0, its sinks past the cloud's rows ignored.
+    if given, is taken after its cloud and has a sink for each of its rows;
+    its sources are ranked as row 0.
     A cloud is ranked as (sources, xs) by ``_cloud_order`` and dropped, its
     ranks kept in their smallest unsigned dtype; once every size is known,
     each cloud's row blocks move to their rows in one scatter of its own,
@@ -322,7 +322,7 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
         b = next(boundaries, None)
         sources = np.empty(0) if b is None else b.sources
         if b is not None:
-            sinks.append(b.sinks[:cloud.t_max])
+            sinks.append(b.sinks)
         flat = np.concatenate((sources, cloud.xs))
         if flat.size >= 1 << 31:
             raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")

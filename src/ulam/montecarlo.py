@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,9 +21,8 @@ from .bounds import (BoundaryRates, _check_variant, _log_poisson_pmf, augmented_
                      log_chi2_upper, mean_bound, optimal_rates_strict, optimal_rates_weak,
                      predicted_mean)
 from .hammersley import _chain_keys, _slab_counts, _word_counts
-from .sampling import (PlanarPointSet, _check_geometry, _shuffled_letters, make_rng,
-                       sample_boundary, sample_poisson_cloud)
-from .subsequences import exact_expected_lis, lis_strict
+from .sampling import (_check_geometry, _shuffled_letters, make_rng, sample_boundary,
+                       sample_poisson_cloud)
 
 # Disjoint stream-id blocks per operation; replica r of op with tag g uses
 # stream_id (g << 32) | r.
@@ -30,7 +30,6 @@ _TAG_WORD = 1
 _TAG_POISSON = 2
 _TAG_STATIONARY = 3
 _TAG_DEVIATION = 4
-_TAG_EXPECTED = 5
 _MAX_REPS = 1 << 32
 
 # Replicas run in balanced chunks of at most _CHUNK_REPS replicas and at
@@ -53,6 +52,8 @@ def _stream(tag: int, rep: int) -> int:
 
 
 def _check_reps(reps: int) -> None:
+    if not isinstance(reps, numbers.Integral):
+        raise ValueError(f"reps must be an integer, got reps={reps}")
     if reps < 2:
         raise ValueError("reps must be >= 2")
     if reps > _MAX_REPS:
@@ -78,10 +79,8 @@ class EstimateReport:
         values = np.asarray(values, dtype=float)
         reps = values.size
         mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        rel = None
-        if predicted is not None and predicted != 0:
-            rel = abs(mean - predicted) / abs(predicted)
+        stderr = float(values.std(ddof=1) / math.sqrt(reps))
+        rel = None if predicted is None else abs(mean - predicted) / predicted
         return EstimateReport(mean, stderr, reps, int(seed), dict(params), predicted, rel)
 
     def to_json(self, command: str | None = None) -> str:
@@ -145,11 +144,9 @@ def _poisson_chunk(args) -> np.ndarray:
     ``rates`` are given."""
     seed, reps, x, t, lam, order, tag, rates = args
     rngs = [make_rng(seed, _stream(tag, r)) for r in reps]
-    # at t = 0 the boundary process is its sources: no cloud is drawn
-    clouds = (sample_poisson_cloud(x, t, lam, rng) if t or rates is None
-              else PlanarPointSet.from_rows((), x) for rng in rngs)
+    clouds = (sample_poisson_cloud(x, t, lam, rng) for rng in rngs)
     # each boundary is drawn after its cloud, as in run_process
-    boundaries = (sample_boundary(x, max(t, 1), rates, rng) for rng in rngs) if rates else ()
+    boundaries = (sample_boundary(x, t, rates, rng) for rng in rngs) if rates else ()
     *layout, sinks = _chain_keys(clouds, boundaries)
     counts = _slab_counts(*layout, sinks, order)
     return np.stack((counts, np.zeros_like(counts) if sinks is None else sinks.sum(0)))
@@ -161,8 +158,8 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
     """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
     in replica order, drawn from stream block ``tag``.  The geometry is
     checked once, here, before any chunk is planned."""
-    source_rate = rates.source_rate if rates else 0.0  # a boundary process runs at t = 0
-    _check_geometry(x, t, lam, 0 if rates else 1, source_rate)
+    source_rate = rates.source_rate if rates else 0.0
+    _check_geometry(x, t, lam, source_rate)
     sources = x * source_rate
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
               for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources), t + 1)]
@@ -199,24 +196,6 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
     return EstimateReport.from_values(vals, seed, {"x": x, "t": int(t), "lam": lam,
                                                    "order": order},
                                       predicted=mean_bound(x, t, lam, order))
-
-
-def estimate_expected_lis(row_counts, reps: int, seed: int) -> EstimateReport:
-    """Monte Carlo estimate of the expected strict chain length for fixed
-    per-row point counts; cross-checkable against the exact enumeration on
-    tiny inputs.  Every replica shuffles from the one stream
-    ``(seed, _TAG_EXPECTED << 32)``, in replica order."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    counts = [int(c) for c in row_counts]
-    rng = make_rng(seed, _stream(_TAG_EXPECTED, 0))
-    letters = np.repeat(np.arange(1, len(counts) + 1, dtype=np.int64), counts)
-    vals = np.empty(reps)
-    for r in range(reps):
-        rng.shuffle(letters)
-        vals[r] = lis_strict(letters)
-    predicted = float(exact_expected_lis(counts)) if sum(counts) <= 9 else None
-    return EstimateReport.from_values(vals, seed, {"row_counts": counts}, predicted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +257,9 @@ def _poisson_chi_square(sample: np.ndarray, mu: float) -> tuple[float, int, floa
 def stationarity_test(x: float, lam: float, source_rate: float, variant: str,
                       t: int, reps: int, seed: int,
                       parallelism: int = 1) -> StationarityReport:
-    """Run the boundary process to time t over replicas and compare the
-    final particle count with its exact stationary law Poisson(x * rate)."""
+    """Run the boundary process to a time t >= 1 over replicas, each drawn as
+    `run_process` draws it, and compare the final particle count with its
+    exact stationary law Poisson(x * rate)."""
     _check_variant(variant)
     _check_reps(reps)
     rates = (BoundaryRates.strict_from_alpha if variant == "strict"

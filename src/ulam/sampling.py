@@ -31,9 +31,12 @@ def make_rng(seed: int, stream_id: int = 0) -> RngStream:
     The Philox key is the first 128 bits of SHA-256 over the two values
     packed as little-endian u64, so distinct stream ids derived from one
     master seed share no state, and the mapping is a documented pure
-    function of its inputs.  Both values must lie in [0, 2**64): a larger
-    one would otherwise alias the stream of its low 64 bits.
+    function of its inputs.  Both values must be integers in [0, 2**64): a
+    larger one would otherwise alias the stream of its low 64 bits.
     """
+    if not (isinstance(seed, numbers.Integral) and isinstance(stream_id, numbers.Integral)):
+        raise ValueError(f"seed and stream_id must be integers, got seed={seed}, "
+                         f"stream_id={stream_id}")
     if seed < 0 or stream_id < 0:
         raise ValueError("seed and stream_id must be nonnegative")
     if seed >= _SEED_LIMIT or stream_id >= _SEED_LIMIT:
@@ -225,11 +228,11 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
     return MultisetWord(n=n, k=k, letters=_shuffled_letters(n, k, rng))
 
 
-def _check_geometry(x: float, t: int, lam: float | None = None, t_min: int = 1,
+def _check_geometry(x: float, t: int, lam: float | None = None,
                     source_rate: float | None = None) -> None:
     """Reject x (and lam, if given) unless positive and finite, a Poisson mean
-    x*lam or x*source_rate past numpy's ceiling, and t unless an integer of at
-    least ``t_min``."""
+    x*lam or x*source_rate past numpy's ceiling, and t unless a positive
+    integer."""
     _check_positive(**({"x": x} if lam is None else {"x": x, "lam": lam}))
     for name, rate in (("lam", lam), ("source_rate", source_rate)):
         if rate is not None and x * rate >= _POISSON_MAX:
@@ -237,8 +240,8 @@ def _check_geometry(x: float, t: int, lam: float | None = None, t_min: int = 1,
                              f"Poisson mean numpy draws, got x={x}, {name}={rate}")
     if not isinstance(t, numbers.Integral):
         raise ValueError(f"t must be an integer, got t={t}")
-    if t < t_min:
-        raise ValueError(f"t must be >= {t_min}")
+    if t < 1:
+        raise ValueError("t must be >= 1")
 
 
 def sample_poisson_cloud(x: float, t: int, lam: float, rng: RngStream) -> PlanarPointSet:

@@ -12,6 +12,7 @@ independent oracle.
 """
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -29,13 +30,18 @@ def _row_sequence(obj) -> np.ndarray:
     """Row values in chain-sort order (x ascending, ties by row descending).
 
     For a word, positions are the distinct integers 1..kn, so the letters in
-    word order are already the row sequence.
+    word order are already the row sequence.  Any other sequence must be an
+    integer array: a cast would truncate a fraction.
     """
     if isinstance(obj, MultisetWord):
         return np.asarray(obj.letters, dtype=np.int64)
     if isinstance(obj, PlanarPointSet):
         return obj.chain_rows()
-    return np.asarray(obj, dtype=np.int64)
+    rows = np.asarray(obj)
+    if rows.size and rows.dtype.kind not in "iu":  # numpy makes [] float64
+        raise ValueError(f"row values must be integers that fit int64, got an array of "
+                         f"dtype {rows.dtype}")
+    return rows
 
 
 def _patience_length(rows, strict: bool) -> int:
@@ -181,10 +187,11 @@ def exact_expected_lis(row_counts) -> Fraction:
     multiplicities, and each distinct word is equally likely.  Capped at a
     total of 9 points.
     """
-    counts = [int(c) for c in row_counts]
-    if any(c < 0 for c in counts):
-        raise ValueError("row counts must be nonnegative")
-    counts = [c for c in counts if c > 0]  # empty rows carry no points
+    counts = list(row_counts)
+    bad = [c for c in counts if not isinstance(c, numbers.Integral) or c < 0]
+    if bad:
+        raise ValueError(f"row counts must be nonnegative integers, got {bad[0]}")
+    counts = [int(c) for c in counts if c > 0]  # empty rows carry no points
     total = sum(counts)
     if total > _ENUM_CAP:
         raise ValueError(f"enumeration capped at {_ENUM_CAP} points, got {total}")

@@ -3,11 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import assert_cellwise_four_sigma, assert_within_sigma
+from conftest import assert_cellwise_four_sigma
 from ulam.couplings import (_word_from_cloud_rows, group_heights,
                             poissonized_coupling_lower, poissonized_coupling_upper,
                             project_to_multiset)
-from ulam.montecarlo import estimate_expected_lis
 from ulam.sampling import (MultisetWord, PlanarPointSet, make_rng,
                            sample_uniform_permutation)
 from ulam.subsequences import lis_strict, lnds_weak
@@ -23,6 +22,10 @@ class TestProjection:
     def test_length_must_divide(self):
         with pytest.raises(ValueError):
             project_to_multiset(MultisetWord(4, 1, (3, 1, 4, 2)), 3)
+
+    def test_only_permutations_project(self):
+        with pytest.raises(ValueError, match="permutation word"):
+            project_to_multiset(MultisetWord(2, 2, (1, 2, 2, 1)), 2)
 
     def test_sandwich_example(self):
         sigma = MultisetWord(4, 1, (3, 1, 4, 2))
@@ -151,6 +154,8 @@ class TestGroupHeights:
         w = MultisetWord(4, 1, (3, 1, 4, 2))
         with pytest.raises(ValueError):
             group_heights(w, 5)
+        with pytest.raises(ValueError, match="group size must be >= 1"):
+            group_heights(w, 0)
 
     def test_inequality_per_sample(self):
         rng = make_rng(40)
@@ -162,19 +167,3 @@ class TestGroupHeights:
             w = sample_uniform_multiset_permutation(n, k, rng)
             g = group_heights(w, a)
             assert lnds_weak(w) <= lnds_weak(g) + k * a
-
-
-class TestEstimateExpectedLis:
-    @pytest.mark.statistical
-    def test_mc_matches_enumeration(self):
-        rep = estimate_expected_lis((2, 2), 20000, seed=41)
-        assert rep.predicted == pytest.approx(11 / 6)
-        assert_within_sigma(rep.mean, 11 / 6, rep.stderr, label="e(2,2)")
-
-    def test_single_row_is_degenerate(self):
-        rep = estimate_expected_lis((0, 0, 5), 200, seed=42)
-        assert rep.mean == 1.0 and rep.stderr == 0.0
-
-    def test_reps_required(self):
-        with pytest.raises(ValueError):
-            estimate_expected_lis((2, 2), 0, seed=0)

@@ -550,13 +550,6 @@ class TestBoundarySlab:
         self.check(runs, variant)
         assert boundary_counts(runs, variant)[4] == 0
 
-    def test_sinks_past_the_rows_are_ignored(self):
-        # at t = 0 the process is its sources: a cloud of no rows, one sink
-        b = BoundarySample(np.asarray([0.5, 2.0]), np.asarray([1]))
-        for variant in ("strict", "weak"):
-            no_rows = PlanarPointSet.from_rows((), 3.0)
-            assert boundary_counts([(no_rows, b)], variant).tolist() == [2]
-
     @pytest.mark.parametrize("variant, rate", [("strict", 1.0), ("weak", 2.0)])
     def test_sampled_boundary_processes(self, variant, rate):
         rates = (BoundaryRates.strict_from_alpha if variant == "strict"

@@ -49,6 +49,12 @@ def test_no_module_imports_scipy():
         assert not scipy, f"{path.name} imports {scipy}"
 
 
+def test_montecarlo_counts_chains_only_through_the_slab():
+    # its replicas reach a chain length by the slab alone, never by the
+    # patience pass or the exact enumeration of `subsequences`
+    assert "subsequences" not in package_imports(PACKAGE / "montecarlo.py")
+
+
 def test_every_export_resolves_once():
     assert len(ulam.__all__) == len(set(ulam.__all__))
     missing = [name for name in ulam.__all__ if not hasattr(ulam, name)]

@@ -65,6 +65,15 @@ class TestRngStream:
         with pytest.raises(ValueError):
             make_rng(-1, 0)
 
+    def test_seed_and_stream_id_must_be_integers(self):
+        for seed, stream_id in ((1.5, 0), (0, 2.0), ("3", 0)):
+            with pytest.raises(ValueError, match=f"^seed and stream_id must be integers, "
+                                                 f"got seed={seed}, stream_id={stream_id}$"):
+                make_rng(seed, stream_id)
+        # a numpy integer is one, and keys the same stream
+        assert (make_rng(np.int64(7), np.uint64(3)).random(4).tobytes()
+                == make_rng(7, 3).random(4).tobytes())
+
     def test_seed_and_stream_id_below_2_64(self):
         # masked to 64 bits, 2**64 would replay the stream of 0
         make_rng(2**64 - 1, 2**64 - 1)
@@ -247,6 +256,23 @@ class TestBoundarySampling:
         counts = np.bincount(np.minimum(draws, 21), minlength=22).astype(float)
         probs = np.append(probs, 1.0 - probs.sum())
         assert_chi_square_pmf(counts, probs, "geometric pmf")
+
+    @pytest.mark.statistical
+    def test_source_count_is_poisson(self):
+        # sources of rate r on (0, x]: a Poisson(x r) count, here of mean 9;
+        # chi-square cells <= 4, 5, ..., 14 and >= 15, each of 9 or more
+        # expected counts in 500 streams
+        pmf = [math.exp(-9.0) * 9.0 ** j / math.factorial(j) for j in range(15)]
+        probs = np.asarray([sum(pmf[:5]), *pmf[5:], 1.0 - sum(pmf)])
+        for seed, rates in ((110, BoundaryRates.strict_from_alpha(1.0, 1.5)),
+                            (111, BoundaryRates.weak_from_beta(1.0, 2.5))):
+            x, reps = 9.0 / rates.source_rate, 500
+            counts = np.asarray([sample_boundary(x, 1, rates, make_rng(seed, r)).sources.size
+                                 for r in range(reps)])
+            assert_within_sigma(counts.mean(), 9.0, math.sqrt(9.0 / reps),
+                                label=f"{rates.variant} source count")
+            cells = np.bincount(np.clip(counts, 4, 15) - 4, minlength=12).astype(float)
+            assert_chi_square_pmf(cells, probs, f"{rates.variant} source count pmf")
 
     def test_zero_rate_sources_empty(self):
         stub = SimpleNamespace(variant="strict", source_rate=0.0, sink_param=0.5)

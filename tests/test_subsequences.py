@@ -35,6 +35,16 @@ class TestFastAlgorithms:
         assert lis_strict(empty) == 0
         assert lnds_weak(empty) == 0
 
+    def test_rows_must_be_integers(self):
+        # a cast would truncate: [0.5, 0.7] has a chain of 2, [1.9, 1.1] of 1;
+        # numpy holds 2**63 + 5 as a float beside 1, and 2**64 + 5 as an object
+        for rows in ([0.5, 0.7], [1.9, 1.1], [2**63 + 5, 1], [2**64 + 5, 1], [True]):
+            for fn in (lis_strict, lnds_weak):
+                with pytest.raises(ValueError, match="row values must be integers"):
+                    fn(rows)
+        assert lis_strict([]) == lnds_weak([]) == 0
+        assert lis_strict(np.asarray([2**63 + 5, 1, 2**64 - 1], dtype=np.uint64)) == 2
+
     def test_point_set_equal_x(self):
         # equal x never chains, even with non-decreasing rows
         ps = PlanarPointSet.from_points([(0.5, 1), (0.5, 2)], 1.0, 2)
@@ -61,6 +71,10 @@ class TestFastAlgorithms:
     def test_brute_force_hand_dp(self):
         assert brute_force_longest_chain(word(2, 2, 1, 1), order="strict") == 1
         assert brute_force_longest_chain(word(2, 2, 1, 1), order="weak") == 2
+
+    def test_brute_force_takes_words_and_point_sets_only(self):
+        with pytest.raises(TypeError, match="expected MultisetWord or PlanarPointSet"):
+            brute_force_longest_chain([1, 2])
 
     def test_brute_force_cap(self):
         w = sample_uniform_multiset_permutation(1001, 2, make_rng(3))
@@ -148,6 +162,14 @@ class TestExactExpectation:
     def test_cap(self):
         with pytest.raises(ValueError):
             exact_expected_lis((5, 5))
+
+    def test_counts_must_be_nonnegative_integers(self):
+        # a cast would read (1.5, 2) as (1, 2), whose mean is 5/3
+        for counts, bad in (((1.5, 2), "1.5"), ((-1, 2), "-1"), ((2, "2"), "2")):
+            with pytest.raises(ValueError, match=f"^row counts must be nonnegative "
+                                                 f"integers, got {bad}$"):
+                exact_expected_lis(counts)
+        assert exact_expected_lis(np.asarray([2, 0, 2])) == Fraction(11, 6)
 
     def test_monotone_and_subadditive(self):
         for length in (1, 2, 3):
