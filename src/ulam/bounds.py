@@ -81,10 +81,13 @@ class BoundaryRates:
         return BoundaryRates("weak", beta, lam / beta, lam)
 
 
-def mean_bound(x: float, t: float, lam: float, order: str) -> float:
-    """First-order mean chain length 2*sqrt(x*t*lam) - x*lam (strict) or + x*lam."""
+def mean_bound(x: float, t: float, lam: float, order: str) -> float | None:
+    """First-order mean chain length 2*sqrt(x*t*lam) - x*lam (strict) or + x*lam,
+    or None outside its domain t >= x*lam."""
     _check_variant(order)
     _check_positive(x=x, t=t, lam=lam)
+    if t < x * lam:
+        return None
     root = 2.0 * math.sqrt(x * t * lam)
     return root - x * lam if order == "strict" else root + x * lam
 
@@ -119,10 +122,13 @@ def optimal_rates_weak(x: float, t: float, lam: float) -> tuple[BoundaryRates, f
     return BoundaryRates("weak", beta, beta_star, lam), cost
 
 
-def predicted_mean(n: int, k: int, order: str) -> float:
-    """First-order mean subsequence length: 2*sqrt(n*k) - k (strict) or + k (weak)."""
+def predicted_mean(n: int, k: int, order: str) -> float | None:
+    """First-order mean subsequence length: 2*sqrt(n*k) - k (strict) or + k (weak),
+    or None outside its domain k <= n."""
     _check_variant(order)
     _check_positive(n=n, k=k, integer=True)
+    if k > n:
+        return None
     root = 2.0 * math.sqrt(n * k)
     return root - k if order == "strict" else root + k
 
@@ -371,18 +377,18 @@ TAIL_SELECTIONS = {"all": TAIL_KINDS,
                    **{k: (k,) for k in TAIL_KINDS}}
 
 
-def verify_tail_inequality(kind: str, grid: list[dict] | None = None) -> TailCertificate:
-    """Exact-CDF certificate: every grid point must satisfy exact <= bound.
+def verify_tail_inequality(kind: str) -> TailCertificate:
+    """Exact-CDF certificate: every point of the kind's default grid must
+    satisfy exact <= bound.
 
-    With ``grid=None`` the full default grid for the kind is used.  The
-    comparison is done on log probabilities, so deep tails (down to
+    The comparison is done on log probabilities, so deep tails (down to
     exp(-hundreds)) are certified without underflow.
     """
     if kind not in TAIL_KINDS:
         raise ValueError(f"kind must be one of {TAIL_KINDS}")
-    names, default_grid, bound, log_exact = _KINDS[kind]
+    names, grid, bound, log_exact = _KINDS[kind]
     records = []
-    for params in default_grid() if grid is None else grid:
+    for params in grid():
         args = [params[name] for name in names]
         records.append(TailRecord(kind, dict(params), log_exact(*args),
                                   math.log(bound(*args))))

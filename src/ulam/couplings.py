@@ -6,6 +6,7 @@ the construction (conditional on the event flag), not statistical ones.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ def project_to_multiset(sigma: MultisetWord, k: int) -> MultisetWord:
     """
     if sigma.k != 1:
         raise ValueError("projection expects a permutation word (k=1)")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be a positive integer, got k={k}")
     if sigma.n % k:
         raise ValueError("permutation length must be divisible by k")
     return MultisetWord(n=sigma.n // k, k=k, letters=(sigma.letters + k - 1) // k)
@@ -102,6 +105,8 @@ def group_heights(word: MultisetWord, group_size: int) -> MultisetWord:
     floor(n / group_size) letters of multiplicity k * group_size.  The weak
     chain length grows by at most k * group_size under this map.
     """
+    if not isinstance(group_size, numbers.Integral):
+        raise ValueError(f"group size must be an integer, got group_size={group_size}")
     if group_size < 1:
         raise ValueError("group size must be >= 1")
     if group_size > word.n:

@@ -156,9 +156,7 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
     _check_variant(variant)
     strict = variant == "strict"
     if boundary is not None:
-        if boundary.sinks.size != cloud.t_max:
-            raise ValueError("need one sink multiplicity per row")
-        _check_boundary(boundary, cloud.x_max, variant)
+        _check_boundary(boundary, cloud, variant)
         y = boundary.sources.astype(float)
         sinks = boundary.sinks.tolist()
     else:

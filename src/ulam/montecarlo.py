@@ -80,6 +80,7 @@ class EstimateReport:
         reps = values.size
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(reps))
+        predicted = None if predicted is None else float(predicted)  # float32: no JSON form
         rel = None if predicted is None else abs(mean - predicted) / predicted
         return EstimateReport(mean, stderr, reps, int(seed), dict(params), predicted, rel)
 
@@ -170,32 +171,27 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
 
 def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
                               parallelism: int = 1) -> EstimateReport:
-    """Mean chain length of uniform multiset words against 2*sqrt(nk) -/+ k.
-
-    The first-order value applies for k <= n, the matched cloud's domain
-    t >= x*lam in `estimate_poissonized`; for k > n ``predicted`` and
-    ``rel_error`` are None."""
+    """Mean chain length of uniform multiset words against 2*sqrt(nk) -/+ k,
+    ``predicted`` as `predicted_mean` gives it: None, with ``rel_error``,
+    outside its domain k <= n."""
     predicted = predicted_mean(n, k, order)  # checks the order and the counts n, k
     _check_reps(reps)
     n, k = int(n), int(k)  # a numpy integer count has no bit_length and no JSON form
     argses = [(seed, chunk, n, k, order) for chunk in _chunks(reps, n * k, k)]
     vals = np.concatenate(_parallel_map(_word_chunk, argses, parallelism)).astype(float)
-    return EstimateReport.from_values(vals, seed, {"n": n, "k": k, "order": order},
-                                      predicted=predicted if k <= n else None)
+    return EstimateReport.from_values(vals, seed, {"n": n, "k": k, "order": order}, predicted)
 
 
 def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
                          seed: int, parallelism: int = 1) -> EstimateReport:
     """Mean chain length of Poisson clouds; ``predicted`` is the first-order
-    value 2*sqrt(x*t*lam) -/+ x*lam, an upper bound for the mean."""
+    value 2*sqrt(x*t*lam) -/+ x*lam, an upper bound for the mean, as
+    `mean_bound` gives it: None, with ``rel_error``, outside t >= x*lam."""
     _check_variant(order)
     _check_reps(reps)
-    if order == "strict" and t < x * lam:
-        raise ValueError("strict comparison requires t >= x*lam")
     vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)[0]  # checks t
-    return EstimateReport.from_values(vals, seed, {"x": x, "t": int(t), "lam": lam,
-                                                   "order": order},
-                                      predicted=mean_bound(x, t, lam, order))
+    params = {"x": float(x), "t": int(t), "lam": float(lam), "order": order}
+    return EstimateReport.from_values(vals, seed, params, mean_bound(x, t, lam, order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,16 +309,14 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
         raise ValueError("eps grid must lie in (0, 1)")
     if any(b >= a for a, b in zip(eps_grid[1:], eps_grid)):
         raise ValueError("eps grid must be strictly increasing")
-    if t < x * lam:
+    center = mean_bound(x, t, lam, order)
+    if center is None:
         raise ValueError("requires t >= x*lam")
     tag, rates = _TAG_POISSON, None
     if augmented:
-        if t <= x * lam:
-            raise ValueError("augmented statistic needs t > x*lam")
         tag = _TAG_DEVIATION
         rates, _ = (optimal_rates_strict if order == "strict" else optimal_rates_weak)(x, t, lam)
     vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism, tag, rates).sum(0)
-    center = mean_bound(x, t, lam, order)
     upper = tuple(float(np.mean(vals > (1 + e) * center)) for e in eps_grid)
     lower = tuple(float(np.mean(vals < (1 - e) * center)) for e in eps_grid)
     scale = math.sqrt(x * t * lam) - x * lam
@@ -342,7 +336,9 @@ class DepoissonizationReport:
     The matched cloud lives on [0, n*k] x {1..n} with intensity 1/n, so each
     row holds k points on average.  ``budget`` is the smoothness allowance
     6*sqrt(n*sqrt(k)) plus 8 standard errors; it presumes k well below n,
-    so for k comparable to n the report is informative only.
+    so for k comparable to n the report is informative only.  It runs at
+    every (n, k); where k > n, or where the matched x*lam rounds above t (at
+    k = n = 93, say), an estimate's ``predicted`` is None.
     """
 
     word: EstimateReport

@@ -180,11 +180,14 @@ class BoundarySample:
         return int(self.sinks.sum())
 
 
-def _check_boundary(boundary: BoundarySample, x_max: float, variant: str) -> None:
-    """Reject what neither boundary engine takes: a source outside [0, x_max]
-    (NaN included) and, in the strict variant, a sink multiplicity above 1."""
+def _check_boundary(boundary: BoundarySample, cloud: PlanarPointSet, variant: str) -> None:
+    """Reject what neither boundary engine takes: a sink count other than one
+    per row of the cloud, a source outside [0, x_max] (NaN included) and, in
+    the strict variant, a sink multiplicity above 1."""
+    if boundary.sinks.size != cloud.t_max:
+        raise ValueError("need one sink multiplicity per row")
     sources = boundary.sources
-    if not np.all((sources >= 0) & (sources <= x_max)):
+    if not np.all((sources >= 0) & (sources <= cloud.x_max)):
         raise ValueError("source positions must lie in [0, x_max]")
     if variant == "strict" and boundary.sinks.size and int(boundary.sinks.max()) > 1:
         raise ValueError("strict variant admits sink multiplicities 0 or 1 only")

@@ -89,7 +89,7 @@ def longest_chain_with_boundary(points: PlanarPointSet, boundary: BoundarySample
                                 order: str) -> int:
     """Longest chain through interior points, sources, and sink units."""
     _check_variant(order)
-    _check_boundary(boundary, points.x_max, order)
+    _check_boundary(boundary, points, order)
     # mapped sink units have distinct x, so the tie-break never splits them
     seq = _chain_order(*_boundary_nodes(points, boundary)).tolist()
     return _patience_length(seq, strict=(order == "strict"))

@@ -102,6 +102,16 @@ class TestPredictedMean:
         with pytest.raises(ValueError, match="variant must be one of"):
             mean_bound(3.0, 10.0, 1.0, "both")
 
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_domain_edge(self, order):
+        # the first-order value holds for k <= n, and for t >= x*lam
+        edge = 5.0 if order == "strict" else 15.0
+        assert [predicted_mean(5, 5, order), mean_bound(5.0, 5, 1.0, order)] == [edge, edge]
+        assert type(predicted_mean(5, 5, order)) is type(mean_bound(5.0, 5, 1.0, order)) is float
+        assert predicted_mean(5, 6, order) is None
+        assert mean_bound(5.0, 4, 1.0, order) is None
+        assert mean_bound(5.0 + 1e-9, 5, 1.0, order) is None
+
 
 class TestTailBoundFormulas:
     def test_poisson(self):
@@ -233,24 +243,29 @@ class TestChiSquareTail:
         assert got == pytest.approx(ref, rel=1e-12 if mu <= 100 else 2e-12, abs=0.0)
 
 
+def _default_record(kind: str, **params):
+    """The record of the point ``params`` in the kind's default certificate."""
+    [rec] = [r for r in verify_tail_inequality(kind).records if r.params == params]
+    return rec
+
+
 class TestCertificates:
     def test_poisson_example(self):
-        cert = verify_tail_inequality("poisson_lower", [{"lam": 4.0, "a": 4.0}])
-        rec = cert.records[0]
+        rec = _default_record("poisson_lower", lam=4.0, a=4.0)
         assert rec.exact == pytest.approx(math.exp(-4.0), rel=1e-12)
         assert rec.bound == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert rec.passed
 
     def test_binomial_example(self):
-        cert = verify_tail_inequality("binomial_upper", [{"n": 100, "p": 0.5, "eps": 0.2}])
-        rec = cert.records[0]
-        assert rec.exact == pytest.approx(0.02844, abs=2e-4)
-        assert rec.bound == pytest.approx(math.exp(-2.0 / 3.0), rel=1e-12)
-        assert rec.passed
+        # eps = 0.2 lies off the default grid: check the two sides directly
+        exact = math.exp(log_binomial_upper(100, 0.5, (1.0 + 0.2) * 100 * 0.5))
+        bound = binomial_upper_bound(100, 0.5, 0.2)
+        assert exact == pytest.approx(0.02844, abs=2e-4)
+        assert bound == pytest.approx(math.exp(-2.0 / 3.0), rel=1e-12)
+        assert exact <= bound
 
     def test_geomsum_example(self):
-        cert = verify_tail_inequality("geomsum_upper", [{"k": 10, "alpha": 0.5, "eps": 0.9}])
-        assert cert.records[0].passed
+        assert _default_record("geomsum_upper", k=10, alpha=0.5, eps=0.9).passed
 
     def test_default_poisson_and_binomial_grids_pass(self):
         for kind in ("poisson_lower", "poisson_upper", "binomial_upper", "binomial_lower"):
@@ -259,9 +274,7 @@ class TestCertificates:
     def test_geomsum_known_violation_is_reported(self):
         # high multiplicity of a heavy geometric: the closed-form bound
         # undershoots the true tail, and the certificate must say so
-        cert = verify_tail_inequality("geomsum_upper",
-                                      [{"k": 2, "alpha": 0.9, "eps": 0.9}])
-        rec = cert.records[0]
+        rec = _default_record("geomsum_upper", k=2, alpha=0.9, eps=0.9)
         assert rec.exact == pytest.approx(0.11264, abs=2e-4)
         assert not rec.passed
 
@@ -364,8 +377,8 @@ class TestPositiveChecks:
                 == sample_poisson_cloud(1.0, 4, 1.0, make_rng(0)).xs.tolist())
 
     def test_augmented_profile_names_x(self):
-        # optimal_rates_strict is the first to see x here: NaN must fail its
-        # check, not pass it and fail later as a derived sink_param
+        # mean_bound is the first to see x here: NaN must fail its check, not
+        # pass it and fail later as a derived sink_param
         with pytest.raises(ValueError) as info:
             deviation_profile(math.nan, 4, 1.0, "strict", [0.5], 2, 0, augmented=True)
         assert _named_values(str(info.value))["x"] == "nan"

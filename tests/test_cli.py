@@ -311,6 +311,17 @@ class TestEstimate:
         rep = json.loads((d / "report.json").read_text())
         assert rep["predicted"] == 5.0
 
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_poisson_mode_no_prediction_below_t_eq_x_lam(self, tmp_path, order):
+        d = tmp_path / "estp"
+        assert main(["estimate", "--mode", "poisson", "--order", order, "--x", "5",
+                     "--t", "2", "--lambda", "1", "--reps", "4", "--seed", "0",
+                     "--out-dir", str(d)]) == 0
+        report = (d / "report.json").read_text()
+        assert '"predicted": null' in report and '"rel_error": null' in report
+        row = list(csv.reader((d / "plot.csv").open()))[1]
+        assert row[:3] == ["5.0", "2", "1.0"] and row[-1] == ""
+
 
 class TestVerifyAndTails:
     def test_verify_passes(self, capsys):

@@ -23,6 +23,12 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_to_multiset(MultisetWord(4, 1, (3, 1, 4, 2)), 3)
 
+    @pytest.mark.parametrize("k", [0, -2, 1.5, 2.0])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be a positive integer, got k={k}$"):
+            project_to_multiset(MultisetWord(4, 1, (3, 1, 4, 2)), k)
+        assert project_to_multiset(MultisetWord(4, 1, (3, 1, 4, 2)), np.int64(2)).k == 2
+
     def test_only_permutations_project(self):
         with pytest.raises(ValueError, match="permutation word"):
             project_to_multiset(MultisetWord(2, 2, (1, 2, 2, 1)), 2)
@@ -156,6 +162,14 @@ class TestGroupHeights:
             group_heights(w, 5)
         with pytest.raises(ValueError, match="group size must be >= 1"):
             group_heights(w, 0)
+
+    @pytest.mark.parametrize("size", [1.5, 2.0, float("nan")])
+    def test_group_size_must_be_an_integer(self, size):
+        w = MultisetWord(4, 1, (3, 1, 4, 2))
+        with pytest.raises(ValueError,
+                           match=rf"^group size must be an integer, got group_size={size}$"):
+            group_heights(w, size)
+        assert group_heights(w, np.int64(2)).k == 2
 
     def test_inequality_per_sample(self):
         rng = make_rng(40)

@@ -160,10 +160,15 @@ class TestRunDynamics:
                 assert rec.counts[t - 1] == fn(prefix)
 
     def test_mismatched_sinks_rejected(self):
-        cloud = PlanarPointSet.from_rows((np.empty(0),) * 3, 1.0)
-        b = BoundarySample(np.empty(0), np.zeros(2, dtype=np.int64))
-        with pytest.raises(ValueError):
-            run_dynamics(cloud, b, "strict")
+        # both boundary engines, so that the oracle takes what the dynamics
+        # takes: too many sinks, too few, and too few zeros
+        for rows, sinks in ((2, [1, 1, 1]), (3, [1]), (3, [0, 0])):
+            cloud = PlanarPointSet.from_rows(([0.5],) * rows, 1.0)
+            b = BoundarySample(np.empty(0), np.asarray(sinks, dtype=np.int64))
+            for variant in ("strict", "weak"):
+                for engine in (run_dynamics, longest_chain_with_boundary):
+                    with pytest.raises(ValueError, match="^need one sink multiplicity per row$"):
+                        engine(cloud, b, variant)
 
     def test_strict_rejects_multiplicity(self):
         cloud = PlanarPointSet.from_rows((np.empty(0),), 1.0)

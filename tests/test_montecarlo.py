@@ -272,6 +272,13 @@ class TestReportJson:
         for numpy_rep, int_rep in pairs:
             assert numpy_rep.to_json("estimate") == int_rep.to_json("estimate")
 
+    def test_numpy_float32_geometry_serializes(self):
+        # mean_bound returns a float32 for float32 input; the report holds floats
+        rep = estimate_poissonized(np.float32(4.0), 4, np.float32(1.0), "weak", 4, 0)
+        same = estimate_poissonized(4.0, 4, 1.0, "weak", 4, 0)
+        assert rep.to_json("estimate") == same.to_json("estimate")
+        assert {type(v) for v in (rep.params["x"], rep.params["lam"], rep.predicted)} == {float}
+
 
 class TestEstimatePoissonized:
     @pytest.mark.statistical
@@ -289,9 +296,12 @@ class TestEstimatePoissonized:
         rep = estimate_poissonized(1.0, 4, 1e-4, "weak", 100, seed=56)
         assert rep.mean < 0.2
 
-    def test_strict_domain_guard(self):
-        with pytest.raises(ValueError):
-            estimate_poissonized(10.0, 5, 1.0, "strict", 10, seed=0)
+    def test_outside_the_domain_predicts_nothing(self):
+        # t < x*lam: the first-order value does not apply, and the mean still runs
+        for order in ("strict", "weak"):
+            rep = estimate_poissonized(10.0, 5, 1.0, order, 10, seed=0)
+            assert rep.predicted is None and rep.rel_error is None
+            assert rep.reps == 10 and rep.mean > 0
 
     @pytest.mark.parametrize("order", ["strict", "weak"])
     def test_parallelism_is_result_invariant(self, monkeypatch, order):
@@ -458,10 +468,19 @@ class TestDeviationProfile:
             deviation_profile(10.0, 20, 1.0, "strict", [0.5, 0.2], reps=10, seed=0)
         with pytest.raises(ValueError):
             deviation_profile(10.0, 20, 1.0, "strict", [1.5], reps=10, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires t >= x\\*lam"):
             deviation_profile(10.0, 5, 1.0, "strict", [0.5], reps=10, seed=0)
-        with pytest.raises(ValueError, match="augmented statistic needs t > x\\*lam"):
+        with pytest.raises(ValueError, match="need t > x\\*lam for a positive source rate"):
             deviation_profile(10.0, 10, 1.0, "strict", [0.5], reps=10, seed=0, augmented=True)
+
+    def test_outside_the_domain_fails_before_any_replica(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "make_rng", lambda *a: calls.append(a))
+        for order in ("strict", "weak"):
+            for augmented in (False, True):
+                with pytest.raises(ValueError, match="^requires t >= x\\*lam$"):
+                    deviation_profile(10.0, 5, 1.0, order, [0.5], 10, 0, augmented=augmented)
+        assert calls == []
 
 
 def boundary_rates(variant: str, rate: float) -> BoundaryRates:
@@ -576,3 +595,12 @@ class TestDepoissonization:
     def test_report_only_for_comparable_k(self):
         rep = depoissonization_report(50, 50, reps=50, seed=67)
         assert rep.diff >= 0 and rep.budget > 0  # informative only, no verdict
+
+    @pytest.mark.parametrize("n, k", [(93, 93), (3, 5)])
+    def test_runs_outside_the_domain(self, n, k):
+        # at n = k = 93 the matched x*lam = float(93*93) * (1/93) rounds above t;
+        # for k > n neither first-order value applies
+        rep = depoissonization_report(n, k, reps=4, seed=69)
+        assert rep.poissonized.predicted is None
+        assert (rep.word.predicted is None) == (k > n)
+        assert rep.diff >= 0 and rep.budget > 0
