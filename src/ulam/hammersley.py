@@ -189,41 +189,42 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # The particles after row i are the patience tails of rows 1..i (Hammersley
 # 1972; Aldous & Diaconis 1995), so a cloud's final particle count is its
 # chain length; a word is the cloud {(position, letter)}, a row per letter.
-# The kernel steps many replicas at once, a few numpy calls per row, on keys
+# A boundary is points too (as in `longest_chain_with_boundary`): sources in
+# row 0 and each sink unit on the left edge of its row, so the chain length
+# is the particle count plus the total sinks.  The kernel counts chains only,
+# of many replicas at once, a few numpy calls per row, on keys
 #     (replica << shift) | (rank of the point in its replica's chain order),
 # 2**shift above every replica's size (int32 if they fit, else int64).  Chain
-# order is x ascending, ties by row descending (as in `chain_rows`), with a
-# cloud's sources as row 0, ranked in one array with its xs, and ranks from
-# 1; a word's positions are its ranks (words have no sinks, no sentinel).
-# Keys are distinct, and an equal-x pair never chains.  The kernel's callers
-# are the estimators' chunk workers, whose batches `montecarlo._chunks` sizes.
+# order is x ascending, ties by row descending (as in `chain_rows`); a
+# cloud's sink units take ranks 1..total in row order, below its sources and
+# xs; a word's positions are its ranks.  Keys are distinct, and an equal-x
+# pair never chains.  The callers are the estimators' chunk workers, whose
+# batches `montecarlo._chunks` sizes.
 #
-# The slab: row r of an (R, C) array holds replica r's exited particles as
-# sentinels r << shift, then its live particles ascending, padded with
-# ((r + 1) << shift) - 1, between replica r's keys and r + 1's.  The flat
-# slab is sorted, so one searchsorted of a row's points (by replica, then x)
-# gives each point its cell r*C + g, g counting what replica r has below it.
-# The sources are born before row 1; rows with a point or a sink are stepped,
-# each by one write of points into cells:
+# The slab: row r of an (R, C) array holds replica r's particles ascending,
+# padded with ((r + 1) << shift) - 1, between replica r's keys and r + 1's.
+# The flat slab is sorted, so one searchsorted of a row's points (by
+# replica, then rank) gives each point its cell r*C + g, g counting the
+# particles replica r has below it.  Row 0 (the sources) is born; every row
+# with a key is stepped, each by one write of points into cells:
 #   strict: the first point of a cell lies in the gap of the cell's particle
 #     and moves it there or, in the first padding cell, is born; the cell's
-#     other points are swallowed.  A sink swallows the points below the
-#     leftmost live particle, which exits: after the write its cell becomes
-#     a sentinel or, if the replica had no live particle, the pad again.
-#   weak: a sink s first turns the min(s, L) leftmost of L live particles
-#     into sentinels.  Then let a replica's row points p_0 < p_1 < ... have
-#     g_0, g_1, ... particles below.  The greedy matching moves each particle
-#     to the least free point below it; a particle stays, in its cell,
-#     exactly when every point below it is taken.  With particles as closing
-#     and points as opening brackets, max_{i<=m} (g_i - i) particles below
-#     p_m stay, and the other new particles below p_m are p_0..p_{m-1}, so
-#     p_m lands in cell m + max_{i<=m} (g_i - i), over the particle that
-#     takes it or, left over, born above the new maximum.  In global cells
-#     and point indices that is one cumulative maximum over the whole row.
-# Capacity: with at most L particles and sentinels and m row points per
-# replica, the writes stay below cell L + m of their slab row, and the
-# cumulative maximum restarts at each replica, if C > L + m.  The slab
-# doubles when C <= 2 (L + m), so L is counted only every few rows.
+#     other points are swallowed.  (A sink unit lies below every point of
+#     its row, so it takes the leftmost particle's place above the earlier
+#     sink units and swallows the row points below that particle.)
+#   weak: let a replica's row points p_0 < p_1 < ... have g_0, g_1, ...
+#     particles below.  The greedy matching moves each particle to the least
+#     free point below it; a particle stays, in its cell, exactly when every
+#     point below it is taken.  With particles as closing and points as
+#     opening brackets, max_{i<=m} (g_i - i) particles below p_m stay, and
+#     the other new particles below p_m are p_0..p_{m-1}, so p_m lands in
+#     cell m + max_{i<=m} (g_i - i), over the particle that takes it or,
+#     left over, born above the new maximum.  In global cells and point
+#     indices that is one cumulative maximum over the whole row.
+# Capacity: with at most L particles and m row points per replica, the
+# writes stay below cell L + m of their slab row, and the cumulative maximum
+# restarts at each replica, if C > L + m.  The slab doubles when
+# C <= 2 (L + m), so L is counted only every few rows.
 
 
 def _key_dtype(reps: int, shift: int):
@@ -233,49 +234,32 @@ def _key_dtype(reps: int, shift: int):
 
 
 def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: int,
-                 most: int, sinks: np.ndarray | None, variant: str) -> np.ndarray:
-    """Final particle count of each replica, given their sizes.  The sources
-    are ``keys[bounds[0]:bounds[1]]`` and row i is ``keys[bounds[i]:bounds[i +
-    1]]``, each ordered by replica, then x, with at most ``most`` points of
-    one replica; ``sinks[i - 1]``, if given, holds each replica's sink
-    multiplicity at row i.  Empty replicas take no slab row."""
+                 most: int, variant: str) -> np.ndarray:
+    """Chain length of each replica, given their sizes.  Row i is
+    ``keys[bounds[i]:bounds[i + 1]]``, ordered by replica, then rank, with at
+    most ``most`` points of one replica; row 0 (a cloud's sources) is born
+    whole, and every other row chains in ``variant``.  Empty replicas take
+    no slab row."""
     strict = variant == "strict"
     owners = np.flatnonzero(sizes)
-    floor = owners.astype(keys.dtype)[:, None] << shift  # the sentinels
-    pad = floor + ((1 << shift) - 1)
-    sinks = np.zeros((len(bounds) - 2, 0)) if sinks is None else sinks[:, owners]
-    sunk = [False, *sinks.any(1).tolist()]  # the sources take no sink
+    pad = (owners.astype(keys.dtype)[:, None] << shift) + ((1 << shift) - 1)
     slab = np.repeat(pad, 2 * most, axis=1)
-    sent, rows = np.zeros(owners.size, dtype=np.int64), np.arange(owners.size)
     ramp = np.arange(max(np.diff(bounds), default=0))
-    live = 0  # an upper bound on every slab row's particles and sentinels
-    for i in np.flatnonzero((np.diff(bounds) > 0) | sunk).tolist():
+    live = 0  # an upper bound on every slab row's particles
+    for i in np.flatnonzero(np.diff(bounds)).tolist():
         if live + most >= slab.shape[1]:
             live = int((slab < pad).sum(1).max())
             if 2 * (live + most) >= slab.shape[1]:
                 slab = np.concatenate((slab, np.broadcast_to(pad, slab.shape)), axis=1)
         flat, pts = slab.reshape(-1), keys[bounds[i]:bounds[i + 1]]
-        s = sinks[i - 1] if sunk[i] else None
-        if s is not None and not strict:  # exits come before the moves
-            held = np.searchsorted(flat, pad[:, 0]) - rows * slab.shape[1]  # L + sent
-            gone = np.minimum(sent + s, held) - sent
-            # only the cells of the new sentinels are written, not the slab
-            first = np.repeat(rows * slab.shape[1] + sent - (np.cumsum(gone) - gone), gone)
-            flat[first + np.arange(first.size)] = np.repeat(floor[:, 0], gone)
-            sent += gone
         at = np.searchsorted(flat, pts)
         if strict and i:  # a cell's points all lie below its key: the least wins
-            lead = s is not None and slab[rows, sent] < pad[:, 0]  # a live particle
             np.minimum.at(flat, at, pts)
         else:
             flat[np.maximum.accumulate(at - ramp[:at.size]) + ramp[:at.size]] = pts
-        if s is not None and strict:  # the exit's cell took the points below it
-            out = s > 0
-            slab[rows[out], sent[out]] = np.where(lead, floor[:, 0], pad[:, 0])[out]
-            sent += out & lead
         live += 1 if strict and i else most
     counts = np.zeros(sizes.size, dtype=np.int64)
-    counts[owners] = (slab < pad).sum(1) - sent
+    counts[owners] = (slab < pad).sum(1)
     return counts
 
 
@@ -306,36 +290,41 @@ def _cloud_order(flat: np.ndarray, sizes: np.ndarray, t_max: int) -> np.ndarray:
 
 def _chain_keys(clouds, boundaries=()) -> tuple:
     """Keys of a batch of clouds laid out row by row, the bounds of their
-    sources and rows, each cloud's size, the shift, the most points in one
-    row of a cloud, and the sinks (rows x clouds).  Each of ``boundaries``,
-    if given, is taken after its cloud and has a sink for each of its rows;
-    its sources are ranked as row 0.
-    A cloud is ranked as (sources, xs) by ``_cloud_order`` and dropped, its
-    ranks kept in their smallest unsigned dtype; once every size is known,
-    each cloud's row blocks move to their rows in one scatter of its own,
-    with no index array as long as the batch."""
+    sources and rows, each cloud's size, the shift, the most keys in one row
+    of a cloud, and each cloud's total sinks.  Each of ``boundaries``, if
+    given, is taken after its cloud and has a sink for each of its rows; its
+    sources are ranked as row 0 and its sink units as points below them.
+    A cloud is ranked by ``_cloud_order`` and dropped, its ranks kept in
+    their smallest unsigned dtype; once every size is known, each cloud's
+    row blocks move to their rows in one scatter of its own, with no index
+    array as long as the batch."""
     ranks, rows, sinks = [], [], []  # row 0 of each cloud holds its sources
     boundaries = iter(boundaries)
     for cloud in clouds:
         b = next(boundaries, None)
         sources = np.empty(0) if b is None else b.sources
-        if b is not None:
-            sinks.append(b.sinks)
+        units = np.zeros(cloud.t_max, np.int64) if b is None else b.sinks.astype(np.int64)
         flat = np.concatenate((sources, cloud.xs))
-        if flat.size >= 1 << 31:
+        total = int(units.sum())
+        if flat.size + total >= 1 << 31:
             raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")
         sizes = np.concatenate(([sources.size], np.diff(cloud.offsets)))
-        small = np.min_scalar_type(flat.size)  # ranks run 1..size
+        small = np.min_scalar_type(flat.size + total)  # ranks run 1..size
         rank = np.empty(flat.size, dtype=small)
-        rank[_cloud_order(flat, sizes, cloud.t_max)] = np.arange(1, flat.size + 1,
-                                                                dtype=small)
+        rank[_cloud_order(flat, sizes, cloud.t_max)] = np.arange(
+            total + 1, total + flat.size + 1, dtype=small)
+        if total:  # each row's sink units go first in it, ranked 1..total in row order
+            rank = np.insert(rank, np.repeat(np.cumsum(sizes)[:-1], units),
+                             np.arange(1, total + 1, dtype=small))
+        sizes[1:] += units
         ranks.append(rank)
         rows.append(sizes)
+        sinks.append(total)
     sizes = np.asarray([r.size for r in ranks], dtype=np.int64)
     shift = int(sizes.max(initial=0) + 1).bit_length()
     dtype = _key_dtype(sizes.size, shift)
-    # grid[r, i] points of cloud r in row i; that block moves from its place
-    # in the cloud to the start of row i plus the row-i points of earlier clouds
+    # grid[r, i] keys of cloud r in row i; that block moves from its place
+    # in the cloud to the start of row i plus the row-i keys of earlier clouds
     grid = np.zeros((sizes.size, max((s.size for s in rows), default=1)), np.int64)
     for r, s in enumerate(rows):
         grid[r, :s.size] = s
@@ -346,8 +335,7 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
         at = np.repeat(moved[r, :s.size] - (np.cumsum(s) - s), s)
         at += np.arange(rank.size)
         keys[at] = rank | dtype(r << shift)
-    sinks = np.stack(sinks, axis=1) if sinks else None
-    return keys, bounds, sizes, shift, int(grid.max(initial=0)), sinks
+    return keys, bounds, sizes, shift, int(grid.max(initial=0)), np.asarray(sinks, np.int64)
 
 
 def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
@@ -366,8 +354,7 @@ def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
         keys[:, r] = np.argsort(word, kind="stable").reshape(n, k)
         keys[:, r] |= r << shift
     bounds = [0, *(reps * k * i for i in range(n + 1))]  # no sources
-    return _slab_counts(keys.reshape(-1), bounds, np.full(reps, size), shift, k, None,
-                        variant)
+    return _slab_counts(keys.reshape(-1), bounds, np.full(reps, size), shift, k, variant)
 
 
 def run_process(x: float, t: int, lam: float, variant: str,

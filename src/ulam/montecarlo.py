@@ -140,17 +140,16 @@ def _word_chunk(args) -> np.ndarray:
 
 
 def _poisson_chunk(args) -> np.ndarray:
-    """Final particle counts and total sinks of a chunk of replicas: of the
-    boundary-free process (chain lengths), or of the boundary process if
-    ``rates`` are given."""
+    """Final particle counts and total sinks of a chunk of replicas: the
+    slab's chain lengths, less each boundary's total sinks if ``rates`` are
+    given (the line identity)."""
     seed, reps, x, t, lam, order, tag, rates = args
     rngs = [make_rng(seed, _stream(tag, r)) for r in reps]
     clouds = (sample_poisson_cloud(x, t, lam, rng) for rng in rngs)
     # each boundary is drawn after its cloud, as in run_process
     boundaries = (sample_boundary(x, t, rates, rng) for rng in rngs) if rates else ()
     *layout, sinks = _chain_keys(clouds, boundaries)
-    counts = _slab_counts(*layout, sinks, order)
-    return np.stack((counts, np.zeros_like(counts) if sinks is None else sinks.sum(0)))
+    return np.stack((_slab_counts(*layout, order) - sinks, sinks))
 
 
 def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: int,
@@ -301,7 +300,7 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
                       reps: int, seed: int, parallelism: int = 1,
                       augmented: bool = False) -> DeviationProfile:
     """Exceedance frequencies of the chain length (or, with ``augmented``,
-    of the boundary-augmented statistic particle count + total sinks)."""
+    of the boundary chain length: particle count + total sinks)."""
     _check_variant(order)
     _check_reps(reps)
     eps_grid = tuple(float(e) for e in eps_grid)
@@ -333,12 +332,13 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
 class DepoissonizationReport:
     """Word estimator versus the matched Poisson-cloud estimator.
 
-    The matched cloud lives on [0, n*k] x {1..n} with intensity 1/n, so each
-    row holds k points on average.  ``budget`` is the smoothness allowance
+    The matched cloud lives on [0, k] x {1..n} with intensity 1, so each row
+    holds k points on average; only the order of x counts, so its chain
+    length has the law of the cloud on [0, n*k] at intensity 1/n, and
+    x*lam = k exactly.  ``budget`` is the smoothness allowance
     6*sqrt(n*sqrt(k)) plus 8 standard errors; it presumes k well below n,
     so for k comparable to n the report is informative only.  It runs at
-    every (n, k); where k > n, or where the matched x*lam rounds above t (at
-    k = n = 93, say), an estimate's ``predicted`` is None.
+    every (n, k); where k > n, an estimate's ``predicted`` is None.
     """
 
     word: EstimateReport
@@ -351,7 +351,7 @@ class DepoissonizationReport:
 def depoissonization_report(n: int, k: int, reps: int, seed: int,
                             parallelism: int = 1) -> DepoissonizationReport:
     w = estimate_mean_subsequence(n, k, "strict", reps, seed, parallelism)
-    p = estimate_poissonized(float(n * k), n, 1.0 / n, "strict", reps, seed, parallelism)
+    p = estimate_poissonized(float(k), n, 1.0, "strict", reps, seed, parallelism)
     diff = abs(w.mean - p.mean)
     budget = 6.0 * math.sqrt(n * math.sqrt(k)) + 8.0 * (w.stderr + p.stderr)
     return DepoissonizationReport(w, p, diff, budget, diff <= budget)

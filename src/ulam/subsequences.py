@@ -98,28 +98,33 @@ def longest_chain_with_boundary(points: PlanarPointSet, boundary: BoundarySample
 # ---------------------------------------------------------------------------
 # Independent quadratic oracle
 
-def _as_nodes(obj, boundary: BoundarySample | None):
+def _as_nodes(obj, boundary: BoundarySample | None, order: str):
     if isinstance(obj, MultisetWord):
         xs = np.arange(1, obj.size + 1, dtype=float)
         ys = np.asarray(obj.letters, dtype=np.int64)
         kinds = np.zeros(obj.size, dtype=np.int64)
+        x_max, t_max = obj.size, obj.n
     elif isinstance(obj, PlanarPointSet):
         pts = obj.points()
         xs = np.asarray([p[0] for p in pts])
         ys = np.asarray([p[1] for p in pts], dtype=np.int64)
         kinds = np.zeros(len(pts), dtype=np.int64)
+        x_max, t_max = obj.x_max, obj.t_max
     else:
         raise TypeError("expected MultisetWord or PlanarPointSet")
-    if boundary is not None:
+    if boundary is not None:  # checked by its own code: the oracle shares none
         sx = boundary.sources.astype(float)
-        xs = np.concatenate([xs, sx])
-        ys = np.concatenate([ys, np.zeros(sx.size, dtype=np.int64)])
-        kinds = np.concatenate([kinds, np.ones(sx.size, dtype=np.int64)])
-        sink_rows = np.repeat(np.arange(1, boundary.sinks.size + 1, dtype=np.int64),
-                              boundary.sinks)
-        xs = np.concatenate([xs, np.zeros(sink_rows.size)])
-        ys = np.concatenate([ys, sink_rows])
-        kinds = np.concatenate([kinds, np.full(sink_rows.size, 2, dtype=np.int64)])
+        if boundary.sinks.size != t_max:
+            raise ValueError("need one sink multiplicity per row")
+        if not np.all((sx >= 0) & (sx <= x_max)):  # NaN fails it too
+            raise ValueError("source positions must lie in [0, x_max]")
+        if order == "strict" and np.any(boundary.sinks > 1):
+            raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
+        sink_rows = np.repeat(np.arange(1, t_max + 1, dtype=np.int64), boundary.sinks)
+        xs = np.concatenate([xs, sx, np.zeros(sink_rows.size)])
+        ys = np.concatenate([ys, np.zeros(sx.size, dtype=np.int64), sink_rows])
+        kinds = np.concatenate([kinds, np.ones(sx.size, dtype=np.int64),
+                                np.full(sink_rows.size, 2, dtype=np.int64)])
     return xs, ys, kinds
 
 
@@ -131,7 +136,7 @@ def brute_force_longest_chain(obj, boundary: BoundarySample | None = None,
     paths can certify each other.  Capped at 2000 elements.
     """
     _check_variant(order)
-    xs, ys, kinds = _as_nodes(obj, boundary)
+    xs, ys, kinds = _as_nodes(obj, boundary, order)
     n = xs.size
     if n > _BRUTE_FORCE_CAP:
         raise ValueError(f"brute force capped at {_BRUTE_FORCE_CAP} elements, got {n}")

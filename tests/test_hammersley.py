@@ -395,7 +395,8 @@ class TestCloudOrder:
 def slab_counts(clouds, variant: str) -> np.ndarray:
     """The slab's final particle counts of boundary-free clouds, laid out in
     one batch as the chunk workers lay out theirs."""
-    return hammersley._slab_counts(*hammersley._chain_keys(clouds), variant)
+    *layout, _ = hammersley._chain_keys(clouds)
+    return hammersley._slab_counts(*layout, variant)
 
 
 class TestBatchParticleCounts:
@@ -485,9 +486,10 @@ def grid_cloud_on(t: int):
 
 
 def boundary_counts(runs, variant: str) -> np.ndarray:
-    """The slab's final particle counts of (cloud, boundary) pairs."""
-    return hammersley._slab_counts(*hammersley._chain_keys(
-        (c for c, _ in runs), (b for _, b in runs)), variant)
+    """The slab's final particle counts of (cloud, boundary) pairs: each
+    boundary chain length less its total sinks."""
+    *layout, sinks = hammersley._chain_keys((c for c, _ in runs), (b for _, b in runs))
+    return hammersley._slab_counts(*layout, variant) - sinks
 
 
 @st.composite
@@ -546,11 +548,16 @@ class TestBoundarySlab:
             # an empty cloud: sources exit one by one, rows without points
             (PlanarPointSet.from_rows((np.empty(0),) * 2, 3.0),
              BoundarySample(np.asarray([0.5, 1.0, 2.5]), np.asarray([1, 1]))),
-            # nothing at all: no slab row
+            # a sink alone: it chains by itself, and no particle is left
             (PlanarPointSet.from_rows((np.empty(0),) * 2, 3.0),
              BoundarySample(np.empty(0), np.asarray([1, 0]))),
             # a source at the x of a row point ranks above it
             (one, BoundarySample(np.asarray([1.0, 1.5]), np.asarray([0, 1]))),
+            # 255 sources and points, which uint8 ranks would hold, and four
+            # sink units that push the ranks past it
+            (PlanarPointSet.from_points([(0.012 * (i + 1), 1 + 3 * i % 5) for i in range(250)],
+                                        3.0, 5),
+             BoundarySample(np.linspace(0.1, 2.9, 5), np.asarray([1, 1, 0, 1, 1]))),
         ]
         self.check(runs, variant)
         assert boundary_counts(runs, variant)[4] == 0

@@ -69,7 +69,7 @@ FAMILIES = {
     "scalar rules and patience pass": {
         "run_dynamics", "_strict_rule", "_weak_rule", "lis_strict", "lnds_weak",
         "_patience_length", "_row_sequence", "longest_chain_with_boundary",
-        "_boundary_nodes", "chain_rows", "_chain_order"},
+        "_boundary_nodes", "chain_rows", "_chain_order", "_check_boundary"},
     "quadratic DP": {"brute_force_longest_chain", "_as_nodes"},
 }
 CHECKED = ["bounds", "sampling", "subsequences", "hammersley", "couplings", "montecarlo"]

@@ -582,7 +582,7 @@ class TestDepoissonization:
     @pytest.mark.statistical
     def test_matched_geometry_within_budget(self):
         rep = depoissonization_report(100, 4, reps=300, seed=65)
-        assert rep.poissonized.params == {"x": 400.0, "t": 100, "lam": 0.01,
+        assert rep.poissonized.params == {"x": 4.0, "t": 100, "lam": 1.0,
                                           "order": "strict"}
         assert rep.within_budget
 
@@ -596,11 +596,19 @@ class TestDepoissonization:
         rep = depoissonization_report(50, 50, reps=50, seed=67)
         assert rep.diff >= 0 and rep.budget > 0  # informative only, no verdict
 
-    @pytest.mark.parametrize("n, k", [(93, 93), (3, 5)])
+    @pytest.mark.parametrize("n, k", [(3, 5)])
     def test_runs_outside_the_domain(self, n, k):
-        # at n = k = 93 the matched x*lam = float(93*93) * (1/93) rounds above t;
         # for k > n neither first-order value applies
         rep = depoissonization_report(n, k, reps=4, seed=69)
         assert rep.poissonized.predicted is None
-        assert (rep.word.predicted is None) == (k > n)
+        assert rep.word.predicted is None
+        assert rep.diff >= 0 and rep.budget > 0
+
+    def test_predicts_at_k_equal_n(self):
+        # the matched x*lam is k exactly, so at k = n both estimates predict;
+        # 93 is the least n at which float(n*n) * (1/n) rounds above n
+        rep = depoissonization_report(93, 93, reps=4, seed=69)
+        assert rep.poissonized.params["x"] * rep.poissonized.params["lam"] == 93
+        assert rep.word.predicted == 2 * math.sqrt(93 * 93) - 93
+        assert rep.poissonized.predicted == rep.word.predicted
         assert rep.diff >= 0 and rep.budget > 0

@@ -142,6 +142,22 @@ class TestBoundaryChain:
             assert longest_chain_with_boundary(cloud, b, order) == 0
             assert brute_force_longest_chain(cloud, b, order) == 0
 
+    @pytest.mark.parametrize("sources, sinks, order, match", [
+        ([], [1, 1, 1], "weak", "one sink multiplicity per row"),
+        ([], [1], "strict", "one sink multiplicity per row"),
+        ([], [2, 0], "strict", "multiplicities 0 or 1 only"),
+        ([5.0], [0, 0], "weak", "must lie in \\[0, x_max\\]"),
+        ([np.nan], [0, 0], "strict", "must lie in \\[0, x_max\\]"),
+    ], ids=["too_many_sinks", "too_few_sinks", "strict_multiplicity", "source_past_x_max",
+            "nan_source"])
+    def test_brute_force_rejects_what_the_engines_reject(self, sources, sinks, order, match):
+        # one point a row on [0, 1]; the DP checks the boundary by its own code
+        cloud = PlanarPointSet.from_points([(0.5, 1), (0.75, 2)], 1.0, 2)
+        b = BoundarySample(np.asarray(sources, dtype=float), np.asarray(sinks, dtype=np.int64))
+        for chain in (brute_force_longest_chain, longest_chain_with_boundary):
+            with pytest.raises(ValueError, match=match):
+                chain(cloud, b, order)
+
 
 class TestExactExpectation:
     def test_tiny_values(self):
