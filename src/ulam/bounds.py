@@ -83,13 +83,16 @@ class BoundaryRates:
 
 def mean_bound(x: float, t: float, lam: float, order: str) -> float | None:
     """First-order mean chain length 2*sqrt(x*t*lam) - x*lam (strict) or + x*lam,
-    or None outside its domain t >= x*lam."""
+    or None outside its domain t >= x*lam, and where the value is not a
+    positive finite float (x*t*lam under- or overflows): no relative error
+    can be taken against it."""
     _check_variant(order)
     _check_positive(x=x, t=t, lam=lam)
     if t < x * lam:
         return None
     root = 2.0 * math.sqrt(x * t * lam)
-    return root - x * lam if order == "strict" else root + x * lam
+    value = root - x * lam if order == "strict" else root + x * lam
+    return value if 0.0 < value < math.inf else None
 
 
 def optimal_rates_strict(x: float, t: float, lam: float) -> tuple[BoundaryRates, float]:

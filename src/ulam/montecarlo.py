@@ -8,11 +8,9 @@ downstream use a 4-sigma policy; everything here only reports.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +19,7 @@ from .bounds import (BoundaryRates, _check_variant, _log_poisson_pmf, augmented_
                      log_chi2_upper, mean_bound, optimal_rates_strict, optimal_rates_weak,
                      predicted_mean)
 from .hammersley import _chain_keys, _slab_counts, _word_counts
-from .sampling import (_check_geometry, _shuffled_letters, make_rng, sample_boundary,
+from .sampling import (_check_geometry, _check_word, _shuffled_letters, make_rng, sample_boundary,
                        sample_poisson_cloud)
 
 # Disjoint stream-id blocks per operation; replica r of op with tag g uses
@@ -86,6 +84,7 @@ class EstimateReport:
 
     def to_json(self, command: str | None = None) -> str:
         """The report as JSON; a non-finite float (a NaN mean, say) is null."""
+        import json  # not at module level: a library call that writes no JSON skips it
         def finite(v):
             return None if isinstance(v, float) and not math.isfinite(v) else v
         return json.dumps({
@@ -104,6 +103,8 @@ def _parallel_map(fn, argses: list, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(argses))
     if workers <= 1:
         return [fn(a) for a in argses]
+    # local: the pool loads multiprocessing, logging and subprocess, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(argses) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, argses, chunksize=chunk))
@@ -173,7 +174,8 @@ def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
     """Mean chain length of uniform multiset words against 2*sqrt(nk) -/+ k,
     ``predicted`` as `predicted_mean` gives it: None, with ``rel_error``,
     outside its domain k <= n."""
-    predicted = predicted_mean(n, k, order)  # checks the order and the counts n, k
+    _check_word(n, k)
+    predicted = predicted_mean(n, k, order)  # checks the order
     _check_reps(reps)
     n, k = int(n), int(k)  # a numpy integer count has no bit_length and no JSON form
     argses = [(seed, chunk, n, k, order) for chunk in _chunks(reps, n * k, k)]

@@ -208,6 +208,14 @@ def _chain_order(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort((-rows, xs))]
 
 
+def _check_word(n: int, k: int) -> None:
+    """Reject n and k unless positive integers with n*k below 2**63: numpy
+    counts a word's letters in an int64."""
+    _check_positive(n=n, k=k, integer=True)
+    if int(n) * int(k) >= 2**63:  # int: a numpy product would wrap
+        raise ValueError(f"n*k must be below 2**63, got n={n}, k={k}")
+
+
 def _shuffled_letters(n: int, k: int, rng: RngStream) -> np.ndarray:
     """(1^k, ..., n^k) in uniform order: the letters of every word sampler."""
     letters = np.repeat(np.arange(1, n + 1, dtype=np.int64), k)
@@ -227,7 +235,7 @@ def sample_uniform_multiset_permutation(n: int, k: int, rng: RngStream) -> Multi
     multinomial(kn; k,...,k) distinct words because every word corresponds
     to the same number (k!)^n of shuffle outcomes.
     """
-    _check_positive(n=n, k=k, integer=True)
+    _check_word(n, k)
     return MultisetWord(n=n, k=k, letters=_shuffled_letters(n, k, rng))
 
 

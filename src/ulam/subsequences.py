@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numbers
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -207,6 +206,7 @@ def exact_expected_lis(row_counts) -> Fraction:
 # 1 + 1 + 2 + ... + 2**8 = 512, so this cache holds every key.
 @lru_cache(maxsize=512)
 def _exact_mean(counts: tuple[int, ...]) -> Fraction:
+    from fractions import Fraction  # it loads decimal; only exact means need either
     if not counts:
         return Fraction(0)
     n_words = 0

@@ -112,6 +112,15 @@ class TestPredictedMean:
         assert mean_bound(5.0, 4, 1.0, order) is None
         assert mean_bound(5.0 + 1e-9, 5, 1.0, order) is None
 
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_no_value_where_x_t_lam_leaves_the_floats(self, order):
+        # t >= x*lam, but x*t*lam rounds to 0 or to inf: neither value can
+        # take a relative error, so there is none
+        assert mean_bound(1e-320, 1, 1e-300, order) is None
+        assert mean_bound(1e200, 1e200, 1.0, order) is None
+        # a subnormal x*t*lam still has a positive value
+        assert mean_bound(1e-200, 1, 1e-120, order) > 0.0
+
 
 class TestTailBoundFormulas:
     def test_poisson(self):

@@ -323,6 +323,26 @@ class TestEstimate:
         assert row[:3] == ["5.0", "2", "1.0"] and row[-1] == ""
 
 
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_poisson_mode_underflowing_geometry_predicts_nothing(self, tmp_path, order):
+        # x*t*lam rounds to 0: no first-order value to divide by
+        d = tmp_path / "estp"
+        assert main(["estimate", "--mode", "poisson", "--order", order, "--x", "1e-320",
+                     "--t", "1", "--lambda", "1e-300", "--reps", "2",
+                     "--out-dir", str(d)]) == 0
+        rep = json.loads((d / "report.json").read_text())
+        assert rep["predicted"] is None and rep["rel_error"] is None
+        assert (rep["mean"], rep["stderr"]) == (0.0, 0.0)
+
+    def test_word_mode_letter_count_past_int64_exits_2(self, tmp_path, capsys):
+        for n, k in ((10**400, 1), (2, 10**20)):
+            assert main(["estimate", "--n", str(n), "--k", str(k), "--reps", "2",
+                         "--out-dir", str(tmp_path / "e")]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("domain error: n*k must be below 2**63, got n=")
+        assert not (tmp_path / "e").exists()
+
+
 class TestVerifyAndTails:
     def test_verify_passes(self, capsys):
         assert main(["verify", "--clouds", "60", "--boundary", "30",

@@ -1,3 +1,6 @@
+import ast
+import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -56,6 +59,12 @@ class TestEstimateMeanSubsequence:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             estimate_mean_subsequence(2, 2, "strict", 1, seed=0)
+
+    def test_letter_count_past_int64_rejected(self):
+        # checked before the first-order value, whose float of n*k would overflow
+        for n, k in ((10**400, 1), (2, 10**20)):
+            with pytest.raises(ValueError, match="n\\*k must be below 2\\*\\*63"):
+                estimate_mean_subsequence(n, k, "strict", 2, seed=0)
 
 
 class TestWordChunks:
@@ -296,6 +305,14 @@ class TestEstimatePoissonized:
         rep = estimate_poissonized(1.0, 4, 1e-4, "weak", 100, seed=56)
         assert rep.mean < 0.2
 
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_underflowing_geometry_predicts_nothing(self, order):
+        # x*lam and x*t*lam round to 0: the first-order value would be 0.0,
+        # which no relative error can be taken against
+        rep = estimate_poissonized(1e-320, 1, 1e-300, order, 2, seed=0)
+        assert rep.predicted is None and rep.rel_error is None
+        assert (rep.mean, rep.stderr) == (0.0, 0.0)
+
     def test_outside_the_domain_predicts_nothing(self):
         # t < x*lam: the first-order value does not apply, and the mean still runs
         for order in ("strict", "weak"):
@@ -313,8 +330,9 @@ class TestEstimatePoissonized:
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records the worker count and maps
-    in this process, so no process is started."""
+    """Stands in for ProcessPoolExecutor, which `_parallel_map` imports from
+    concurrent.futures when it starts a pool: records the worker count and
+    maps in this process, so no process is started."""
 
     started: list = []
 
@@ -336,7 +354,7 @@ class TestParallelMap:
     @pytest.mark.parametrize("jobs, cpus, tasks, workers", [
         (10_000, 2, 50, 2), (3, 8, 50, 3), (64, 16, 5, 5), (8, None, 50, None)])
     def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, jobs, cpus, tasks, workers):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         FakePool.started = []
         out = montecarlo._parallel_map(abs, list(range(-tasks, 0)), jobs)
@@ -344,10 +362,42 @@ class TestParallelMap:
         assert FakePool.started == ([workers] if workers else [])
 
     def test_one_task_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         FakePool.started = []
         assert montecarlo._parallel_map(abs, [-3], 8) == [3]
         assert FakePool.started == []
+
+    def test_real_pool_gives_the_serial_bytes(self, monkeypatch):
+        # two CPUs on any host, and chunks of at most 16 replicas: each
+        # call's 40 replicas make 3 chunks, which a real pool of 2 runs
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def runs(parallelism):
+            words = [estimate_mean_subsequence(6, 2, order, 40, 70, parallelism)
+                     for order in ("strict", "weak")]
+            clouds = [estimate_poissonized(4.0, 6, 1.0, order, 40, 70, parallelism)
+                      for order in ("strict", "weak")]
+            tests = [dataclasses.astuple(stationarity_test(4.0, 1.0, rate, variant, 6, 40, 70,
+                                                           parallelism))
+                     for variant, rate in (("strict", 1.0), ("weak", 2.0))]
+            return words, clouds, tests
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_CHUNK_REPS", 16)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        serial = runs(1)
+        assert started == []
+        parallel = runs(2)
+        assert started == [2] * 6
+        assert serial[:2] == parallel[:2]
+        for one, two in zip(serial[2], parallel[2]):
+            assert one[:-1] == two[:-1]  # the fields, p-value bits included
+            assert one[-1].tolist() == two[-1].tolist()  # the counts
 
 
 class TestReplicaBounds:
@@ -409,13 +459,42 @@ print(json.dumps({"loaded": loaded, "p_value": rep.p_value.hex(),
 """
 
 
+# Run in a fresh interpreter; it prints with repr, since json is one of the
+# modules it looks for.
+COLD_IMPORTS = """
+import sys
+from ulam import (depoissonization_report, deviation_profile, estimate_mean_subsequence,
+                  estimate_poissonized, stationarity_test)
+estimate_mean_subsequence(6, 2, "strict", 4, 0)
+estimate_poissonized(4.0, 6, 1.0, "weak", 4, 0)
+stationarity_test(4.0, 1.0, 1.0, "strict", 6, 4, 0)
+deviation_profile(4.0, 6, 1.0, "strict", [0.5], 4, 0, augmented=True)
+depoissonization_report(6, 2, 4, 0)
+print(repr(sorted(sys.modules)))
+import ulam.cli
+print(repr(sorted(sys.modules)))
+"""
+
+
 class TestColdStart:
-    def test_no_scipy_even_after_the_stationarity_test(self):
+    @staticmethod
+    def fresh(code: str) -> subprocess.CompletedProcess:
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True,
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-        child = json.loads(proc.stdout)
+
+    def test_serial_calls_load_no_pool_fractions_or_json(self):
+        # the pool, Fraction and json are imported where they are used:
+        # a multi-worker run, an exact mean, a report written as JSON
+        library, cli = map(ast.literal_eval, self.fresh(COLD_IMPORTS).stdout.splitlines())
+        heavy = {"concurrent.futures", "multiprocessing", "fractions", "decimal", "json"}
+        assert heavy.isdisjoint(library)
+        assert {"concurrent.futures", "multiprocessing"}.isdisjoint(cli)
+        assert "json" in cli  # the CLI writes its manifests
+
+    def test_no_scipy_even_after_the_stationarity_test(self):
+        child = json.loads(self.fresh(COLD_START).stdout)
         assert child["loaded"] == []
         rep = stationarity_test(10.0, 1.0, 1.0, "strict", 20, 50, 3)
         assert child["p_value"] == rep.p_value.hex()
@@ -556,7 +635,7 @@ class TestBoundaryEstimators:
         calls = []
         real = montecarlo.make_rng
         monkeypatch.setattr(montecarlo, "make_rng", lambda *a: calls.append(a) or real(*a))
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         FakePool.started = []
         with pytest.raises(ValueError, match="beta > lam"):
             stationarity_test(5.0, 1.0, 0.5, "weak", 10, 20, seed=1, parallelism=2)

@@ -101,6 +101,17 @@ class TestWordSampling:
         with pytest.raises(ValueError):
             sample_uniform_multiset_permutation(2, 0, make_rng(0))
 
+    def test_letter_count_past_int64_rejected(self, capsys):
+        # n*k letters must fit numpy's int64 count; a numpy product would wrap
+        for n, k in ((2, 10**20), (3037000500, 3037000500), (np.int64(2**62), np.int64(2))):
+            with pytest.raises(ValueError, match=f"^n\\*k must be below 2\\*\\*63, "
+                                                 f"got n={n}, k={k}$"):
+                sample_uniform_multiset_permutation(n, k, make_rng(0))
+        assert main(["sample", "--n", "2", "--k", str(10**20), "--count", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("domain error: n*k must be below 2**63, "
+                                     "got n=2, k=100000000000000000000\n")
+
     def test_permutation_contains_each_letter(self):
         w = sample_uniform_permutation(4, make_rng(3))
         assert sorted(w.letters) == [1, 2, 3, 4]
