@@ -212,6 +212,14 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 #     other points are swallowed.  (A sink unit lies below every point of
 #     its row, so it takes the leftmost particle's place above the earlier
 #     sink units and swallows the row points below that particle.)
+#     A replica gains at most one particle a strict row, so a row with more
+#     keys than live cells (R (live + 1), live bounding every slab row's
+#     particles) is stepped from the particle side instead, by the same
+#     rule: cell j takes the least of its key and the least row point above
+#     cell j - 1's key.  Cell 0's left neighbour is (r << shift) - 1, below
+#     every key of replica r (a word's rank 0 included); a birth lands in
+#     the first padding cell, and the next replica's keys and the sentinel
+#     iinfo.max, "no such point", lie above every pad, so they never win.
 #   weak: let a replica's row points p_0 < p_1 < ... have g_0, g_1, ...
 #     particles below.  The greedy matching moves each particle to the least
 #     free point below it; a particle stays, in its cell, exactly when every
@@ -239,12 +247,16 @@ def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: 
     ``keys[bounds[i]:bounds[i + 1]]``, ordered by replica, then rank, with at
     most ``most`` points of one replica; row 0 (a cloud's sources) is born
     whole, and every other row chains in ``variant``.  Empty replicas take
-    no slab row."""
+    no slab row.  A strict row steps from the point side (each point finds
+    its cell) or, with more points than live cells, from the particle side
+    (each cell finds its least point above its left neighbour, cell 0's
+    being just below its replica's keys); both write the same slab."""
     strict = variant == "strict"
     owners = np.flatnonzero(sizes)
     pad = (owners.astype(keys.dtype)[:, None] << shift) + ((1 << shift) - 1)
     slab = np.repeat(pad, 2 * most, axis=1)
     ramp = np.arange(max(np.diff(bounds), default=0))
+    top = np.iinfo(keys.dtype).max  # above every key: "no such point"
     live = 0  # an upper bound on every slab row's particles
     for i in np.flatnonzero(np.diff(bounds)).tolist():
         if live + most >= slab.shape[1]:
@@ -252,10 +264,18 @@ def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: 
             if 2 * (live + most) >= slab.shape[1]:
                 slab = np.concatenate((slab, np.broadcast_to(pad, slab.shape)), axis=1)
         flat, pts = slab.reshape(-1), keys[bounds[i]:bounds[i + 1]]
-        at = np.searchsorted(flat, pts)
-        if strict and i:  # a cell's points all lie below its key: the least wins
-            np.minimum.at(flat, at, pts)
+        if strict and i and pts.size > slab.shape[0] * (live + 1):
+            # from the particle side: cell j takes the least point above cell j - 1
+            cells = slab[:, :live + 1]
+            left = np.empty_like(cells)
+            left[:, 0] = pad[:, 0] - (1 << shift)
+            left[:, 1:] = cells[:, :-1]
+            above = np.append(pts, top)
+            np.minimum(cells, above[np.searchsorted(pts, left, "right")], out=cells)
+        elif strict and i:  # a cell's points all lie below its key: the least wins
+            np.minimum.at(flat, np.searchsorted(flat, pts), pts)
         else:
+            at = np.searchsorted(flat, pts)
             flat[np.maximum.accumulate(at - ramp[:at.size]) + ramp[:at.size]] = pts
         live += 1 if strict and i else most
     counts = np.zeros(sizes.size, dtype=np.int64)
@@ -307,7 +327,9 @@ def _chain_keys(clouds, boundaries=()) -> tuple:
         flat = np.concatenate((sources, cloud.xs))
         total = int(units.sum())
         if flat.size + total >= 1 << 31:
-            raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32")
+            raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32: "
+                             f"{cloud.size} points, {sources.size} sources and "
+                             f"{total} sink units")
         sizes = np.concatenate(([sources.size], np.diff(cloud.offsets)))
         small = np.min_scalar_type(flat.size + total)  # ranks run 1..size
         rank = np.empty(flat.size, dtype=small)

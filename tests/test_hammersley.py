@@ -1,3 +1,4 @@
+import itertools
 import os
 from unittest import mock
 
@@ -653,6 +654,89 @@ class TestWordCounts:
 
     def test_empty_batch(self):
         assert hammersley._word_counts(iter(()), 0, 3, 2, "weak").tolist() == []
+
+
+class TestParticleSide:
+    """A strict row with more points than live cells steps from the particle
+    side: each cell takes the least row point above its left neighbour's key,
+    and cell 0's left neighbour lies below every key of its replica.  Checked
+    against the oracles, which share no code with the slab."""
+
+    DENSE = [(200.0, 6), (1000.0, 10)]  # x * lam far above t
+
+    @staticmethod
+    def dense_runs(x: float, t: int, seed: int):
+        """Eight clouds, each with no sources and a strict sink in about
+        half its rows."""
+        runs = []
+        for r in range(8):
+            rng = make_rng(seed, r)
+            sinks = rng.integers(0, 2, t)
+            runs.append((sample_poisson_cloud(x, t, 1.0, rng),
+                         BoundarySample(np.empty(0), sinks)))
+        return runs
+
+    @pytest.mark.parametrize("x, t", DENSE)
+    def test_dense_clouds(self, x, t):
+        clouds = [sample_poisson_cloud(x, t, 1.0, make_rng(35, r)) for r in range(8)]
+        assert slab_counts(clouds, "strict").tolist() == [lis_strict(c) for c in clouds]
+
+    def test_dense_and_sparse_clouds_in_one_batch(self):
+        # one dense cloud puts the whole row on the particle side, where the
+        # sparse clouds' cells mostly meet empty gaps and empty rows
+        clouds = [sample_poisson_cloud(x, 10, 1.0, make_rng(38, r))
+                  for r, x in enumerate([1000.0, 0.5, 2.0, 1.0, 0.2, 3.0, 1.5, 0.8])]
+        assert slab_counts(clouds, "strict").tolist() == [lis_strict(c) for c in clouds]
+
+    @pytest.mark.parametrize("x, t", [*DENSE, (30.0, 4)])
+    def test_estimates_outside_the_first_order_domain(self, x, t):
+        rep = montecarlo.estimate_poissonized(x, t, 1.0, "strict", 8, seed=36)
+        assert rep.predicted is None
+        values = [lis_strict(sample_poisson_cloud(x, t, 1.0, make_rng(36, (2 << 32) | r)))
+                  for r in range(8)]
+        assert rep.mean == float(np.mean(np.asarray(values, dtype=float)))
+
+    @staticmethod
+    def word_batches():
+        # [1, 2, 2, 1] puts letter 1 at rank 0, which cell 0's left
+        # neighbour must lie below; then every word of content (2, 2), and
+        # words with more letters of a row than the slab has cells
+        rng = np.random.default_rng(42)
+        return [(2, 2, [[1, 2, 2, 1]]),
+                (2, 2, sorted(set(itertools.permutations([1, 1, 2, 2])))),
+                (2, 3, sorted(set(itertools.permutations([1, 1, 1, 2, 2, 2])))),
+                (4, 5, [rng.permutation(np.repeat(np.arange(1, 5), 5)) for _ in range(30)]),
+                (3, 40, [rng.permutation(np.repeat(np.arange(1, 4), 40)) for _ in range(6)])]
+
+    def test_words(self):
+        # a row holds k points a word and meets at most n cells a word, many
+        # of them over empty gaps
+        for n, k, words in self.word_batches():
+            counts = hammersley._word_counts(iter(words), len(words), n, k, "strict")
+            assert counts.tolist() == word_oracles(n, k, words)["strict"]
+        assert hammersley._word_counts(iter([[1, 2, 2, 1]]), 1, 2, 2, "strict").tolist() == [2]
+
+    @pytest.mark.parametrize("x, t", DENSE)
+    def test_boundaries_without_sources(self, x, t):
+        # no sources: the first row of points steps an empty slab
+        TestBoundarySlab.check(self.dense_runs(x, t, 37), "strict")
+
+    def test_int64_keys(self):
+        seen = []
+        slab = hammersley._slab_counts
+
+        def record(keys, *args):
+            seen.append(keys.dtype)
+            return slab(keys, *args)
+
+        with mock.patch.object(hammersley, "_key_dtype", lambda reps, shift: np.int64), \
+                mock.patch.object(hammersley, "_slab_counts", record):
+            self.test_words()
+            self.test_dense_and_sparse_clouds_in_one_batch()
+            for x, t in self.DENSE:
+                self.test_dense_clouds(x, t)
+                self.test_boundaries_without_sources(x, t)
+        assert seen == [np.int64] * 11
 
 
 @pytest.mark.perf

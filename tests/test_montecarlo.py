@@ -23,7 +23,8 @@ from ulam.hammersley import run_process
 from ulam.montecarlo import (depoissonization_report, deviation_profile,
                              estimate_mean_subsequence, estimate_poissonized,
                              stationarity_test)
-from ulam.sampling import make_rng, sample_uniform_multiset_permutation
+from ulam.sampling import (make_rng, sample_boundary, sample_poisson_cloud,
+                           sample_uniform_multiset_permutation)
 from ulam.subsequences import lis_strict, lnds_weak
 
 
@@ -224,11 +225,18 @@ class TestChunkMemory:
     point (2-byte ranks, 4-byte keys, the slab), whatever its size.  A
     layout with chunk-wide int64 index arrays took about 28."""
 
-    @pytest.mark.parametrize("rates", [None, BoundaryRates.weak_from_beta(1.0, 2.0)])
-    def test_poisson_chunk(self, rates):
+    # both orders: a strict row with more points than live cells steps from
+    # the particle side, whose per-row arrays must fit the bound too
+    @pytest.mark.parametrize("order, rates", [
+        pytest.param("weak", None, id="None"),
+        pytest.param("weak", BoundaryRates.weak_from_beta(1.0, 2.0), id="rates1"),
+        pytest.param("strict", None, id="strict-None"),
+        pytest.param("strict", BoundaryRates.strict_from_alpha(1.0, 1.0), id="strict-rates1"),
+    ])
+    def test_poisson_chunk(self, order, rates):
         x, t, lam = 50.0, 50, 1.0
         points = x * t * lam + (x * rates.source_rate if rates else 0.0)
-        args = lambda reps: (7, range(reps), x, t, lam, "weak", 3, rates)
+        args = lambda reps: (7, range(reps), x, t, lam, order, 3, rates)
         small = _peak_traced_bytes(montecarlo._poisson_chunk, args(4))
         large = _peak_traced_bytes(montecarlo._poisson_chunk, args(40))
         assert large - small <= 12 * 36 * points
@@ -413,6 +421,21 @@ class TestReplicaBounds:
         for call in calls:
             with pytest.raises(ValueError, match="reps must be <= 2\\*\\*32"):
                 call()
+
+    def test_a_cloud_past_int32_names_its_sizes(self):
+        # a source rate a hair above lam draws Geometric(1e-9) sinks, about
+        # 1e9 sink units a row: the error gives the cloud's points, sources
+        # and sink units, replica 0's as its stream draws them
+        rates = BoundaryRates.weak_from_beta(1.0, 1.0 + 1e-9)
+        rng = make_rng(0, montecarlo._TAG_STATIONARY << 32)
+        cloud = sample_poisson_cloud(1.0, 3, 1.0, rng)
+        boundary = sample_boundary(1.0, 3, rates, rng)
+        assert boundary.total_sinks >= 1 << 31
+        message = (f"^a cloud of 2\\*\\*31 points or more cannot be ranked in int32: "
+                   f"{cloud.size} points, {boundary.sources.size} sources and "
+                   f"{boundary.total_sinks} sink units$")
+        with pytest.raises(ValueError, match=message):
+            stationarity_test(1.0, 1.0, 1.0 + 1e-9, "weak", 3, 5, 0)
 
     def test_reps_must_be_an_integer(self):
         for reps in (4.0, 2.5, "4"):
