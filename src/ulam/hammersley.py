@@ -47,6 +47,7 @@ replica-batched slab below and share no code with it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,18 +194,40 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # row 0 and each sink unit on the left edge of its row, so the chain length
 # is the particle count plus the total sinks.  The kernel counts chains only,
 # of many replicas at once, a few numpy calls per row, on keys
-#     (replica << shift) | (rank of the point in its replica's chain order),
-# 2**shift above every replica's size (int32 if they fit, else int64).  Chain
-# order is x ascending, ties by row descending (as in `chain_rows`); a
-# cloud's sink units take ranks 1..total in row order, below its sources and
-# xs; a word's positions are its ranks.  Keys are distinct, and an equal-x
-# pair never chains.  The callers are the estimators' chunk workers, whose
-# batches `montecarlo._chunks` sizes.
+#     (replica << shift) | (value of the point in its replica),
+# whose values follow the chain order: x ascending, ties by row descending
+# (as in `chain_rows`).  A word's values are its positions, 2**shift above
+# every word's size (int32 keys if they fit, else int64).  A cloud's keys
+# are int64 with shift 56, and their values are read off the IEEE bits of
+# x, which order positive doubles as their values do.  With the floor
+# f = x_max * 2**-14 they are
+#     0 .. total-1                 the sink units, in row order;
+#     2**31 + exact rank           the points below f (about 6e-5 of them,
+#                                  and a source at 0.0), by x, then higher
+#                                  row first;
+#     2**32 + bits(x) - bits(f)    every other point.
+# bits(x_max) - bits(f) is below 15 * 2**52 (14 binades, or only subnormals
+# when f is one), so every value lies below 2**56 and 127 replicas fit.
+# Two keys are equal only where a row point shares the x of a point of
+# another row.  A row's x are distinct, and so are a replica's particles
+# (the end of a longer chain lies at a greater x), so a tie is a row point
+# against a particle of an earlier row (or a source), which the chain order
+# puts above the point.  Each step ranks such a tie so: the point side
+# searches with side="left" (the point falls into the particle's cell,
+# below it), the particle side with side="right" (a point tied with cell
+# j - 1 is not above it).  The callers are the estimators' chunk workers,
+# whose batches `montecarlo._chunks` sizes.
+#
+# Layout: a cloud's keys go into one replica-major int64 buffer as the cloud
+# is drawn: its sink units, its sources (row 0), then its points row by row.
+# Row i of the batch is gathered from it just before it steps, replica by
+# replica, each replica's sink units of row i before its row-i points.  A
+# word's rows are contiguous slices of its key array.
 #
 # The slab: row r of an (R, C) array holds replica r's particles ascending,
 # padded with ((r + 1) << shift) - 1, between replica r's keys and r + 1's.
 # The flat slab is sorted, so one searchsorted of a row's points (by
-# replica, then rank) gives each point its cell r*C + g, g counting the
+# replica, then value) gives each point its cell r*C + g, g counting the
 # particles replica r has below it.  Row 0 (the sources) is born; every row
 # with a key is stepped, each by one write of points into cells:
 #   strict: the first point of a cell lies in the gap of the cell's particle
@@ -217,9 +240,10 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 #     particles) is stepped from the particle side instead, by the same
 #     rule: cell j takes the least of its key and the least row point above
 #     cell j - 1's key.  Cell 0's left neighbour is (r << shift) - 1, below
-#     every key of replica r (a word's rank 0 included); a birth lands in
-#     the first padding cell, and the next replica's keys and the sentinel
-#     iinfo.max, "no such point", lie above every pad, so they never win.
+#     every key of replica r (a word's position 0 and a cloud's first sink
+#     unit included); a birth lands in the first padding cell, and the next
+#     replica's keys and the sentinel iinfo.max, "no such point", lie above
+#     every pad, so they never win.
 #   weak: let a replica's row points p_0 < p_1 < ... have g_0, g_1, ...
 #     particles below.  The greedy matching moves each particle to the least
 #     free point below it; a particle stays, in its cell, exactly when every
@@ -231,8 +255,15 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 #     indices that is one cumulative maximum over the whole row.
 # Capacity: with at most L particles and m row points per replica, the
 # writes stay below cell L + m of their slab row, and the cumulative maximum
-# restarts at each replica, if C > L + m.  The slab doubles when
-# C <= 2 (L + m), so L is counted only every few rows.
+# restarts at each replica, if C > L + m.  The layout gives each row's m (a
+# cloud's sources row is often its longest); the slab starts at twice the
+# largest and doubles when C <= 2 (L + m), so L is counted only every few
+# rows.
+
+_CLOUD_SHIFT = 56
+_CLOUD_REPLICAS = 127  # the last pad, (127 << 56) - 1, is below 2**63
+_RANKED = 1 << 31  # a cloud's sink units, or its points below the floor, are fewer
+_FLOOR = 2.0 ** -14
 
 
 def _key_dtype(reps: int, shift: int):
@@ -241,29 +272,33 @@ def _key_dtype(reps: int, shift: int):
     return np.int64 if reps << shift >= 1 << 31 else np.int32
 
 
-def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: int,
-                 most: int, variant: str) -> np.ndarray:
-    """Chain length of each replica, given their sizes.  Row i is
-    ``keys[bounds[i]:bounds[i + 1]]``, ordered by replica, then rank, with at
-    most ``most`` points of one replica; row 0 (a cloud's sources) is born
-    whole, and every other row chains in ``variant``.  Empty replicas take
-    no slab row.  A strict row steps from the point side (each point finds
-    its cell) or, with more points than live cells, from the particle side
-    (each cell finds its least point above its left neighbour, cell 0's
-    being just below its replica's keys); both write the same slab."""
+def _slab_counts(rows, sizes: np.ndarray, shift: int, most, dtype,
+                 variant: str) -> np.ndarray:
+    """Chain length of each replica, given their sizes.  ``rows`` yields
+    row 0, 1, ... of the batch, each a ``dtype`` array ordered by replica,
+    then key, with at most ``most[i]`` points of one replica in row i; row 0
+    (a cloud's sources) is born whole, and every other row chains in
+    ``variant``.  Empty replicas take no slab row.  A strict row steps from
+    the point side (each point finds its cell) or, with more points than
+    live cells, from the particle side (each cell finds its least point
+    above its left neighbour, cell 0's being just below its replica's
+    keys); both write the same slab."""
     strict = variant == "strict"
     owners = np.flatnonzero(sizes)
-    pad = (owners.astype(keys.dtype)[:, None] << shift) + ((1 << shift) - 1)
-    slab = np.repeat(pad, 2 * most, axis=1)
-    ramp = np.arange(max(np.diff(bounds), default=0))
-    top = np.iinfo(keys.dtype).max  # above every key: "no such point"
+    pad = (owners.astype(dtype)[:, None] << shift) + ((1 << shift) - 1)
+    most = np.asarray(most).tolist()
+    slab = np.repeat(pad, 2 * max(most, default=0), axis=1)
+    ramp = np.arange(0)
+    top = np.iinfo(dtype).max  # above every key: "no such point"
     live = 0  # an upper bound on every slab row's particles
-    for i in np.flatnonzero(np.diff(bounds)).tolist():
-        if live + most >= slab.shape[1]:
+    for i, (pts, m) in enumerate(zip(rows, most)):
+        if not pts.size:
+            continue
+        if live + m >= slab.shape[1]:
             live = int((slab < pad).sum(1).max())
-            if 2 * (live + most) >= slab.shape[1]:
+            if 2 * (live + m) >= slab.shape[1]:
                 slab = np.concatenate((slab, np.broadcast_to(pad, slab.shape)), axis=1)
-        flat, pts = slab.reshape(-1), keys[bounds[i]:bounds[i + 1]]
+        flat = slab.reshape(-1)
         if strict and i and pts.size > slab.shape[0] * (live + 1):
             # from the particle side: cell j takes the least point above cell j - 1
             cells = slab[:, :live + 1]
@@ -275,89 +310,123 @@ def _slab_counts(keys: np.ndarray, bounds: list[int], sizes: np.ndarray, shift: 
         elif strict and i:  # a cell's points all lie below its key: the least wins
             np.minimum.at(flat, np.searchsorted(flat, pts), pts)
         else:
+            if ramp.size < pts.size:
+                ramp = np.arange(pts.size)
             at = np.searchsorted(flat, pts)
-            flat[np.maximum.accumulate(at - ramp[:at.size]) + ramp[:at.size]] = pts
-        live += 1 if strict and i else most
+            at -= ramp[:at.size]
+            np.maximum.accumulate(at, out=at)
+            at += ramp[:at.size]
+            flat[at] = pts
+            del at  # not held while the slab grows
+        live += 1 if strict and i else m
     counts = np.zeros(sizes.size, dtype=np.int64)
     counts[owners] = (slab < pad).sum(1)
     return counts
 
 
-def _cloud_order(flat: np.ndarray, sizes: np.ndarray, t_max: int) -> np.ndarray:
-    """Indices of ``flat`` (sources, then xs row by row, ``sizes`` per row)
-    in chain order: by x, the higher row first among equal x.  Every x must
-    be positive, as the samplers draw them in (0, x]: one sort of the int64
-    keys ``high bits of x | index`` then orders distinct x, as their float
-    bits sort like their values.  Only the runs of keys that share their
-    high bits are then re-ordered, by one lexsort by (x, -row) of their
-    points."""
-    b = flat.size.bit_length()
-    packed = np.sort(flat.view(np.int64) >> b << b | np.arange(flat.size))
-    order = packed & ((1 << b) - 1)
-    high = packed >> b
-    shared = high[1:] == high[:-1]
-    if not shared.any():
-        return order
-    first = np.flatnonzero(shared)
-    tied = np.union1d(first, first + 1)
-    # runs of equal high bits follow each other in x order, so one lexsort
-    # of all their points, put back in their places, orders every run
-    sub = order[tied]
-    rows = np.searchsorted(np.cumsum(sizes), sub, side="right")
-    order[tied] = sub[np.lexsort((t_max - rows, flat[sub]))]
-    return order
+def _below_floor(x: np.ndarray, ends, floor: float) -> list:
+    """(start, count, j) of each sorted slice ``j``, ``x[ends[j]:ends[j + 1]]``,
+    that begins below ``floor``: its points below it are a prefix of
+    ``count``, found by one binary search, which copies nothing."""
+    if not x.size:
+        return []
+    ends = np.asarray(ends)
+    heads = np.flatnonzero(np.diff(ends))
+    return [(int(ends[j]), int(np.searchsorted(x[ends[j]:ends[j + 1]], floor)), j)
+            for j in heads[x[ends[heads]] < floor].tolist()]
 
 
-def _chain_keys(clouds, boundaries=()) -> tuple:
-    """Keys of a batch of clouds laid out row by row, the bounds of their
-    sources and rows, each cloud's size, the shift, the most keys in one row
-    of a cloud, and each cloud's total sinks.  Each of ``boundaries``, if
-    given, is taken after its cloud and has a sink for each of its rows; its
-    sources are ranked as row 0 and its sink units as points below them.
-    A cloud is ranked by ``_cloud_order`` and dropped, its ranks kept in
-    their smallest unsigned dtype; once every size is known, each cloud's
-    row blocks move to their rows in one scatter of its own, with no index
-    array as long as the batch."""
-    ranks, rows, sinks = [], [], []  # row 0 of each cloud holds its sources
+def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
+    """The slab layout of a batch of clouds (its rows, each cloud's number
+    of keys, the shift, the most keys of one cloud in each row and the
+    dtype) and each cloud's total sinks.  Each of ``boundaries``, if given,
+    is taken after its cloud and has a sink for each of its rows; its
+    sources are row 0 and its sink units points below them.  Each cloud's
+    keys are appended to one buffer, as the cloud is drawn, and the cloud is
+    dropped; the buffer takes ``reserve`` keys once the first cloud is
+    accepted, and a quarter more whenever it overflows.  The rows are
+    gathered from it one at a time, as the slab steps them."""
+    buf = np.empty(0, np.int64)
+    used, placed, sinks = 0, [], []
     boundaries = iter(boundaries)
-    for cloud in clouds:
+    for r, cloud in enumerate(clouds):
+        if r == _CLOUD_REPLICAS:
+            raise ValueError(f"a batch of cloud keys holds at most {_CLOUD_REPLICAS} clouds, "
+                             f"got {r + 1}")
         b = next(boundaries, None)
-        sources = np.empty(0) if b is None else b.sources
-        units = np.zeros(cloud.t_max, np.int64) if b is None else b.sinks.astype(np.int64)
-        flat = np.concatenate((sources, cloud.xs))
+        # + 0.0 turns a source at -0.0, whose bits are negative, into 0.0
+        sources = np.empty(0) if b is None else b.sources + 0.0
+        units = np.empty(0, np.int64) if b is None else b.sinks
         total = int(units.sum())
-        if flat.size + total >= 1 << 31:
-            raise ValueError("a cloud of 2**31 points or more cannot be ranked in int32: "
+        if total >= _RANKED:
+            raise ValueError(f"a cloud of 2**31 sink units or more cannot be keyed: "
                              f"{cloud.size} points, {sources.size} sources and "
                              f"{total} sink units")
-        sizes = np.concatenate(([sources.size], np.diff(cloud.offsets)))
-        small = np.min_scalar_type(flat.size + total)  # ranks run 1..size
-        rank = np.empty(flat.size, dtype=small)
-        rank[_cloud_order(flat, sizes, cloud.t_max)] = np.arange(
-            total + 1, total + flat.size + 1, dtype=small)
-        if total:  # each row's sink units go first in it, ranked 1..total in row order
-            rank = np.insert(rank, np.repeat(np.cumsum(sizes)[:-1], units),
-                             np.arange(1, total + 1, dtype=small))
-        sizes[1:] += units
-        ranks.append(rank)
-        rows.append(sizes)
+        floor = cloud.x_max * _FLOOR
+        start = total + sources.size  # where the cloud's points begin in its keys
+        low = [(total + a, c, 0, sources[:c])
+               for a, c, _ in _below_floor(sources, (0, sources.size), floor)]
+        low += [(start + a, c, j + 1, cloud.xs[a:a + c])
+                for a, c, j in _below_floor(cloud.xs, cloud.offsets, floor)]
+        ranked = sum(c for _, c, _, _ in low)
+        if ranked >= _RANKED:
+            raise ValueError(f"a cloud of 2**31 points or more below x_max * 2**-14 "
+                             f"cannot be keyed: {ranked} such points")
+        size = start + cloud.size
+        if used + size > buf.size:
+            grown = np.empty(max(used + size, reserve, buf.size + buf.size // 4), np.int64)
+            grown[:used] = buf[:used]
+            buf = grown
+        out, base = buf[used:used + size], r << _CLOUD_SHIFT
+        out[:total] = np.arange(base, base + total)
+        lift = base + (1 << 32) - int(np.float64(floor).view(np.int64))
+        np.add(sources.view(np.int64), lift, out=out[total:start])
+        np.add(cloud.xs.view(np.int64), lift, out=out[start:])
+        if low:
+            at = np.concatenate([np.arange(a, a + c) for a, c, _, _ in low])
+            rows = np.repeat([j for _, _, j, _ in low], [c for _, c, _, _ in low])
+            xs = np.concatenate([v for _, _, _, v in low])
+            out[at[np.lexsort((-rows, xs))]] = base + _RANKED + np.arange(ranked)
+        placed.append((used, units, sources.size, np.diff(cloud.offsets)))
         sinks.append(total)
-    sizes = np.asarray([r.size for r in ranks], dtype=np.int64)
-    shift = int(sizes.max(initial=0) + 1).bit_length()
-    dtype = _key_dtype(sizes.size, shift)
-    # grid[r, i] keys of cloud r in row i; that block moves from its place
-    # in the cloud to the start of row i plus the row-i keys of earlier clouds
-    grid = np.zeros((sizes.size, max((s.size for s in rows), default=1)), np.int64)
-    for r, s in enumerate(rows):
-        grid[r, :s.size] = s
-    bounds = [0, *np.cumsum(grid.sum(axis=0)).tolist()]
-    moved = np.asarray(bounds[:-1]) + np.cumsum(grid, axis=0) - grid
-    keys = np.empty(int(sizes.sum()), dtype)
-    for r, (rank, s) in enumerate(zip(ranks, rows)):
-        at = np.repeat(moved[r, :s.size] - (np.cumsum(s) - s), s)
-        at += np.arange(rank.size)
-        keys[at] = rank | dtype(r << shift)
-    return keys, bounds, sizes, shift, int(grid.max(initial=0)), np.asarray(sinks, np.int64)
+        used += size
+    # seg[r, 0, i] and seg[r, 1, i]: cloud r's sink units and points in row i
+    reps = len(placed)
+    height = max((counts.size + 1 for *_, counts in placed), default=1)
+    seg = np.zeros((reps, 2, height), np.int64)
+    for r, (_, units, n_sources, counts) in enumerate(placed):
+        seg[r, 0, 1:units.size + 1] = units
+        seg[r, 1, 0] = n_sources
+        seg[r, 1, 1:counts.size + 1] = counts
+    bases = np.asarray([p[0] for p in placed], np.int64)
+    del placed  # these dels keep the per-row arrays to about 48 bytes a row a cloud
+    sizes, most, totals = seg.sum((1, 2)), seg.sum(1).max(0, initial=0), seg.sum((0, 1))
+    # where each segment begins in the buffer (a cloud's sink units, then
+    # its points, row by row), and where its last ends
+    ends = np.zeros((reps, 2 * height + 1), np.int64)
+    np.cumsum(seg.reshape(reps, 2 * height), axis=1, out=ends[:, 1:])
+    ends += bases[:, None]
+    del seg
+    starts = np.empty((height + 1, reps, 2), np.int64)  # by row, then cloud
+    starts[:, :, 0] = ends[:, :height + 1].T
+    starts[:, :, 1] = ends[:, height:].T
+    del ends
+    starts = starts.reshape(height + 1, 2 * reps)
+    counts = np.diff(starts, axis=0)
+    lifts = starts[:-1]
+    lifts += counts
+    lifts -= np.cumsum(counts, axis=1)  # + a key's place in its row: its place in the buffer
+    # a segment is no longer than the buffer: int32 unless it holds 2**31 keys
+    counts = counts.astype(np.int32 if used < _RANKED else np.int64)
+
+    def rows():
+        for lift, c, n in zip(lifts, counts, totals.tolist()):
+            row = np.repeat(lift, c)
+            row += np.arange(n)
+            row = buf[row]  # the keys take the place of their index
+            yield row
+
+    return rows(), sizes, _CLOUD_SHIFT, most, np.int64, np.asarray(sinks, np.int64)
 
 
 def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
@@ -369,14 +438,15 @@ def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
     together as clouds and each is dropped once laid out."""
     size = n * k
     shift = size.bit_length()
-    keys = np.empty((n, reps, k), dtype=_key_dtype(reps, shift))
+    dtype = _key_dtype(reps, shift)
+    keys = np.empty((n, reps, k), dtype=dtype)
     small = np.min_scalar_type(n)
     for r, word in enumerate(words):
         word = np.asarray(word).astype(small, copy=False)
         keys[:, r] = np.argsort(word, kind="stable").reshape(n, k)
         keys[:, r] |= r << shift
-    bounds = [0, *(reps * k * i for i in range(n + 1))]  # no sources
-    return _slab_counts(keys.reshape(-1), bounds, np.full(reps, size), shift, k, variant)
+    rows = itertools.chain((np.empty(0, dtype),), keys.reshape(n, -1))  # no sources
+    return _slab_counts(rows, np.full(reps, size), shift, [0] + [k] * n, dtype, variant)
 
 
 def run_process(x: float, t: int, lam: float, variant: str,

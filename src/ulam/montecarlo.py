@@ -35,12 +35,13 @@ _MAX_REPS = 1 << 32
 # the input alone, never from --jobs.  A slab row step costs the same numpy
 # calls whatever its width, so wide chunks are fast: every benchmark
 # geometry runs as one chunk per order (at most 60 replicas of about 1e4
-# points, 2.4 MB of keys).  The replica cap leaves a run of more replicas
-# several chunks for --jobs to spread; a run that fits one chunk runs in
-# one process whatever --jobs is.  The budget binds only on large replicas:
-# 2**24 is the least at which k = 1 words at n = 1e5 (32 replicas a chunk)
-# run level with a patience pass per replica; 2**25 saves another tenth
-# there for 12-15 MB more peak RSS, and no budget speeds up n = k = 1e3.
+# points, 4.8 MB of 8-byte cloud keys).  The replica cap leaves a run of
+# more replicas several chunks for --jobs to spread; a run that fits one
+# chunk runs in one process whatever --jobs is.  The budget binds only on
+# large replicas: 2**24 is the least at which k = 1 words at n = 1e5 (32
+# replicas a chunk) run level with a patience pass per replica; 2**25 saves
+# another tenth there for 12-15 MB more peak RSS, and no budget speeds up
+# n = k = 1e3.
 _CHUNK_REPS = 64
 _CHUNK_BYTES = 1 << 24
 
@@ -110,26 +111,42 @@ def _parallel_map(fn, argses: list, jobs: int) -> list:
         return list(pool.map(fn, argses, chunksize=chunk))
 
 
-def _replica_bytes(points: float, row: float, rows: float = 0.0) -> float:
-    """Bytes of one replica of ``points`` expected points, ``row`` in a row,
-    ``rows`` rows, in a chunk: a 4-byte key per point, a slab row of at
-    most 4 (L + row) 4-byte cells (the slab doubles when half full), where a
-    chain of p points is about L = 2 sqrt(p) long, and six 8-byte cells a
-    row for a cloud's row sizes, layout grid, offsets and sinks (a word's
-    rows are shared, so it passes none).  Within the budget keys are int32:
-    R replicas of p points have R << shift <= 2 R (p + 1), far below 2**31."""
-    return (4.0 * (1.0 + points + 4.0 * (2.0 * math.sqrt(max(points, 0.0)) + row))
+def _replica_bytes(points: float, row: float, rows: float = 0.0, key: int = 4) -> float:
+    """Bytes of one replica of ``points`` expected keys, ``row`` in a row,
+    ``rows`` rows, in a chunk: a ``key``-byte key per point, a slab row of
+    at most 4 (L + row) cells of that width (the slab doubles when half
+    full), where a chain of p points is about L = 2 sqrt(p) long, and six
+    8-byte cells a row for a cloud's row segments and their places in its
+    key buffer, kept and built (a word's rows are shared, so it passes
+    none).  A word's keys are int32 within the budget (R replicas of p
+    points have R << shift <= 2 R (p + 1), far below 2**31); a cloud's are
+    int64, ``key`` = 8."""
+    return (key * (1.0 + points + 4.0 * (2.0 * math.sqrt(max(points, 0.0)) + row))
             + 48.0 * rows)
 
 
-def _chunks(reps: int, points: float, row: float, rows: float = 0.0) -> list[range]:
+def _chunks(reps: int, points: float, row: float, rows: float = 0.0,
+            key: int = 4) -> list[range]:
     """Replicas 0..reps-1 in the fewest balanced chunks of at most
     ``_CHUNK_REPS`` replicas and ``_CHUNK_BYTES`` (`_replica_bytes`), or of
     one replica where one is more."""
-    size = min(_CHUNK_REPS, max(1, int(_CHUNK_BYTES // _replica_bytes(points, row, rows))))
+    size = min(_CHUNK_REPS, max(1, int(_CHUNK_BYTES // _replica_bytes(points, row, rows, key))))
     chunks = -(-reps // size)
     cuts = [reps * i // chunks for i in range(chunks + 1)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _expected_keys(x: float, t: int, lam: float, rates: BoundaryRates | None) -> tuple:
+    """Expected keys of one replica's cloud and boundary, and of its longest
+    row: x t lam points, x source_rate sources in row 0, and a sink unit
+    with probability sink_param (strict) or sink_param / (1 - sink_param)
+    of them (weak, Geometric) in each of the t rows."""
+    if rates is None:
+        return x * t * lam, x * lam
+    p = rates.sink_param
+    units = p if rates.variant == "strict" else p / (1.0 - p)
+    sources = x * rates.source_rate
+    return x * t * lam + sources + t * units, max(x * lam + units, sources)
 
 
 # --- replica workers (top level so process pools can pickle them) ---------
@@ -143,13 +160,17 @@ def _word_chunk(args) -> np.ndarray:
 def _poisson_chunk(args) -> np.ndarray:
     """Final particle counts and total sinks of a chunk of replicas: the
     slab's chain lengths, less each boundary's total sinks if ``rates`` are
-    given (the line identity)."""
+    given (the line identity).  The key buffer is reserved for the chunk's
+    expected keys and four standard deviations more (as if they were
+    Poisson)."""
     seed, reps, x, t, lam, order, tag, rates = args
     rngs = [make_rng(seed, _stream(tag, r)) for r in reps]
     clouds = (sample_poisson_cloud(x, t, lam, rng) for rng in rngs)
     # each boundary is drawn after its cloud, as in run_process
     boundaries = (sample_boundary(x, t, rates, rng) for rng in rngs) if rates else ()
-    *layout, sinks = _chain_keys(clouds, boundaries)
+    expected = len(reps) * _expected_keys(x, t, lam, rates)[0]
+    reserve = int(expected + 4.0 * math.sqrt(expected)) + 1
+    *layout, sinks = _chain_keys(clouds, boundaries, reserve)
     return np.stack((_slab_counts(*layout, order) - sinks, sinks))
 
 
@@ -159,11 +180,10 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
     """Final particle counts and total sinks (2, reps) of replicas 0..reps-1,
     in replica order, drawn from stream block ``tag``.  The geometry is
     checked once, here, before any chunk is planned."""
-    source_rate = rates.source_rate if rates else 0.0
-    _check_geometry(x, t, lam, source_rate)
-    sources = x * source_rate
+    _check_geometry(x, t, lam, rates.source_rate if rates else 0.0)
+    points, row = _expected_keys(x, t, lam, rates)
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
-              for chunk in _chunks(reps, x * t * lam + sources, max(x * lam, sources), t + 1)]
+              for chunk in _chunks(reps, points, row, t + 1, key=8)]
     return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism), axis=1)
 
 

@@ -342,55 +342,159 @@ class TestEqualX:
         assert brute_force_longest_chain(cloud, b, "strict") == 2
 
 
-# Clouds whose x lie a few ulps apart, so that their int64 sort keys share
-# high bits: the ranking falls back to argsort, or to lexsort on equal x.
-close_cloud = st.integers(min_value=1, max_value=4).flatmap(
-    lambda t: st.sets(st.tuples(st.integers(min_value=0, max_value=600),
-                                st.integers(min_value=1, max_value=t)), max_size=40)
-    .map(lambda pts: PlanarPointSet.from_points(
-        [(1.0 + j * 2.0 ** -52, r) for j, r in sorted(pts)], 2.0, t)))
-
-
 @st.composite
-def crowded_rows(draw):
-    """(flat, sizes, t_max): rows 0..t_max of up to 150 x each, all within
-    2000 ulps of one base, repeats allowed: the packed keys share their high
-    bits in many long runs."""
-    t_max = draw(st.integers(min_value=0, max_value=5))
-    sizes = draw(st.lists(st.integers(min_value=0, max_value=150),
-                          min_size=t_max + 1, max_size=t_max + 1))
+def crowded_clouds(draw):
+    """(cloud, boundary): rows 0..t_max of up to 60 distinct x each, all
+    within 2000 ulps of one base, x shared across rows, with sources in row
+    0 (at 0.0 too when the base is 0.0) and sink units, under an x_max at
+    the largest x or far above it, so that many or all points lie below the
+    floor x_max * 2**-14."""
+    t_max = draw(st.integers(min_value=1, max_value=5))
     base = draw(st.sampled_from([1.0, 3.5, 1e-300, 0.0]))
-    steps = draw(st.lists(st.integers(min_value=0, max_value=2000),
-                          min_size=sum(sizes), max_size=sum(sizes)))
-    flat = base + np.asarray(steps, dtype=float) * np.spacing(base)
-    return flat, np.asarray(sizes, dtype=np.int64), t_max
+    least = 0 if base else 1  # a cloud's x is positive; a source may be 0.0
+    rows = [sorted(draw(st.sets(st.integers(min_value=0 if i == 0 else least,
+                                             max_value=2000), max_size=60)))
+            for i in range(t_max + 1)]
+    x = [base + np.asarray(r, dtype=float) * np.spacing(base) for r in rows]
+    top = max((float(r[-1]) for r in x if r.size), default=0.0)
+    x_max = draw(st.sampled_from([top, 1.0, 4.0]))
+    if not 0.0 < x_max >= top:
+        x_max = max(top, 1.0)
+    sinks = draw(st.lists(st.integers(min_value=0, max_value=2),
+                          min_size=t_max, max_size=t_max))
+    return (PlanarPointSet.from_rows(x[1:], x_max),
+            BoundarySample(x[0], np.asarray(sinks, dtype=np.int64)))
 
 
-class TestCloudOrder:
+def chain_keys(cloud, boundary=None):
+    """The keys of one cloud laid out alone: its sink units in row order,
+    and its points (sources, then xs row by row), read off the rows."""
+    rows, *_ = hammersley._chain_keys([cloud], () if boundary is None else [boundary])
+    units = np.zeros(cloud.t_max + 1, np.int64)
+    if boundary is not None:
+        units[1:] = boundary.sinks
+    sinks, points = [], []
+    for i, row in enumerate(rows):
+        sinks.append(row[:units[i]])
+        points.append(row[units[i]:])
+    return np.concatenate(sinks), np.concatenate(points)
+
+
+class TestChainKeys:
+    """A cloud's keys are read off the float bits of x above the floor
+    x_max * 2**-14 and ranked exactly below it; sink units come first."""
+
     @staticmethod
-    def check(flat, sizes, t_max):
-        rows = np.repeat(np.arange(sizes.size), sizes)
-        order = hammersley._cloud_order(flat, sizes, t_max)
-        assert order.tolist() == np.lexsort((-rows, flat)).tolist()
+    def check(cloud, boundary=None):
+        sources = np.empty(0) if boundary is None else boundary.sources
+        x = np.concatenate((sources, cloud.xs))
+        rows = np.repeat(np.arange(cloud.t_max + 1),
+                         np.diff(cloud.offsets, prepend=-sources.size))
+        sinks, keys = chain_keys(cloud, boundary)
+        total = 0 if boundary is None else boundary.total_sinks
+        assert sinks.tolist() == list(range(total))
+        assert keys.dtype == np.int64 and (keys < 1 << 56).all()
+        if not keys.size:
+            return
+        order = np.lexsort((-rows, x))
+        step = np.diff(keys[order])
+        assert (step >= 0).all() and keys.min() > total - 1
+        # equal keys exactly where two rows share an x at or above the floor
+        floor = cloud.x_max * 2.0 ** -14
+        shared = np.diff(x[order]) == 0
+        assert ((step == 0) == (shared & (x[order][1:] >= floor))).all()
+        below = x < floor
+        assert sorted(keys[below].tolist()) == list(range(1 << 31, (1 << 31) + below.sum()))
+        assert (keys[~below] >= 1 << 32).all()
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(grid_cloud, sampled_cloud, close_cloud))
+    @given(st.one_of(grid_cloud, sampled_cloud))
     def test_order_is_x_then_higher_row_first(self, cloud):
-        sizes = np.diff(cloud.offsets, prepend=0)  # no sources in row 0
-        self.check(cloud.xs, sizes, cloud.t_max)
+        self.check(cloud)
 
     @settings(max_examples=150, deadline=None)
-    @given(crowded_rows())
-    def test_runs_of_shared_high_bits(self, crowded):
+    @given(st.data())
+    def test_grid_clouds_with_sources_and_sinks(self, data):
+        cloud = data.draw(grid_cloud)
+        self.check(cloud, data.draw(grid_boundary(cloud.t_max, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(crowded_clouds())
+    def test_crowded_clouds(self, crowded):
         self.check(*crowded)
 
-    def test_large_cloud_with_every_key_shared(self):
-        # 30000 x within 2**19 ulps of 1 and a 15-bit index: the keys fall
-        # in 16 runs of equal high bits, some x repeat within a row
-        rng = np.random.default_rng(7)
-        sizes = np.full(60, 500, dtype=np.int64)
-        flat = 1.0 + rng.integers(0, 1 << 19, sizes.sum()) * 2.0 ** -52
-        self.check(flat, sizes, 59)
+    def test_points_below_the_floor_rank_exactly(self):
+        # x_max = 1: the floor is 2**-14, about 6.1e-5
+        cloud = PlanarPointSet.from_rows([[1e-5, 3e-5, 0.5], [3e-5, 0.7]], 1.0)
+        boundary = BoundarySample(np.asarray([0.0, 3e-5, 0.5]), np.asarray([1, 0]))
+        sinks, keys = chain_keys(cloud, boundary)
+        assert sinks.tolist() == [0]
+        rank = [(1 << 31) + i for i in range(5)]
+        bits = lambda v: (1 << 32) + int(np.float64(v).view(np.int64)) - int(  # noqa: E731
+            np.float64(2.0 ** -14).view(np.int64))
+        # sources 0.0, 3e-5, 0.5; row 1 1e-5, 3e-5, 0.5; row 2 3e-5, 0.7; at
+        # x = 3e-5 row 2 ranks first and the source last
+        assert keys.tolist() == [rank[0], rank[4], bits(0.5), rank[1], rank[3], bits(0.5),
+                                 rank[2], bits(0.7)]
+        self.check(cloud, boundary)
+
+    @pytest.mark.parametrize("x_max", [5e-324, 1e-305, 1.0, 1.7e308])
+    def test_every_key_below_2_56(self, x_max):
+        # the least positive x, x_max itself and a source at 0.0 bound the
+        # keys from both sides; at 5e-324 the floor is 0.0
+        xs = sorted({5e-324, x_max / 3 or 5e-324, x_max})
+        cloud = PlanarPointSet.from_rows([xs, xs[-1:]], x_max)
+        boundary = BoundarySample(np.asarray(sorted({0.0, x_max})), np.asarray([1, 1]))
+        self.check(cloud, boundary)
+        clouds = [cloud] * 127
+        rows, _, shift, *_ = hammersley._chain_keys(clouds, [boundary] * 127)
+        top = max(int(row.max()) for row in rows if row.size)
+        assert shift == 56 and top >> 56 == 126  # the 127th cloud's keys, not past them
+        for variant in ("strict", "weak"):
+            expected = longest_chain_with_boundary(cloud, boundary, variant)
+            assert boundary_counts([(cloud, boundary)] * 127, variant).tolist() == [
+                expected - boundary.total_sinks] * 127
+
+    def test_refused_batches_name_their_counts(self):
+        empty = PlanarPointSet.from_rows([()], 1.0)
+        with pytest.raises(ValueError, match="at most 127 clouds, got 128$"):
+            hammersley._chain_keys([empty] * 128)
+        sinks = BoundarySample(np.empty(0), np.asarray([1 << 31]))
+        with pytest.raises(ValueError, match="and 2147483648 sink units$"):
+            hammersley._chain_keys([empty], [sinks])
+        # 2**31 points below the floor, as a read-only view of one value:
+        # refused before a key is written, with nothing copied
+        low = object.__new__(PlanarPointSet)
+        low.__dict__.update(xs=np.broadcast_to(1e-300, (1 << 31,)),
+                            offsets=np.asarray([0, 1 << 31]), x_max=1.0)
+        with pytest.raises(ValueError, match="cannot be keyed: 2147483648 such points$"):
+            hammersley._chain_keys([low])
+
+    @pytest.mark.parametrize("order, rates", [
+        ("strict", None), ("weak", None),
+        ("strict", BoundaryRates.strict_from_alpha(1.0, 1.0)),
+        ("weak", BoundaryRates.weak_from_beta(1.0, 1.5))])
+    def test_tiny_buffer_reserve_gives_the_same_counts(self, monkeypatch, order, rates):
+        # a reserve of one key grows the buffer at every cloud
+        args = (11, range(9), 6.0, 15, 1.0, order, 3, rates)
+        whole = montecarlo._poisson_chunk(args)
+        monkeypatch.setattr(montecarlo, "_expected_keys", lambda *a: (0.0, 0.0))
+        assert montecarlo._poisson_chunk(args).tolist() == whole.tolist()
+
+
+def recording_slab(seen: list):
+    """`hammersley._slab_counts`, which appends the key dtype of each call
+    to ``seen`` and checks that every row it steps has that dtype."""
+    slab = hammersley._slab_counts
+
+    def record(rows, sizes, shift, most, dtype, variant):
+        def checked():
+            for row in rows:
+                assert row.dtype == dtype
+                yield row
+        seen.append(np.dtype(dtype))
+        return slab(checked(), sizes, shift, most, dtype, variant)
+    return record
 
 
 def slab_counts(clouds, variant: str) -> np.ndarray:
@@ -424,12 +528,15 @@ class TestBatchParticleCounts:
         assert slab_counts([cloud], variant).tolist() == [chain(cloud)]
 
     def test_int64_keys_when_int32_cannot_hold_them(self):
-        # 2**14 replicas of 2**17 keys each end at 2**31, past int32
+        # cloud keys are int64 whatever the batch: replica << 56 is past
+        # int32 from the second replica on
         big = sample_poisson_cloud(22_000.0, 3, 1.0, make_rng(33))
         assert 1 << 16 <= big.size < 1 << 17
-        clouds = [PlanarPointSet.from_rows((), 1.0)] * ((1 << 14) - 1) + [big]
-        assert hammersley._chain_keys(clouds[-2:])[0][0].dtype == np.int32
-        assert hammersley._chain_keys(clouds)[0][0].dtype == np.int64
+        clouds = [PlanarPointSet.from_rows((), 1.0)] * 126 + [big]
+        for batch in (clouds[-1:], clouds[-2:], clouds):
+            rows, _, shift, _, dtype, _ = hammersley._chain_keys(batch)
+            assert shift == 56 and dtype == np.int64
+            assert {row.dtype for row in rows} == {np.dtype(np.int64)}
         for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
             counts = slab_counts(clouds, variant)
             assert counts[-1] == chain(big) and not counts[:-1].any()
@@ -450,12 +557,12 @@ class TestBatchParticleCounts:
     def test_estimate_split_into_small_chunks(self, monkeypatch, order):
         whole = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
         # a replica of x*t*lam = 45 expected points in 10 rows takes about
-        # 959 bytes, so a budget of 2000 bytes makes 4 balanced chunks of at
-        # most 2 replicas
-        assert 667 < montecarlo._replica_bytes(45.0, 5.0, 10) <= 1000
+        # 1437 bytes with 8-byte keys, so a budget of 3000 bytes makes 4
+        # balanced chunks of at most 2 replicas
+        assert 1000 < montecarlo._replica_bytes(45.0, 5.0, 10, key=8) <= 1500
         chunks = []
         run_chunk = montecarlo._poisson_chunk
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2000)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 3000)
         monkeypatch.setattr(montecarlo, "_poisson_chunk",
                             lambda args: chunks.append(list(args[1])) or run_chunk(args))
         split = montecarlo.estimate_poissonized(5.0, 9, 1.0, order, 7, seed=32)
@@ -522,16 +629,10 @@ class TestBoundarySlab:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from(["strict", "weak"]))
     def test_int64_keys(self, data, variant):
+        # cloud keys are always int64: every row the slab steps is
         runs = data.draw(boundary_batches(variant))
         seen = []
-        slab = hammersley._slab_counts
-
-        def record(keys, *args):
-            seen.append(keys.dtype)
-            return slab(keys, *args)
-
-        with mock.patch.object(hammersley, "_key_dtype", lambda reps, shift: np.int64), \
-                mock.patch.object(hammersley, "_slab_counts", record):
+        with mock.patch.object(hammersley, "_slab_counts", recording_slab(seen)):
             self.check(runs, variant)
         assert seen == [np.int64]
 
@@ -620,14 +721,8 @@ class TestWordCounts:
         # 2**31 letters in one batch, so the choice is forced here
         n, k, words = words
         seen = []
-        slab = hammersley._slab_counts
-
-        def record(keys, *args):
-            seen.append(keys.dtype)
-            return slab(keys, *args)
-
         with mock.patch.object(hammersley, "_key_dtype", lambda reps, shift: np.int64), \
-                mock.patch.object(hammersley, "_slab_counts", record):
+                mock.patch.object(hammersley, "_slab_counts", recording_slab(seen)):
             for variant in ("strict", "weak"):
                 letters = np.asarray(words, dtype=np.uint16)
                 counts = hammersley._word_counts(letters, len(words), n, k, variant)
@@ -722,15 +817,10 @@ class TestParticleSide:
         TestBoundarySlab.check(self.dense_runs(x, t, 37), "strict")
 
     def test_int64_keys(self):
+        # words take int64 keys only when forced; clouds always do
         seen = []
-        slab = hammersley._slab_counts
-
-        def record(keys, *args):
-            seen.append(keys.dtype)
-            return slab(keys, *args)
-
         with mock.patch.object(hammersley, "_key_dtype", lambda reps, shift: np.int64), \
-                mock.patch.object(hammersley, "_slab_counts", record):
+                mock.patch.object(hammersley, "_slab_counts", recording_slab(seen)):
             self.test_words()
             self.test_dense_and_sparse_clouds_in_one_batch()
             for x, t in self.DENSE:

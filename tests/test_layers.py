@@ -65,7 +65,7 @@ def test_every_export_resolves_once():
 # slab, the scalar step rules with the patience pass, and the quadratic DP.
 # Each is the others' oracle, so none may reach a function of another.
 FAMILIES = {
-    "slab": {"_slab_counts", "_chain_keys", "_cloud_order", "_word_counts", "_key_dtype"},
+    "slab": {"_slab_counts", "_chain_keys", "_below_floor", "_word_counts", "_key_dtype"},
     "scalar rules and patience pass": {
         "run_dynamics", "_strict_rule", "_weak_rule", "lis_strict", "lnds_weak",
         "_patience_length", "_row_sequence", "longest_chain_with_boundary",

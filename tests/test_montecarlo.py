@@ -207,7 +207,7 @@ class TestChunkPlan:
             estimate_poissonized(6.0, 12, 1.0, "weak", 40, 70, jobs)
             stationarity_test(5.0, 1.0, 1.0, "strict", 12, 23, 70, jobs)
         assert plans[1] == plans[2]
-        assert [len(plan) for plan in plans[1]] == [5, 20, 12]
+        assert [len(plan) for plan in plans[1]] == [5, 40, 23]
 
 
 def _peak_traced_bytes(run, args) -> int:
@@ -222,8 +222,9 @@ def _peak_traced_bytes(run, args) -> int:
 
 class TestChunkMemory:
     """The lean key layout: a chunk's peak memory grows by at most 12 bytes a
-    point (2-byte ranks, 4-byte keys, the slab), whatever its size.  A
-    layout with chunk-wide int64 index arrays took about 28."""
+    point (8-byte keys in one buffer, the slab, one row gathered at a time),
+    whatever its size.  A layout with chunk-wide int64 index arrays took
+    about 28."""
 
     # both orders: a strict row with more points than live cells steps from
     # the particle side, whose per-row arrays must fit the bound too
@@ -256,6 +257,22 @@ class TestChunkMemory:
         one = _peak_traced_bytes(montecarlo._poisson_chunk, (args[0], range(1), *args[2:]))
         full = _peak_traced_bytes(montecarlo._poisson_chunk, args)
         assert full - one <= montecarlo._CHUNK_BYTES
+
+    def test_sink_units_count_in_the_plan(self, monkeypatch):
+        # a weak source rate a hair above lam draws about 1e6 sink units a
+        # row, 3e6 keys a replica: each replica is planned alone, as one
+        # replica over the budget.  Planned only, never run.
+        x, lam, rate, t, reps = 1.0, 1.0, 1.0 + 1e-6, 3, 64
+        planned = []
+        monkeypatch.setattr(montecarlo, "_parallel_map", lambda fn, argses, jobs: (
+            planned.extend(argses) or [np.zeros((2, len(a[1])), np.int64) for a in argses]))
+        stationarity_test(x, lam, rate, "weak", t, reps, 0)
+        rates = planned[0][-1]
+        keys, row = montecarlo._expected_keys(x, t, lam, rates)
+        assert keys > 2.9e6 and row > 0.9e6
+        per = montecarlo._replica_bytes(keys, row, t + 1, key=8)
+        assert per > montecarlo._CHUNK_BYTES
+        assert [list(a[1]) for a in planned] == [[r] for r in range(reps)]
 
     def test_word_chunk(self):
         n, k = 100, 20
@@ -424,14 +441,15 @@ class TestReplicaBounds:
 
     def test_a_cloud_past_int32_names_its_sizes(self):
         # a source rate a hair above lam draws Geometric(1e-9) sinks, about
-        # 1e9 sink units a row: the error gives the cloud's points, sources
-        # and sink units, replica 0's as its stream draws them
+        # 1e9 sink units a row, which key as 0..total-1 below 2**31: the
+        # error gives the cloud's points, sources and sink units, replica
+        # 0's as its stream draws them
         rates = BoundaryRates.weak_from_beta(1.0, 1.0 + 1e-9)
         rng = make_rng(0, montecarlo._TAG_STATIONARY << 32)
         cloud = sample_poisson_cloud(1.0, 3, 1.0, rng)
         boundary = sample_boundary(1.0, 3, rates, rng)
         assert boundary.total_sinks >= 1 << 31
-        message = (f"^a cloud of 2\\*\\*31 points or more cannot be ranked in int32: "
+        message = (f"^a cloud of 2\\*\\*31 sink units or more cannot be keyed: "
                    f"{cloud.size} points, {boundary.sources.size} sources and "
                    f"{boundary.total_sinks} sink units$")
         with pytest.raises(ValueError, match=message):
