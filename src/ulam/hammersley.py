@@ -195,34 +195,38 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # is the particle count plus the total sinks.  The kernel counts chains only,
 # of many replicas at once, a few numpy calls per row, on keys
 #     (replica << shift) | (value of the point in its replica),
-# whose values follow the chain order: x ascending, ties by row descending
-# (as in `chain_rows`).  A word's values are its positions, 2**shift above
-# every word's size (int32 keys if they fit, else int64).  A cloud's keys
-# are int64 with shift 56, and their values are read off the IEEE bits of
-# x, which order positive doubles as their values do.  With the floor
-# f = x_max * 2**-14 they are
+# whose values order the points as their x do.  A word's values are its
+# positions, 2**shift above every word's size (int32 keys if they fit, else
+# int64).  A cloud's keys are int64 with shift 56 and follow one rule, equal
+# x, equal value; with the floor f = x_max * 2**-14 they are
 #     0 .. total-1                 the sink units, in row order;
-#     2**31 + exact rank           the points below f (about 6e-5 of them,
-#                                  and a source at 0.0), by x, then higher
-#                                  row first;
-#     2**32 + bits(x) - bits(f)    every other point.
+#     total + dense rank by x      the points below f (about 6e-5 of them,
+#                                  and a source at 0.0);
+#     2**32 + bits(x) - bits(f)    every other point, read off the IEEE bits
+#                                  of x, which order positive doubles as
+#                                  their values do.
+# A cloud holds fewer than 2**32 keys, so the ranks lie below 2**32, and
 # bits(x_max) - bits(f) is below 15 * 2**52 (14 binades, or only subnormals
 # when f is one), so every value lies below 2**56 and 127 replicas fit.
-# Two keys are equal only where a row point shares the x of a point of
-# another row.  A row's x are distinct, and so are a replica's particles
-# (the end of a longer chain lies at a greater x), so a tie is a row point
-# against a particle of an earlier row (or a source), which the chain order
-# puts above the point.  Each step ranks such a tie so: the point side
-# searches with side="left" (the point falls into the particle's cell,
-# below it), the particle side with side="right" (a point tied with cell
-# j - 1 is not above it).  The callers are the estimators' chunk workers,
-# whose batches `montecarlo._chunks` sizes.
+# A row's x are distinct, and so are a replica's particles (the end of a
+# longer chain lies at a greater x), so a tie is a row point against a
+# particle of an earlier row (or a source), which the chain order (ties by
+# row descending, as in `chain_rows`) puts above the point.  Each step ranks
+# such a tie so: the point side searches with side="left" (the point falls
+# into the particle's cell, below it), the particle side with side="right"
+# (a point tied with cell j - 1 is not above it).  The callers are the
+# estimators' chunk workers, whose batches `montecarlo._chunks` sizes.
 #
 # Layout: a cloud's keys go into one replica-major int64 buffer as the cloud
-# is drawn: its sink units, its sources (row 0), then its points row by row.
-# Row i of the batch is gathered from it just before it steps, replica by
-# replica, each replica's sink units of row i before its row-i points.  A
-# word's rows are contiguous slices of its key array.
+# is drawn: its sink units, its sources (row 0), then its points row by row,
+# each point written as 2**32 + bits(x) - bits(f).  One table of each
+# cloud's sink units and points in each row, summed once in the buffer's
+# order, places every segment; a point below the floor keys below 2**32 and
+# begins its row, so the rows whose first key does are searched, and their
+# points below it ranked, once for the batch.  Row i of the batch is
+# gathered from the buffer just before it steps, replica by replica, each
+# replica's sink units of row i before its row-i points.  A word's rows are
+# contiguous slices of its key array.
 #
 # The slab: row r of an (R, C) array holds replica r's particles ascending,
 # padded with ((r + 1) << shift) - 1, between replica r's keys and r + 1's.
@@ -262,7 +266,7 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 
 _CLOUD_SHIFT = 56
 _CLOUD_REPLICAS = 127  # the last pad, (127 << 56) - 1, is below 2**63
-_RANKED = 1 << 31  # a cloud's sink units, or its points below the floor, are fewer
+_RANKED = 1 << 32  # a cloud's keys are fewer: its sink units and ranks lie below it
 _FLOOR = 2.0 ** -14
 
 
@@ -324,18 +328,6 @@ def _slab_counts(rows, sizes: np.ndarray, shift: int, most, dtype,
     return counts
 
 
-def _below_floor(x: np.ndarray, ends, floor: float) -> list:
-    """(start, count, j) of each sorted slice ``j``, ``x[ends[j]:ends[j + 1]]``,
-    that begins below ``floor``: its points below it are a prefix of
-    ``count``, found by one binary search, which copies nothing."""
-    if not x.size:
-        return []
-    ends = np.asarray(ends)
-    heads = np.flatnonzero(np.diff(ends))
-    return [(int(ends[j]), int(np.searchsorted(x[ends[j]:ends[j + 1]], floor)), j)
-            for j in heads[x[ends[heads]] < floor].tolist()]
-
-
 def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
     """The slab layout of a batch of clouds (its rows, each cloud's number
     of keys, the shift, the most keys of one cloud in each row and the
@@ -347,7 +339,7 @@ def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
     accepted, and a quarter more whenever it overflows.  The rows are
     gathered from it one at a time, as the slab steps them."""
     buf = np.empty(0, np.int64)
-    used, placed, sinks = 0, [], []
+    used, placed = 0, []
     boundaries = iter(boundaries)
     for r, cloud in enumerate(clouds):
         if r == _CLOUD_REPLICAS:
@@ -358,66 +350,56 @@ def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
         sources = np.empty(0) if b is None else b.sources + 0.0
         units = np.empty(0, np.int64) if b is None else b.sinks
         total = int(units.sum())
-        if total >= _RANKED:
-            raise ValueError(f"a cloud of 2**31 sink units or more cannot be keyed: "
-                             f"{cloud.size} points, {sources.size} sources and "
-                             f"{total} sink units")
-        floor = cloud.x_max * _FLOOR
         start = total + sources.size  # where the cloud's points begin in its keys
-        low = [(total + a, c, 0, sources[:c])
-               for a, c, _ in _below_floor(sources, (0, sources.size), floor)]
-        low += [(start + a, c, j + 1, cloud.xs[a:a + c])
-                for a, c, j in _below_floor(cloud.xs, cloud.offsets, floor)]
-        ranked = sum(c for _, c, _, _ in low)
-        if ranked >= _RANKED:
-            raise ValueError(f"a cloud of 2**31 points or more below x_max * 2**-14 "
-                             f"cannot be keyed: {ranked} such points")
         size = start + cloud.size
+        if size >= _RANKED:
+            raise ValueError(f"a cloud of 2**32 keys or more cannot be keyed: {cloud.size} "
+                             f"points, {sources.size} sources and {total} sink units")
         if used + size > buf.size:
             grown = np.empty(max(used + size, reserve, buf.size + buf.size // 4), np.int64)
             grown[:used] = buf[:used]
             buf = grown
         out, base = buf[used:used + size], r << _CLOUD_SHIFT
         out[:total] = np.arange(base, base + total)
-        lift = base + (1 << 32) - int(np.float64(floor).view(np.int64))
+        lift = base + (1 << 32) - int(np.float64(cloud.x_max * _FLOOR).view(np.int64))
         np.add(sources.view(np.int64), lift, out=out[total:start])
         np.add(cloud.xs.view(np.int64), lift, out=out[start:])
-        if low:
-            at = np.concatenate([np.arange(a, a + c) for a, c, _, _ in low])
-            rows = np.repeat([j for _, _, j, _ in low], [c for _, c, _, _ in low])
-            xs = np.concatenate([v for _, _, _, v in low])
-            out[at[np.lexsort((-rows, xs))]] = base + _RANKED + np.arange(ranked)
-        placed.append((used, units, sources.size, np.diff(cloud.offsets)))
-        sinks.append(total)
+        placed.append((units, sources.size, np.diff(cloud.offsets)))
         used += size
-    # seg[r, 0, i] and seg[r, 1, i]: cloud r's sink units and points in row i
+    # lens[i, r]: cloud r's sink units and points in row i
     reps = len(placed)
     height = max((counts.size + 1 for *_, counts in placed), default=1)
-    seg = np.zeros((reps, 2, height), np.int64)
-    for r, (_, units, n_sources, counts) in enumerate(placed):
-        seg[r, 0, 1:units.size + 1] = units
-        seg[r, 1, 0] = n_sources
-        seg[r, 1, 1:counts.size + 1] = counts
-    bases = np.asarray([p[0] for p in placed], np.int64)
+    lens = np.zeros((height, reps, 2), np.int64)
+    for r, (units, n_sources, counts) in enumerate(placed):
+        lens[1:units.size + 1, r, 0] = units
+        lens[0, r, 1] = n_sources
+        lens[1:counts.size + 1, r, 1] = counts
     del placed  # these dels keep the per-row arrays to about 48 bytes a row a cloud
-    sizes, most, totals = seg.sum((1, 2)), seg.sum(1).max(0, initial=0), seg.sum((0, 1))
-    # where each segment begins in the buffer (a cloud's sink units, then
-    # its points, row by row), and where its last ends
-    ends = np.zeros((reps, 2 * height + 1), np.int64)
-    np.cumsum(seg.reshape(reps, 2 * height), axis=1, out=ends[:, 1:])
-    ends += bases[:, None]
-    del seg
-    starts = np.empty((height + 1, reps, 2), np.int64)  # by row, then cloud
-    starts[:, :, 0] = ends[:, :height + 1].T
-    starts[:, :, 1] = ends[:, height:].T
-    del ends
-    starts = starts.reshape(height + 1, 2 * reps)
-    counts = np.diff(starts, axis=0)
-    lifts = starts[:-1]
+    sizes, most, totals = lens.sum((0, 2)), lens.sum(2).max(1, initial=0), lens.sum((1, 2))
+    sinks = lens[..., 0].sum(0)
+    # one cumsum in the buffer's order (cloud, units then points, row) places every segment
+    starts = np.cumsum(lens.transpose(1, 2, 0)).reshape(reps, 2, height).transpose(2, 0, 1)
+    starts = starts - lens
+    # A row's points below its cloud's floor are its first keys, those below
+    # (r << 56) + 2**32; they take total + their dense rank by x in the cloud.
+    row, r = np.nonzero(lens[..., 1])
+    at, n, top = starts[row, r, 1], lens[row, r, 1], (r << _CLOUD_SHIFT) + (1 << 32)
+    low = np.flatnonzero(buf[at] < top).tolist()  # the rows that hold any
+    if low:
+        n = [np.searchsorted(buf[at[j]:at[j] + n[j]], top[j]) for j in low]
+        at = np.concatenate([np.arange(at[j], at[j] + m) for j, m in zip(low, n)])
+        # by cloud, then key: a cloud's ranks count from its first distinct key
+        u, inv = np.unique((np.repeat(r[low], n) << _CLOUD_SHIFT)
+                           + np.unique(buf[at], return_inverse=True)[1], return_inverse=True)
+        u >>= _CLOUD_SHIFT
+        buf[at] = ((u << _CLOUD_SHIFT) + sinks[u] + np.arange(u.size) - np.searchsorted(u, u))[inv]
+    del row, r, at, n, top, low
+    counts = lens.reshape(height, 2 * reps)
+    lifts = starts.reshape(height, 2 * reps)
     lifts += counts
     lifts -= np.cumsum(counts, axis=1)  # + a key's place in its row: its place in the buffer
     # a segment is no longer than the buffer: int32 unless it holds 2**31 keys
-    counts = counts.astype(np.int32 if used < _RANKED else np.int64)
+    counts = counts.astype(np.int32 if used < 1 << 31 else np.int64)
 
     def rows():
         for lift, c, n in zip(lifts, counts, totals.tolist()):
@@ -426,7 +408,7 @@ def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
             row = buf[row]  # the keys take the place of their index
             yield row
 
-    return rows(), sizes, _CLOUD_SHIFT, most, np.int64, np.asarray(sinks, np.int64)
+    return rows(), sizes, _CLOUD_SHIFT, most, np.int64, sinks
 
 
 def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:

@@ -111,42 +111,50 @@ def _parallel_map(fn, argses: list, jobs: int) -> list:
         return list(pool.map(fn, argses, chunksize=chunk))
 
 
-def _replica_bytes(points: float, row: float, rows: float = 0.0, key: int = 4) -> float:
+def _replica_bytes(points: float, row: float, rows: float = 0.0, key: int = 4,
+                   chain: float | None = None) -> float:
     """Bytes of one replica of ``points`` expected keys, ``row`` in a row,
-    ``rows`` rows, in a chunk: a ``key``-byte key per point, a slab row of
-    at most 4 (L + row) cells of that width (the slab doubles when half
-    full), where a chain of p points is about L = 2 sqrt(p) long, and six
-    8-byte cells a row for a cloud's row segments and their places in its
-    key buffer, kept and built (a word's rows are shared, so it passes
+    ``rows`` rows and a chain of ``chain`` keys (about 2 sqrt(points) if not
+    given), in a chunk: a ``key``-byte key per point, a slab row of at most
+    4 (chain + row) cells of that width (the slab doubles when half full),
+    and six 8-byte cells a row for a cloud's segment table, its cumulative
+    sum and the segment starts built from it (49 bytes a row measured with
+    tracemalloc at x = 0.01, t = 1e5; a word's rows are shared, so it passes
     none).  A word's keys are int32 within the budget (R replicas of p
     points have R << shift <= 2 R (p + 1), far below 2**31); a cloud's are
     int64, ``key`` = 8."""
-    return (key * (1.0 + points + 4.0 * (2.0 * math.sqrt(max(points, 0.0)) + row))
-            + 48.0 * rows)
+    if chain is None:
+        chain = 2.0 * math.sqrt(max(points, 0.0))
+    return key * (1.0 + points + 4.0 * (chain + row)) + 48.0 * rows
 
 
 def _chunks(reps: int, points: float, row: float, rows: float = 0.0,
-            key: int = 4) -> list[range]:
+            key: int = 4, chain: float | None = None) -> list[range]:
     """Replicas 0..reps-1 in the fewest balanced chunks of at most
     ``_CHUNK_REPS`` replicas and ``_CHUNK_BYTES`` (`_replica_bytes`), or of
     one replica where one is more."""
-    size = min(_CHUNK_REPS, max(1, int(_CHUNK_BYTES // _replica_bytes(points, row, rows, key))))
+    per = _replica_bytes(points, row, rows, key, chain)
+    size = min(_CHUNK_REPS, max(1, int(_CHUNK_BYTES // per)))
     chunks = -(-reps // size)
     cuts = [reps * i // chunks for i in range(chunks + 1)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _expected_keys(x: float, t: int, lam: float, rates: BoundaryRates | None) -> tuple:
-    """Expected keys of one replica's cloud and boundary, and of its longest
-    row: x t lam points, x source_rate sources in row 0, and a sink unit
-    with probability sink_param (strict) or sink_param / (1 - sink_param)
-    of them (weak, Geometric) in each of the t rows."""
+    """Expected keys of one replica's cloud and boundary, of its longest
+    row and of its chain: x t lam points, x source_rate sources in row 0,
+    and a sink unit with probability sink_param (strict) or sink_param /
+    (1 - sink_param) of them (weak, Geometric) in each of the t rows.  A
+    plain chain is about 2 sqrt(x t lam) long; a boundary's is its
+    stationary particle count, x source_rate, plus every sink unit, each of
+    which stays in the chain."""
     if rates is None:
-        return x * t * lam, x * lam
+        return x * t * lam, x * lam, 2.0 * math.sqrt(x * t * lam)
     p = rates.sink_param
     units = p if rates.variant == "strict" else p / (1.0 - p)
     sources = x * rates.source_rate
-    return x * t * lam + sources + t * units, max(x * lam + units, sources)
+    return (x * t * lam + sources + t * units, max(x * lam + units, sources),
+            sources + t * units)
 
 
 # --- replica workers (top level so process pools can pickle them) ---------
@@ -181,9 +189,9 @@ def _poisson_counts(x: float, t: int, lam: float, order: str, reps: int, seed: i
     in replica order, drawn from stream block ``tag``.  The geometry is
     checked once, here, before any chunk is planned."""
     _check_geometry(x, t, lam, rates.source_rate if rates else 0.0)
-    points, row = _expected_keys(x, t, lam, rates)
+    points, row, chain = _expected_keys(x, t, lam, rates)
     argses = [(seed, chunk, x, t, lam, order, tag, rates)
-              for chunk in _chunks(reps, points, row, t + 1, key=8)]
+              for chunk in _chunks(reps, points, row, t + 1, 8, chain)]
     return np.concatenate(_parallel_map(_poisson_chunk, argses, parallelism), axis=1)
 
 

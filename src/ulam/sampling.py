@@ -140,13 +140,6 @@ class PlanarPointSet:
         return _chain_order(self.xs, self._row_of(np.arange(self.size)))
 
     @staticmethod
-    def from_rows(rows, x_max: float) -> "PlanarPointSet":
-        """The point set whose row i holds the sorted positions ``rows[i - 1]``."""
-        rows = [np.asarray(r, dtype=float) for r in rows]
-        return PlanarPointSet(np.concatenate([np.empty(0), *rows]),
-                              np.cumsum([0, *(r.size for r in rows)]), x_max)
-
-    @staticmethod
     def from_points(points, x_max: float, t_max: int) -> "PlanarPointSet":
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         xs, rows = pts[:, 0], pts[:, 1]

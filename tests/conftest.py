@@ -40,6 +40,15 @@ def assert_cellwise_four_sigma(counts: np.ndarray, probs: np.ndarray,
         assert_within_sigma(c / n, p, sd, label=f"{label} cell {i}")
 
 
+def cloud_from_rows(rows, x_max: float):
+    """The point set whose row i holds the sorted positions ``rows[i - 1]``,
+    built by the checking constructor: the tests' way to write a cloud."""
+    from ulam.sampling import PlanarPointSet
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    return PlanarPointSet(np.concatenate([np.empty(0), *rows]),
+                          np.cumsum([0, *(r.size for r in rows)]), x_max)
+
+
 @pytest.fixture
 def rng_factory():
     from ulam.sampling import make_rng

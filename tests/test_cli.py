@@ -3,15 +3,20 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ulam
 from ulam.cli import main
 
 
 def run_cli(*argv, env_extra=None, stdin=""):
     import os
-    env = dict(os.environ)
+    # the package under test, whether or not it is installed
+    src = str(Path(ulam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH"))))}
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "ulam.cli", *argv],
@@ -333,6 +338,23 @@ class TestEstimate:
         rep = json.loads((d / "report.json").read_text())
         assert rep["predicted"] is None and rep["rel_error"] is None
         assert (rep["mean"], rep["stderr"]) == (0.0, 0.0)
+
+    # SHA-256 of report.json, pinned before the cloud keys took one rule;
+    # 20 clouds at x = t = 100 hold 17 points below the floor x_max * 2**-14
+    @pytest.mark.parametrize("mode, digest", [
+        (["--n", "50", "--k", "4", "--order", "strict"],
+         "88a5afd1a5cbfc3945a4a05230b92a93e99c2a3dc3651546465c74331c07727b"),
+        (["--n", "50", "--k", "4", "--order", "weak"],
+         "ae0b7f580fb2f854b5f91e05e9463757e8f0478e56444ae30faf0ab5a1574dc0"),
+        (["--mode", "poisson", "--x", "100", "--t", "100", "--lambda", "1", "--order", "strict"],
+         "e6375c620b9448319e6f00b00098dfbb30220461c9ba9d6a856cdc2b8d81ee34"),
+        (["--mode", "poisson", "--x", "100", "--t", "100", "--lambda", "1", "--order", "weak"],
+         "f9198ed6ccbfad84d4f4a1249e181b07baa6d738768874392d213f8573650e7b"),
+    ])
+    def test_report_bytes_are_pinned(self, tmp_path, mode, digest):
+        d = tmp_path / "est"
+        assert main(["estimate", *mode, "--reps", "20", "--seed", "7", "--out-dir", str(d)]) == 0
+        assert hashlib.sha256((d / "report.json").read_bytes()).hexdigest() == digest
 
     def test_word_mode_letter_count_past_int64_exits_2(self, tmp_path, capsys):
         for n, k in ((10**400, 1), (2, 10**20)):

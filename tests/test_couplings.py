@@ -3,12 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import assert_cellwise_four_sigma
+from conftest import assert_cellwise_four_sigma, cloud_from_rows
 from ulam.couplings import (_word_from_cloud_rows, group_heights,
                             poissonized_coupling_lower, poissonized_coupling_upper,
                             project_to_multiset)
-from ulam.sampling import (MultisetWord, PlanarPointSet, make_rng,
-                           sample_uniform_permutation)
+from ulam.sampling import MultisetWord, make_rng, sample_uniform_permutation
 from ulam.subsequences import lis_strict, lnds_weak
 
 
@@ -76,7 +75,7 @@ class TestUpperCoupling:
     def test_tied_x_takes_the_chain_order(self):
         # an equal-x pair never chains in the cloud, so the word must put the
         # higher row first too, or its weak chain outgrows the cloud's
-        cloud = PlanarPointSet.from_rows([[0.5], [0.5]], 2.0)
+        cloud = cloud_from_rows([[0.5], [0.5]], 2.0)
         word = _word_from_cloud_rows(cloud.xs, 2, 1)
         assert word.letters.tolist() == cloud.chain_rows().tolist() == [2, 1]
         assert lnds_weak(word) == lnds_weak(cloud) == 1

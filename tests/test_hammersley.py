@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cloud_from_rows
 from ulam import hammersley, montecarlo
 from ulam.bounds import BoundaryRates
 from ulam.hammersley import (ParticleState, run_dynamics, run_process,
@@ -24,7 +25,7 @@ def state(*positions, x_max=1.0):
 def step(variant, start: ParticleState, row, sink) -> ParticleState:
     """One row step through `run_dynamics`: a one-row cloud, the particles of
     ``start`` as its sources and ``sink`` as its one sink multiplicity."""
-    cloud = PlanarPointSet.from_rows([row], start.x_max)
+    cloud = cloud_from_rows([row], start.x_max)
     boundary = BoundarySample(start.positions, np.asarray([int(sink)]))
     return run_dynamics(cloud, boundary, variant).state
 
@@ -137,7 +138,7 @@ class TestStepWeak:
 
 class TestRunDynamics:
     def test_empty_cloud(self):
-        cloud = PlanarPointSet.from_rows((np.empty(0),) * 5, 2.0)
+        cloud = cloud_from_rows((np.empty(0),) * 5, 2.0)
         for variant in ("strict", "weak"):
             rec = run_dynamics(cloud, None, variant)
             assert rec.counts.tolist() == [0] * 5
@@ -157,14 +158,14 @@ class TestRunDynamics:
         for variant, fn in (("strict", lis_strict), ("weak", lnds_weak)):
             rec = run_dynamics(cloud, None, variant)
             for t in range(1, 13):
-                prefix = PlanarPointSet.from_rows(map(cloud.row, range(1, t + 1)), cloud.x_max)
+                prefix = cloud_from_rows(map(cloud.row, range(1, t + 1)), cloud.x_max)
                 assert rec.counts[t - 1] == fn(prefix)
 
     def test_mismatched_sinks_rejected(self):
         # both boundary engines, so that the oracle takes what the dynamics
         # takes: too many sinks, too few, and too few zeros
         for rows, sinks in ((2, [1, 1, 1]), (3, [1]), (3, [0, 0])):
-            cloud = PlanarPointSet.from_rows(([0.5],) * rows, 1.0)
+            cloud = cloud_from_rows(([0.5],) * rows, 1.0)
             b = BoundarySample(np.empty(0), np.asarray(sinks, dtype=np.int64))
             for variant in ("strict", "weak"):
                 for engine in (run_dynamics, longest_chain_with_boundary):
@@ -172,7 +173,7 @@ class TestRunDynamics:
                         engine(cloud, b, variant)
 
     def test_strict_rejects_multiplicity(self):
-        cloud = PlanarPointSet.from_rows((np.empty(0),), 1.0)
+        cloud = cloud_from_rows((np.empty(0),), 1.0)
         b = BoundarySample(np.empty(0), np.asarray([2], dtype=np.int64))
         with pytest.raises(ValueError):
             run_dynamics(cloud, b, "strict")
@@ -182,7 +183,7 @@ class TestRunDynamics:
 
     def test_rejects_sources_outside_the_range(self):
         # both boundary engines, so that the oracle takes what the dynamics takes
-        cloud = PlanarPointSet.from_rows(([0.5], [0.7]), 1.0)
+        cloud = cloud_from_rows(([0.5], [0.7]), 1.0)
         for sources in ([0.5, 1.5], [np.nan], [-1.0], [5.0], [0.2, np.nan, 0.6]):
             b = BoundarySample(np.asarray(sources), np.zeros(2, dtype=np.int64))
             for variant in ("strict", "weak"):
@@ -233,7 +234,7 @@ class TestRunDynamics:
 
 class TestLineIdentity:
     def test_empty_and_single_point(self):
-        empty = PlanarPointSet.from_rows((np.empty(0),), 1.0)
+        empty = cloud_from_rows((np.empty(0),), 1.0)
         single = PlanarPointSet.from_points([(0.5, 1)], 1.0, 1)
         for variant in ("strict", "weak"):
             assert verify_line_identity(empty, None, variant)
@@ -323,7 +324,7 @@ class TestEqualX:
     @settings(max_examples=200, deadline=None)
     @given(grid_cloud)
     def test_line_identity_after_every_row(self, cloud):
-        prefixes = [PlanarPointSet.from_rows(map(cloud.row, range(1, i + 1)), cloud.x_max)
+        prefixes = [cloud_from_rows(map(cloud.row, range(1, i + 1)), cloud.x_max)
                     for i in range(1, cloud.t_max + 1)]
         for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
             counts = run_dynamics(cloud, None, variant).counts.tolist()
@@ -362,7 +363,7 @@ def crowded_clouds(draw):
         x_max = max(top, 1.0)
     sinks = draw(st.lists(st.integers(min_value=0, max_value=2),
                           min_size=t_max, max_size=t_max))
-    return (PlanarPointSet.from_rows(x[1:], x_max),
+    return (cloud_from_rows(x[1:], x_max),
             BoundarySample(x[0], np.asarray(sinks, dtype=np.int64)))
 
 
@@ -381,35 +382,33 @@ def chain_keys(cloud, boundary=None):
 
 
 class TestChainKeys:
-    """A cloud's keys are read off the float bits of x above the floor
-    x_max * 2**-14 and ranked exactly below it; sink units come first."""
+    """A cloud's keys follow one rule: equal x, equal key.  Sink units come
+    first, then the points below the floor x_max * 2**-14, each the total
+    sinks plus its dense rank by x, then every other point, read off the
+    float bits of x."""
 
     @staticmethod
     def check(cloud, boundary=None):
         sources = np.empty(0) if boundary is None else boundary.sources
         x = np.concatenate((sources, cloud.xs))
-        rows = np.repeat(np.arange(cloud.t_max + 1),
-                         np.diff(cloud.offsets, prepend=-sources.size))
         sinks, keys = chain_keys(cloud, boundary)
         total = 0 if boundary is None else boundary.total_sinks
         assert sinks.tolist() == list(range(total))
         assert keys.dtype == np.int64 and (keys < 1 << 56).all()
-        if not keys.size:
-            return
-        order = np.lexsort((-rows, x))
+        # keys order as x does, at any floor, and are equal exactly where x is
+        order = np.argsort(x, kind="stable")
         step = np.diff(keys[order])
-        assert (step >= 0).all() and keys.min() > total - 1
-        # equal keys exactly where two rows share an x at or above the floor
-        floor = cloud.x_max * 2.0 ** -14
-        shared = np.diff(x[order]) == 0
-        assert ((step == 0) == (shared & (x[order][1:] >= floor))).all()
-        below = x < floor
-        assert sorted(keys[below].tolist()) == list(range(1 << 31, (1 << 31) + below.sum()))
+        assert (step >= 0).all()
+        assert ((step == 0) == (np.diff(x[order]) == 0)).all()
+        below = x < cloud.x_max * 2.0 ** -14
+        ranks = np.unique(x[below], return_inverse=True)[1]
+        assert keys[below].tolist() == (total + ranks).tolist()
+        assert ((total <= keys[below]) & (keys[below] < 1 << 32)).all()
         assert (keys[~below] >= 1 << 32).all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(grid_cloud, sampled_cloud))
-    def test_order_is_x_then_higher_row_first(self, cloud):
+    def test_keys_order_as_x(self, cloud):
         self.check(cloud)
 
     @settings(max_examples=150, deadline=None)
@@ -423,19 +422,28 @@ class TestChainKeys:
     def test_crowded_clouds(self, crowded):
         self.check(*crowded)
 
+    @settings(max_examples=100, deadline=None)
+    @given(crowded_clouds(), st.sampled_from(["strict", "weak"]))
+    def test_crowded_clouds_chain_as_the_oracle(self, crowded, variant):
+        # equal keys below the floor too: the slab's search sides order the ties
+        cloud, b = crowded
+        if variant == "strict":
+            b = BoundarySample(b.sources, np.minimum(b.sinks, 1))
+        count = boundary_counts([(cloud, b)], variant)[0]
+        assert count + b.total_sinks == longest_chain_with_boundary(cloud, b, variant)
+
     def test_points_below_the_floor_rank_exactly(self):
         # x_max = 1: the floor is 2**-14, about 6.1e-5
-        cloud = PlanarPointSet.from_rows([[1e-5, 3e-5, 0.5], [3e-5, 0.7]], 1.0)
+        cloud = cloud_from_rows([[1e-5, 3e-5, 0.5], [3e-5, 0.7]], 1.0)
         boundary = BoundarySample(np.asarray([0.0, 3e-5, 0.5]), np.asarray([1, 0]))
         sinks, keys = chain_keys(cloud, boundary)
         assert sinks.tolist() == [0]
-        rank = [(1 << 31) + i for i in range(5)]
         bits = lambda v: (1 << 32) + int(np.float64(v).view(np.int64)) - int(  # noqa: E731
             np.float64(2.0 ** -14).view(np.int64))
-        # sources 0.0, 3e-5, 0.5; row 1 1e-5, 3e-5, 0.5; row 2 3e-5, 0.7; at
-        # x = 3e-5 row 2 ranks first and the source last
-        assert keys.tolist() == [rank[0], rank[4], bits(0.5), rank[1], rank[3], bits(0.5),
-                                 rank[2], bits(0.7)]
+        # sources 0.0, 3e-5, 0.5; row 1 1e-5, 3e-5, 0.5; row 2 3e-5, 0.7:
+        # below the floor 0.0, 1e-5 and 3e-5 rank 0, 1 and 2 after the one
+        # sink unit, and x = 3e-5 in the sources, row 1 and row 2 shares a key
+        assert keys.tolist() == [1, 3, bits(0.5), 2, 3, bits(0.5), 3, bits(0.7)]
         self.check(cloud, boundary)
 
     @pytest.mark.parametrize("x_max", [5e-324, 1e-305, 1.0, 1.7e308])
@@ -443,7 +451,7 @@ class TestChainKeys:
         # the least positive x, x_max itself and a source at 0.0 bound the
         # keys from both sides; at 5e-324 the floor is 0.0
         xs = sorted({5e-324, x_max / 3 or 5e-324, x_max})
-        cloud = PlanarPointSet.from_rows([xs, xs[-1:]], x_max)
+        cloud = cloud_from_rows([xs, xs[-1:]], x_max)
         boundary = BoundarySample(np.asarray(sorted({0.0, x_max})), np.asarray([1, 1]))
         self.check(cloud, boundary)
         clouds = [cloud] * 127
@@ -456,18 +464,23 @@ class TestChainKeys:
                 expected - boundary.total_sinks] * 127
 
     def test_refused_batches_name_their_counts(self):
-        empty = PlanarPointSet.from_rows([()], 1.0)
+        empty = cloud_from_rows([()], 1.0)
         with pytest.raises(ValueError, match="at most 127 clouds, got 128$"):
             hammersley._chain_keys([empty] * 128)
-        sinks = BoundarySample(np.empty(0), np.asarray([1 << 31]))
-        with pytest.raises(ValueError, match="and 2147483648 sink units$"):
-            hammersley._chain_keys([empty], [sinks])
-        # 2**31 points below the floor, as a read-only view of one value:
-        # refused before a key is written, with nothing copied
+        # 2**31 sink units and 2**31 points below the floor, the points a
+        # read-only view of one value: 2**32 keys, refused before a key is
+        # written, with nothing copied
         low = object.__new__(PlanarPointSet)
         low.__dict__.update(xs=np.broadcast_to(1e-300, (1 << 31,)),
                             offsets=np.asarray([0, 1 << 31]), x_max=1.0)
-        with pytest.raises(ValueError, match="cannot be keyed: 2147483648 such points$"):
+        sinks = BoundarySample(np.empty(0), np.asarray([1 << 31]))
+        with pytest.raises(ValueError, match="^a cloud of 2\\*\\*32 keys or more cannot be keyed: "
+                                             "2147483648 points, 0 sources and 2147483648 "
+                                             "sink units$"):
+            hammersley._chain_keys([low], [sinks])
+        low.__dict__.update(xs=np.broadcast_to(1e-300, (1 << 32,)),
+                            offsets=np.asarray([0, 1 << 32]))
+        with pytest.raises(ValueError, match=": 4294967296 points, 0 sources and 0 sink units$"):
             hammersley._chain_keys([low])
 
     @pytest.mark.parametrize("order, rates", [
@@ -517,8 +530,8 @@ class TestBatchParticleCounts:
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_empty_inputs(self, variant):
         assert slab_counts([], variant).tolist() == []
-        empty = [PlanarPointSet.from_rows((), 1.0),
-                 PlanarPointSet.from_rows((np.empty(0),) * 4, 1.0)]
+        empty = [cloud_from_rows((), 1.0),
+                 cloud_from_rows((np.empty(0),) * 4, 1.0)]
         assert slab_counts(empty, variant).tolist() == [0, 0]
 
     @pytest.mark.parametrize("variant", ["strict", "weak"])
@@ -532,7 +545,7 @@ class TestBatchParticleCounts:
         # int32 from the second replica on
         big = sample_poisson_cloud(22_000.0, 3, 1.0, make_rng(33))
         assert 1 << 16 <= big.size < 1 << 17
-        clouds = [PlanarPointSet.from_rows((), 1.0)] * 126 + [big]
+        clouds = [cloud_from_rows((), 1.0)] * 126 + [big]
         for batch in (clouds[-1:], clouds[-2:], clouds):
             rows, _, shift, _, dtype, _ = hammersley._chain_keys(batch)
             assert shift == 56 and dtype == np.int64
@@ -648,10 +661,10 @@ class TestBoundarySlab:
             # no sources, no sinks: the plain chain length
             (one, BoundarySample(np.empty(0), np.asarray([0, 0]))),
             # an empty cloud: sources exit one by one, rows without points
-            (PlanarPointSet.from_rows((np.empty(0),) * 2, 3.0),
+            (cloud_from_rows((np.empty(0),) * 2, 3.0),
              BoundarySample(np.asarray([0.5, 1.0, 2.5]), np.asarray([1, 1]))),
             # a sink alone: it chains by itself, and no particle is left
-            (PlanarPointSet.from_rows((np.empty(0),) * 2, 3.0),
+            (cloud_from_rows((np.empty(0),) * 2, 3.0),
              BoundarySample(np.empty(0), np.asarray([1, 0]))),
             # a source at the x of a row point ranks above it
             (one, BoundarySample(np.asarray([1.0, 1.5]), np.asarray([0, 1]))),

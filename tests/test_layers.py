@@ -65,7 +65,7 @@ def test_every_export_resolves_once():
 # slab, the scalar step rules with the patience pass, and the quadratic DP.
 # Each is the others' oracle, so none may reach a function of another.
 FAMILIES = {
-    "slab": {"_slab_counts", "_chain_keys", "_below_floor", "_word_counts", "_key_dtype"},
+    "slab": {"_slab_counts", "_chain_keys", "_word_counts", "_key_dtype"},
     "scalar rules and patience pass": {
         "run_dynamics", "_strict_rule", "_weak_rule", "lis_strict", "lnds_weak",
         "_patience_length", "_row_sequence", "longest_chain_with_boundary",
@@ -103,3 +103,49 @@ def test_oracles_share_no_code_with_the_paths_they_check():
                 seen.add(name)
                 todo.extend(refs[name] & refs.keys())
         assert not seen & others, f"the {family} reaches {sorted(seen & others)}"
+
+
+# Every name in ``ulam.__all__`` is reached by a CLI command, an acceptance
+# criterion, a benchmark workload or a library function that one of them
+# reaches.  Each name listed here is reached by none of them yet; it leaves
+# the list when the ROADMAP item named beside it reaches it.
+UNREACHED = {
+    "regime_diagnostics": "item 4, ulam sweep",
+    "depoissonization_report": "item 4, ulam sweep",
+    "deviation_profile": "item 1, the weak order's rate",
+}
+ROOT = PACKAGE.parents[1]
+ENTRIES = [PACKAGE / "cli.py", ROOT / "tests" / "test_acceptance.py",
+           ROOT / "perfbench" / "workloads.py"]
+
+
+def mentioned(tree: ast.AST) -> set[str]:
+    """The names and attributes that ``tree`` mentions (not those it imports)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def reached(roots: set[str]) -> set[str]:
+    """``roots`` and every function, method or class of the library modules,
+    by its bare name, that they reach through the names the bodies mention."""
+    refs: dict[str, set[str]] = {}
+    for name in CHECKED:
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                refs.setdefault(node.name, set()).update(mentioned(node))
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(refs.get(name, ()))
+    return seen
+
+
+def test_every_export_is_reached():
+    entries = set().union(*(mentioned(ast.parse(path.read_text())) for path in ENTRIES))
+    missing = sorted(set(ulam.__all__) - reached(entries | UNREACHED.keys()))
+    assert not missing, f"no command, criterion, workload or library function reaches {missing}"
+    # a listed name that something now reaches leaves the list
+    stale = sorted(reached(entries) & UNREACHED.keys())
+    assert not stale, f"{stale} are reached now: take them off UNREACHED"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import P_FOUR_SIGMA, assert_within_sigma
-from ulam import montecarlo
+from ulam import hammersley, montecarlo
 from ulam.bounds import BoundaryRates, optimal_rates_strict, optimal_rates_weak
 from ulam.hammersley import run_process
 from ulam.montecarlo import (depoissonization_report, deviation_profile,
@@ -150,10 +150,14 @@ class TestChunkPlan:
 
     def test_benchmark_geometries_run_as_one_chunk(self):
         # words at n = 1000, k = 10; clouds at x = t = 100; the boundary
-        # process at x = 50, t = 200 with 50 or 100 expected sources
+        # process at x = 50, t = 200, strict at source rate 1 and weak at 2,
+        # each planned as its estimator plans it
         assert len(montecarlo._chunks(60, 1e4, 10)) == 1
-        assert len(montecarlo._chunks(60, 1e4, 100, 101)) == 1
-        assert len(montecarlo._chunks(30, 1e4 + 100, 100, 201)) == 1
+        for rates in (None, BoundaryRates.strict_from_alpha(1.0, 1.0),
+                      BoundaryRates.weak_from_beta(1.0, 2.0)):
+            x, t, reps = (100.0, 100, 60) if rates is None else (50.0, 200, 30)
+            points, row, chain = montecarlo._expected_keys(x, t, 1.0, rates)
+            assert len(montecarlo._chunks(reps, points, row, t + 1, 8, chain)) == 1
 
     def test_more_replicas_leave_chunks_to_spread(self):
         # 512 replicas of a benchmark geometry run as 8 chunks of 64, so
@@ -268,11 +272,60 @@ class TestChunkMemory:
             planned.extend(argses) or [np.zeros((2, len(a[1])), np.int64) for a in argses]))
         stationarity_test(x, lam, rate, "weak", t, reps, 0)
         rates = planned[0][-1]
-        keys, row = montecarlo._expected_keys(x, t, lam, rates)
+        keys, row, chain = montecarlo._expected_keys(x, t, lam, rates)
         assert keys > 2.9e6 and row > 0.9e6
-        per = montecarlo._replica_bytes(keys, row, t + 1, key=8)
+        per = montecarlo._replica_bytes(keys, row, t + 1, 8, chain)
         assert per > montecarlo._CHUNK_BYTES
         assert [list(a[1]) for a in planned] == [[r] for r in range(reps)]
+
+    # every sink unit stays in the chain: about t of them a replica at
+    # x = 0.01, t = 5000, beta = 2, and 20 t at x = 1, t = 200, beta = 1.05,
+    # where 2 sqrt(keys) planned 573 and 603 slab cells a replica
+    SINK_HEAVY = [(0.01, 5000, 2.0), (1.0, 200, 1.05)]
+
+    @pytest.mark.parametrize("x, t, beta", SINK_HEAVY)
+    def test_sink_heavy_chains_plan_their_slab(self, monkeypatch, x, t, beta):
+        # planned only, never run
+        planned = []
+        monkeypatch.setattr(montecarlo, "_parallel_map", lambda fn, argses, jobs: (
+            planned.extend(argses) or [np.zeros((2, len(a[1])), np.int64) for a in argses]))
+        stationarity_test(x, 1.0, beta, "weak", t, 64, 0)
+        rates = planned[0][-1]
+        keys, row, chain = montecarlo._expected_keys(x, t, 1.0, rates)
+        p = rates.sink_param
+        assert chain == pytest.approx(x * beta + t * p / (1 - p))
+        assert chain > 25 * 2 * math.sqrt(keys)
+        # a chunk of replicas, each with 4 (chain + row) slab cells, fits the budget
+        size = max(len(a[1]) for a in planned)
+        assert size * montecarlo._replica_bytes(keys, row, t + 1, 8, chain) <= (
+            montecarlo._CHUNK_BYTES)
+
+    @pytest.mark.parametrize("x, t, beta", SINK_HEAVY)
+    def test_sink_heavy_slab_within_its_planned_cells(self, monkeypatch, x, t, beta):
+        widths = []
+
+        class Recording:  # numpy, with the width of every 2-d array it repeats or joins
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def repeat(self, *args, **kwargs):
+                return self.record(np.repeat(*args, **kwargs))
+
+            def concatenate(self, *args, **kwargs):
+                return self.record(np.concatenate(*args, **kwargs))
+
+            @staticmethod
+            def record(out):
+                if out.ndim == 2:
+                    widths.append(out.shape[1])
+                return out
+
+        rates = BoundaryRates.weak_from_beta(1.0, beta)
+        keys, row, chain = montecarlo._expected_keys(x, t, 1.0, rates)
+        monkeypatch.setattr(hammersley, "np", Recording())
+        montecarlo._poisson_chunk((7, range(4), x, t, 1.0, "weak", 3, rates))
+        assert max(widths) > 4 * (2 * math.sqrt(keys) + row)  # what 2 sqrt(keys) planned
+        assert max(widths) <= 4 * (chain + row)
 
     def test_word_chunk(self):
         n, k = 100, 20
@@ -441,15 +494,15 @@ class TestReplicaBounds:
 
     def test_a_cloud_past_int32_names_its_sizes(self):
         # a source rate a hair above lam draws Geometric(1e-9) sinks, about
-        # 1e9 sink units a row, which key as 0..total-1 below 2**31: the
-        # error gives the cloud's points, sources and sink units, replica
-        # 0's as its stream draws them
+        # 1e9 sink units a row, more than the 2**32 keys a cloud may hold in
+        # three rows: the error gives the cloud's points, sources and sink
+        # units, replica 0's as its stream draws them
         rates = BoundaryRates.weak_from_beta(1.0, 1.0 + 1e-9)
         rng = make_rng(0, montecarlo._TAG_STATIONARY << 32)
         cloud = sample_poisson_cloud(1.0, 3, 1.0, rng)
         boundary = sample_boundary(1.0, 3, rates, rng)
-        assert boundary.total_sinks >= 1 << 31
-        message = (f"^a cloud of 2\\*\\*31 sink units or more cannot be keyed: "
+        assert boundary.total_sinks >= 1 << 32
+        message = (f"^a cloud of 2\\*\\*32 keys or more cannot be keyed: "
                    f"{cloud.size} points, {boundary.sources.size} sources and "
                    f"{boundary.total_sinks} sink units$")
         with pytest.raises(ValueError, match=message):
@@ -481,6 +534,19 @@ class TestStationarity:
         assert rep.target_mean == 20.0
         assert abs(rep.z_mean) < 4.0
         assert rep.p_value > P_FOUR_SIGMA
+
+    # pinned before the cloud keys took one rule; the 20 replicas at
+    # x = t = 100 hold 7 (strict) and 8 (weak) points and sources below
+    # the floor x_max * 2**-14
+    @pytest.mark.parametrize("variant, rate, counts", [
+        ("strict", 0.5, [42, 49, 44, 43, 52, 54, 40, 51, 67, 54,
+                         45, 43, 52, 47, 48, 54, 54, 41, 44, 49]),
+        ("weak", 1.5, [154, 161, 146, 123, 166, 148, 144, 159, 141, 148,
+                       159, 150, 157, 135, 135, 155, 161, 154, 154, 134]),
+    ])
+    def test_counts_are_pinned(self, variant, rate, counts):
+        rep = stationarity_test(100.0, 1.0, rate, variant, 100, 20, 7)
+        assert rep.counts.tolist() == counts
 
     def test_no_bin_reaches_five_expected(self):
         # 3 replicas of mean 0.005: the bins merge into one, tested on 1 dof

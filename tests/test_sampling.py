@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_cellwise_four_sigma, assert_chi_square_pmf, assert_within_sigma
+from conftest import (assert_cellwise_four_sigma, assert_chi_square_pmf, assert_within_sigma,
+                      cloud_from_rows)
 from ulam import montecarlo
 from ulam.bounds import BoundaryRates
 from ulam.cli import main
@@ -207,7 +208,7 @@ class TestPoissonCloud:
         replayed = sample_poisson_cloud(1.0, 5, 4.0, QuantizedRng(make_rng(3, 10)))
         assert cloud.x_max == 3.0 and cloud.t_max == 4 and replayed.t_max == 5
         with pytest.raises(AssertionError, match="re-checked"):
-            PlanarPointSet.from_rows(([0.5],), 1.0)  # the public constructor checks
+            cloud_from_rows(([0.5],), 1.0)  # the public constructor checks
 
     @pytest.mark.statistical
     def test_row_count_mean(self):
@@ -350,36 +351,36 @@ class TestDomainTypes:
 
     def test_point_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            PlanarPointSet.from_rows((np.asarray([0.5, 0.5]),), 1.0)
+            cloud_from_rows((np.asarray([0.5, 0.5]),), 1.0)
 
     def test_point_set_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            PlanarPointSet.from_rows((np.asarray([1.5]),), 1.0)
+            cloud_from_rows((np.asarray([1.5]),), 1.0)
         with pytest.raises(ValueError):
-            PlanarPointSet.from_rows((np.asarray([0.0]),), 1.0)
+            cloud_from_rows((np.asarray([0.0]),), 1.0)
         # NaN fails every comparison, so the checks must reject it as well
         with pytest.raises(ValueError, match="row 2: positions must lie"):
-            PlanarPointSet.from_rows((np.asarray([0.2]), np.asarray([0.1, np.nan, 0.5])), 1.0)
+            cloud_from_rows((np.asarray([0.2]), np.asarray([0.1, np.nan, 0.5])), 1.0)
         with pytest.raises(ValueError, match="x_max must be positive"):
-            PlanarPointSet.from_rows((np.asarray([0.5]),), float("nan"))
+            cloud_from_rows((np.asarray([0.5]),), float("nan"))
         # an infinite x_max would admit infinite positions
         for x_max in (float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="x_max must be positive and finite"):
-                PlanarPointSet.from_rows((np.asarray([np.inf]),), x_max)
+                cloud_from_rows((np.asarray([np.inf]),), x_max)
         with pytest.raises(ValueError, match="finite"):
             PlanarPointSet.from_points([(np.inf, 1)], np.inf, 1)
 
     def test_point_set_names_the_bad_row(self):
         with pytest.raises(ValueError, match="row 2: positions must be sorted"):
-            PlanarPointSet.from_rows((np.asarray([0.1, 0.2]), np.asarray([0.6, 0.3])), 1.0)
+            cloud_from_rows((np.asarray([0.1, 0.2]), np.asarray([0.6, 0.3])), 1.0)
         with pytest.raises(ValueError, match="row 3: duplicate"):
-            PlanarPointSet.from_rows(([0.1], [], [0.4, 0.4]), 1.0)
+            cloud_from_rows(([0.1], [], [0.4, 0.4]), 1.0)
         with pytest.raises(ValueError, match="row 2: positions must lie"):
-            PlanarPointSet.from_rows((np.asarray([0.1]), np.asarray([0.5, 1.5])), 1.0)
+            cloud_from_rows((np.asarray([0.1]), np.asarray([0.5, 1.5])), 1.0)
 
     def test_point_set_accepts_equal_x_on_other_rows(self):
         # neighbours across a row boundary may be equal or decrease
-        ps = PlanarPointSet.from_rows((np.asarray([0.2, 0.5]), np.asarray([0.5]),
+        ps = cloud_from_rows((np.asarray([0.2, 0.5]), np.asarray([0.5]),
                                        np.asarray([0.1, 0.9])), 1.0)
         assert ps.size == 5
 
@@ -407,7 +408,7 @@ class TestFlatPointSet:
     @settings(max_examples=200, deadline=None)
     @given(grid_rows)
     def test_matches_per_row_definitions(self, rows):
-        ps = PlanarPointSet.from_rows(rows, 2.0)
+        ps = cloud_from_rows(rows, 2.0)
         assert (ps.t_max, ps.size) == (len(rows), sum(map(len, rows)))
         assert [ps.row(i).tolist() for i in range(1, ps.t_max + 1)] == rows
         points = [(x, i) for i, row in enumerate(rows, start=1) for x in row]
@@ -429,7 +430,7 @@ class TestFlatPointSet:
         bad, message = case
         rows = [[0.1, 0.9]] * lead + [[]] * empty + [bad] + [[]] * after
         with pytest.raises(ValueError, match=f"^row {lead + empty + 1}: .*{message}"):
-            PlanarPointSet.from_rows(rows, 1.0)
+            cloud_from_rows(rows, 1.0)
 
     def test_offsets_are_checked(self):
         cases = [np.asarray(offsets, dtype) for offsets in ([1, 1], [0, 2, 1], [0, 2, 3], [])

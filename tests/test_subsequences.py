@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cloud_from_rows
 from ulam.bounds import BoundaryRates
 from ulam.sampling import (BoundarySample, MultisetWord, PlanarPointSet,
                            make_rng, sample_boundary, sample_poisson_cloud,
@@ -31,7 +32,7 @@ class TestFastAlgorithms:
         assert lnds_weak(MultisetWord(4, 1, (3, 1, 4, 2))) == 2
 
     def test_empty(self):
-        empty = PlanarPointSet.from_rows((), 1.0)
+        empty = cloud_from_rows((), 1.0)
         assert lis_strict(empty) == 0
         assert lnds_weak(empty) == 0
 
@@ -92,12 +93,12 @@ class TestBoundaryChain:
             assert longest_chain_with_boundary(cloud, empty, "weak") == lnds_weak(cloud)
 
     def test_sources_chain_along_bottom(self):
-        cloud = PlanarPointSet.from_rows((np.empty(0),), 1.0)
+        cloud = cloud_from_rows((np.empty(0),), 1.0)
         b = BoundarySample(np.asarray([0.1, 0.2, 0.3]), np.zeros(1, dtype=np.int64))
         assert longest_chain_with_boundary(cloud, b, "strict") == 3
 
     def test_sinks_chain_with_multiplicity(self):
-        cloud = PlanarPointSet.from_rows((np.empty(0), np.empty(0)), 1.0)
+        cloud = cloud_from_rows((np.empty(0), np.empty(0)), 1.0)
         b = BoundarySample(np.empty(0), np.asarray([2, 1], dtype=np.int64))
         assert longest_chain_with_boundary(cloud, b, "weak") == 3
         # strict rejects multiplicity 2
@@ -115,7 +116,7 @@ class TestBoundaryChain:
         assert longest_chain_with_boundary(cloud, b2, "strict") == 2
 
     def test_no_mixing_sources_and_sinks(self):
-        cloud = PlanarPointSet.from_rows((np.empty(0), np.empty(0)), 1.0)
+        cloud = cloud_from_rows((np.empty(0), np.empty(0)), 1.0)
         b = BoundarySample(np.asarray([0.1, 0.2]), np.asarray([1, 1], dtype=np.int64))
         # best chain uses either the two sources or the two sinks, never both
         assert longest_chain_with_boundary(cloud, b, "strict") == 2
@@ -136,7 +137,7 @@ class TestBoundaryChain:
 
     @pytest.mark.parametrize("rows", [(), (np.empty(0),)], ids=["no_rows", "empty_row"])
     def test_empty_cloud_and_boundary(self, rows):
-        cloud = PlanarPointSet.from_rows(rows, 1.0)
+        cloud = cloud_from_rows(rows, 1.0)
         b = BoundarySample(np.empty(0), np.zeros(len(rows), dtype=np.int64))
         for order in ("strict", "weak"):
             assert longest_chain_with_boundary(cloud, b, order) == 0
@@ -260,8 +261,8 @@ class TestProperties:
         cloud = sample_poisson_cloud(6.0, 5, 1.0, rng)
         cut = 6.0 * rng.random()
         rows = [cloud.row(i) for i in range(1, cloud.t_max + 1)]
-        left = PlanarPointSet.from_rows([r[r <= cut] for r in rows], 6.0)
-        right = PlanarPointSet.from_rows([r[r > cut] for r in rows], 6.0)
+        left = cloud_from_rows([r[r <= cut] for r in rows], 6.0)
+        right = cloud_from_rows([r[r > cut] for r in rows], 6.0)
         for fn in (lis_strict, lnds_weak):
             assert fn(cloud) <= fn(left) + fn(right)
             assert fn(cloud) >= max(fn(left), fn(right))
