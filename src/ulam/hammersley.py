@@ -193,21 +193,24 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # A boundary is points too (as in `longest_chain_with_boundary`): sources in
 # row 0 and each sink unit on the left edge of its row, so the chain length
 # is the particle count plus the total sinks.  The kernel counts chains only,
-# of many replicas at once, a few numpy calls per row, on keys
-#     (replica << shift) | (value of the point in its replica),
-# whose values order the points as their x do.  A word's values are its
-# positions, 2**shift above every word's size (int32 keys if they fit, else
-# int64).  A cloud's keys are int64 with shift 56 and follow one rule, equal
-# x, equal value; with the floor f = x_max * 2**-14 they are
-#     0 .. total-1                 the sink units, in row order;
-#     total + dense rank by x      the points below f (about 6e-5 of them,
-#                                  and a source at 0.0);
-#     2**32 + bits(x) - bits(f)    every other point, read off the IEEE bits
-#                                  of x, which order positive doubles as
-#                                  their values do.
-# A cloud holds fewer than 2**32 keys, so the ranks lie below 2**32, and
-# bits(x_max) - bits(f) is below 15 * 2**52 (14 binades, or only subnormals
-# when f is one), so every value lies below 2**56 and 127 replicas fit.
+# of many replicas at once, a few numpy calls per row, on signed keys
+#     low + (replica << shift) + (value of the point in its replica),
+# low = iinfo(dtype).min, whose values lie strictly between 0 and
+# (1 << shift) - 1 and order the points as their x do.  A word's values are
+# its positions 1..size, with shift (size + 1).bit_length(), and its keys
+# are int32 while R << shift <= 2**32 for R replicas, else int64.  A cloud's
+# keys are int64 with shift 58 and follow one rule, equal x, equal value:
+#     1 .. total                   the sink units, in row order;
+#     2**32 + bits(x) - bits(f)    every point, sources included, read off
+#                                  the IEEE bits of x, which order
+#                                  nonnegative doubles as their values do,
+# with f = fl(x_max * 2**-53).  A cloud holds fewer than 2**32 keys, so its
+# sink units lie below its points.  The samplers draw x = x_max * (1 - u),
+# u < 1 a multiple of 2**-53, so no point lies below f: a precondition,
+# unchecked, as the one caller, `montecarlo._poisson_chunk`, keys only
+# what they draw.  bits(x_max) - bits(f) is below 54 * 2**52 (53 binades,
+# subnormal x_max included), so every value lies below 2**58 - 1 and 64
+# replicas fill int64.
 # A row's x are distinct, and so are a replica's particles (the end of a
 # longer chain lies at a greater x), so a tie is a row point against a
 # particle of an earlier row (or a source), which the chain order (ties by
@@ -219,19 +222,18 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 #
 # Layout: a cloud's keys go into one replica-major int64 buffer as the cloud
 # is drawn: its sink units, its sources (row 0), then its points row by row,
-# each point written as 2**32 + bits(x) - bits(f).  One table of each
-# cloud's sink units and points in each row, summed once in the buffer's
-# order, places every segment; a point below the floor keys below 2**32 and
-# begins its row, so the rows whose first key does are searched, and their
-# points below it ranked, once for the batch.  Row i of the batch is
-# gathered from the buffer just before it steps, replica by replica, each
-# replica's sink units of row i before its row-i points.  A word's rows are
+# each point one add to the bits of x of low + (r << 58) + 2**32 - bits(f),
+# taken modulo 2**64 (numpy's int64 add wraps the same way).  One table of
+# each cloud's sink units and points in each row, summed in the buffer's
+# order and along each row, places every segment.  Row i of the batch is gathered
+# from the buffer just before it steps, replica by replica, each replica's
+# sink units of row i before its row-i points.  A word's rows are
 # contiguous slices of its key array.
 #
 # The slab: row r of an (R, C) array holds replica r's particles ascending,
-# padded with ((r + 1) << shift) - 1, between replica r's keys and r + 1's.
-# The flat slab is sorted, so one searchsorted of a row's points (by
-# replica, then value) gives each point its cell r*C + g, g counting the
+# padded with low + ((r + 1) << shift) - 1, between replica r's keys and
+# r + 1's.  The flat slab is sorted, so one searchsorted of a row's points
+# (by replica, then value) gives each point its cell r*C + g, g counting the
 # particles replica r has below it.  Row 0 (the sources) is born; every row
 # with a key is stepped, each by one write of points into cells:
 #   strict: the first point of a cell lies in the gap of the cell's particle
@@ -243,11 +245,10 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 #     keys than live cells (R (live + 1), live bounding every slab row's
 #     particles) is stepped from the particle side instead, by the same
 #     rule: cell j takes the least of its key and the least row point above
-#     cell j - 1's key.  Cell 0's left neighbour is (r << shift) - 1, below
-#     every key of replica r (a word's position 0 and a cloud's first sink
-#     unit included); a birth lands in the first padding cell, and the next
-#     replica's keys and the sentinel iinfo.max, "no such point", lie above
-#     every pad, so they never win.
+#     cell j - 1's key.  Cell 0's left neighbour is low + (r << shift),
+#     below every key of replica r; a birth lands in the first padding cell,
+#     and the next replica's keys and the sentinel iinfo.max, "no such
+#     point", lie at or above every pad, so they never win.
 #   weak: let a replica's row points p_0 < p_1 < ... have g_0, g_1, ...
 #     particles below.  The greedy matching moves each particle to the least
 #     free point below it; a particle stays, in its cell, exactly when every
@@ -264,16 +265,16 @@ def run_dynamics(cloud: PlanarPointSet, boundary: BoundarySample | None,
 # largest and doubles when C <= 2 (L + m), so L is counted only every few
 # rows.
 
-_CLOUD_SHIFT = 56
-_CLOUD_REPLICAS = 127  # the last pad, (127 << 56) - 1, is below 2**63
-_RANKED = 1 << 32  # a cloud's keys are fewer: its sink units and ranks lie below it
-_FLOOR = 2.0 ** -14
+_CLOUD_SHIFT = 58
+_CLOUD_REPLICAS = 64  # the last pad, low + (64 << 58) - 1, is iinfo(int64).max
+_POINTS = 1 << 32  # a cloud's keys are fewer: its sink units lie below it, its points from it up
+_LOW = int(np.iinfo(np.int64).min)
 
 
 def _key_dtype(reps: int, shift: int):
-    if reps << shift >= 1 << 63:
+    if reps << shift > 1 << 64:
         raise ValueError("too many points in one batch for int64 keys")
-    return np.int64 if reps << shift >= 1 << 31 else np.int32
+    return np.int64 if reps << shift > 1 << 32 else np.int32
 
 
 def _slab_counts(rows, sizes: np.ndarray, shift: int, most, dtype,
@@ -289,7 +290,10 @@ def _slab_counts(rows, sizes: np.ndarray, shift: int, most, dtype,
     keys); both write the same slab."""
     strict = variant == "strict"
     owners = np.flatnonzero(sizes)
-    pad = (owners.astype(dtype)[:, None] << shift) + ((1 << shift) - 1)
+    # in int64, cast once: int32 keys may have replicas whose r << shift is past it
+    edge = (owners << shift) + int(np.iinfo(dtype).min)  # cell 0's left neighbour
+    pad = (edge[:, None] + ((1 << shift) - 1)).astype(dtype)
+    edge = edge.astype(dtype)
     most = np.asarray(most).tolist()
     slab = np.repeat(pad, 2 * max(most, default=0), axis=1)
     ramp = np.arange(0)
@@ -307,7 +311,7 @@ def _slab_counts(rows, sizes: np.ndarray, shift: int, most, dtype,
             # from the particle side: cell j takes the least point above cell j - 1
             cells = slab[:, :live + 1]
             left = np.empty_like(cells)
-            left[:, 0] = pad[:, 0] - (1 << shift)
+            left[:, 0] = edge
             left[:, 1:] = cells[:, :-1]
             above = np.append(pts, top)
             np.minimum(cells, above[np.searchsorted(pts, left, "right")], out=cells)
@@ -333,7 +337,9 @@ def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
     of keys, the shift, the most keys of one cloud in each row and the
     dtype) and each cloud's total sinks.  Each of ``boundaries``, if given,
     is taken after its cloud and has a sink for each of its rows; its
-    sources are row 0 and its sink units points below them.  Each cloud's
+    sources are row 0 and its sink units points below them.  Every point
+    and source lies in [x_max * 2**-53, x_max], as every drawn one does
+    (unchecked).  Each cloud's
     keys are appended to one buffer, as the cloud is drawn, and the cloud is
     dropped; the buffer takes ``reserve`` keys once the first cloud is
     accepted, and a quarter more whenever it overflows.  The rows are
@@ -346,60 +352,48 @@ def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
             raise ValueError(f"a batch of cloud keys holds at most {_CLOUD_REPLICAS} clouds, "
                              f"got {r + 1}")
         b = next(boundaries, None)
-        # + 0.0 turns a source at -0.0, whose bits are negative, into 0.0
-        sources = np.empty(0) if b is None else b.sources + 0.0
+        sources = np.empty(0) if b is None else b.sources
         units = np.empty(0, np.int64) if b is None else b.sinks
         total = int(units.sum())
         start = total + sources.size  # where the cloud's points begin in its keys
         size = start + cloud.size
-        if size >= _RANKED:
+        if size >= _POINTS:
             raise ValueError(f"a cloud of 2**32 keys or more cannot be keyed: {cloud.size} "
                              f"points, {sources.size} sources and {total} sink units")
         if used + size > buf.size:
             grown = np.empty(max(used + size, reserve, buf.size + buf.size // 4), np.int64)
             grown[:used] = buf[:used]
             buf = grown
-        out, base = buf[used:used + size], r << _CLOUD_SHIFT
-        out[:total] = np.arange(base, base + total)
-        lift = base + (1 << 32) - int(np.float64(cloud.x_max * _FLOOR).view(np.int64))
+        out, base = buf[used:used + size], _LOW + (r << _CLOUD_SHIFT)
+        out[:total] = np.arange(base + 1, base + total + 1)
+        lift = base + _POINTS - int(np.float64(cloud.x_max * 2.0 ** -53).view(np.int64))
+        lift = np.int64((lift - _LOW) % (1 << 64) + _LOW)  # into int64: the adds wrap back
         np.add(sources.view(np.int64), lift, out=out[total:start])
         np.add(cloud.xs.view(np.int64), lift, out=out[start:])
         placed.append((units, sources.size, np.diff(cloud.offsets)))
         used += size
-    # lens[i, r]: cloud r's sink units and points in row i
-    reps = len(placed)
+    # lens[i, r]: cloud r's sink units and points in row i.  No segment,
+    # and no place in the buffer, is past it: int32 unless it holds 2**31 keys.
+    reps, dtype = len(placed), np.int32 if used < 1 << 31 else np.int64
     height = max((counts.size + 1 for *_, counts in placed), default=1)
-    lens = np.zeros((height, reps, 2), np.int64)
+    lens = np.zeros((height, reps, 2), dtype)
     for r, (units, n_sources, counts) in enumerate(placed):
         lens[1:units.size + 1, r, 0] = units
         lens[0, r, 1] = n_sources
         lens[1:counts.size + 1, r, 1] = counts
-    del placed  # these dels keep the per-row arrays to about 48 bytes a row a cloud
+    del placed  # the table, its cumulative sums and the lifts: 33 bytes a row a cloud at most
     sizes, most, totals = lens.sum((0, 2)), lens.sum(2).max(1, initial=0), lens.sum((1, 2))
     sinks = lens[..., 0].sum(0)
-    # one cumsum in the buffer's order (cloud, units then points, row) places every segment
-    starts = np.cumsum(lens.transpose(1, 2, 0)).reshape(reps, 2, height).transpose(2, 0, 1)
-    starts = starts - lens
-    # A row's points below its cloud's floor are its first keys, those below
-    # (r << 56) + 2**32; they take total + their dense rank by x in the cloud.
-    row, r = np.nonzero(lens[..., 1])
-    at, n, top = starts[row, r, 1], lens[row, r, 1], (r << _CLOUD_SHIFT) + (1 << 32)
-    low = np.flatnonzero(buf[at] < top).tolist()  # the rows that hold any
-    if low:
-        n = [np.searchsorted(buf[at[j]:at[j] + n[j]], top[j]) for j in low]
-        at = np.concatenate([np.arange(at[j], at[j] + m) for j, m in zip(low, n)])
-        # by cloud, then key: a cloud's ranks count from its first distinct key
-        u, inv = np.unique((np.repeat(r[low], n) << _CLOUD_SHIFT)
-                           + np.unique(buf[at], return_inverse=True)[1], return_inverse=True)
-        u >>= _CLOUD_SHIFT
-        buf[at] = ((u << _CLOUD_SHIFT) + sinks[u] + np.arange(u.size) - np.searchsorted(u, u))[inv]
-    del row, r, at, n, top, low
+    # A key's place in the buffer less its place in its row: the cumsum in
+    # the buffer's order (cloud, units then points, row) less the cumsum
+    # along the row, both inclusive.
+    ahead = np.cumsum(lens.transpose(1, 2, 0), dtype=dtype)
     counts = lens.reshape(height, 2 * reps)
-    lifts = starts.reshape(height, 2 * reps)
-    lifts += counts
-    lifts -= np.cumsum(counts, axis=1)  # + a key's place in its row: its place in the buffer
-    # a segment is no longer than the buffer: int32 unless it holds 2**31 keys
-    counts = counts.astype(np.int32 if used < 1 << 31 else np.int64)
+    lifts = np.cumsum(counts, axis=1, dtype=dtype)
+    along = lifts.reshape(height, reps, 2)
+    np.subtract(ahead.reshape(reps, 2, height).transpose(2, 0, 1), along, out=along)
+    del ahead, along, lens
+    lifts = lifts.astype(np.int64, copy=False)  # an int64 index gathers faster
 
     def rows():
         for lift, c, n in zip(lifts, counts, totals.tolist()):
@@ -419,14 +413,15 @@ def _word_counts(words, reps: int, n: int, k: int, variant: str) -> np.ndarray:
     its row, straight into the word's key columns, so that words advance
     together as clouds and each is dropped once laid out."""
     size = n * k
-    shift = size.bit_length()
+    shift = (size + 1).bit_length()  # positions 1..size, below the pad value
     dtype = _key_dtype(reps, shift)
+    low = int(np.iinfo(dtype).min) + 1  # position 0 keys as 1
     keys = np.empty((n, reps, k), dtype=dtype)
     small = np.min_scalar_type(n)
     for r, word in enumerate(words):
         word = np.asarray(word).astype(small, copy=False)
         keys[:, r] = np.argsort(word, kind="stable").reshape(n, k)
-        keys[:, r] |= r << shift
+        keys[:, r] += low + (r << shift)
     rows = itertools.chain((np.empty(0, dtype),), keys.reshape(n, -1))  # no sources
     return _slab_counts(rows, np.full(reps, size), shift, [0] + [k] * n, dtype, variant)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import (BoundaryRates, _check_variant, _log_poisson_pmf, augmented_tail_rate,
                      log_chi2_upper, mean_bound, optimal_rates_strict, optimal_rates_weak,
                      predicted_mean)
-from .hammersley import _chain_keys, _slab_counts, _word_counts
+from .hammersley import _CLOUD_REPLICAS, _chain_keys, _slab_counts, _word_counts
 from .sampling import (_check_geometry, _check_word, _shuffled_letters, make_rng, sample_boundary,
                        sample_poisson_cloud)
 
@@ -41,8 +41,9 @@ _MAX_REPS = 1 << 32
 # large replicas: 2**24 is the least at which k = 1 words at n = 1e5 (32
 # replicas a chunk) run level with a patience pass per replica; 2**25 saves
 # another tenth there for 12-15 MB more peak RSS, and no budget speeds up
-# n = k = 1e3.
-_CHUNK_REPS = 64
+# n = k = 1e3.  The replica cap is the most clouds one key layout holds, so
+# no planned chunk is refused.
+_CHUNK_REPS = _CLOUD_REPLICAS
 _CHUNK_BYTES = 1 << 24
 
 
@@ -117,12 +118,13 @@ def _replica_bytes(points: float, row: float, rows: float = 0.0, key: int = 4,
     ``rows`` rows and a chain of ``chain`` keys (about 2 sqrt(points) if not
     given), in a chunk: a ``key``-byte key per point, a slab row of at most
     4 (chain + row) cells of that width (the slab doubles when half full),
-    and six 8-byte cells a row for a cloud's segment table, its cumulative
-    sum and the segment starts built from it (49 bytes a row measured with
-    tracemalloc at x = 0.01, t = 1e5; a word's rows are shared, so it passes
-    none).  A word's keys are int32 within the budget (R replicas of p
-    points have R << shift <= 2 R (p + 1), far below 2**31); a cloud's are
-    int64, ``key`` = 8."""
+    and 48 bytes a row for a cloud's row sizes as drawn, its int32 segment
+    table, the table's cumulative sums and the int64 row offsets taken from
+    them (33 bytes a row a cloud measured with tracemalloc at x = 0.01,
+    t = 1e5, 20 clouds; a word's rows are shared, so it passes none).  A
+    word's keys are int32 within the budget (R replicas of p points have
+    R << shift <= 2 R (p + 1), far below 2**32); a cloud's are int64,
+    ``key`` = 8."""
     if chain is None:
         chain = 2.0 * math.sqrt(max(points, 0.0))
     return key * (1.0 + points + 4.0 * (chain + row)) + 48.0 * rows

@@ -340,7 +340,8 @@ class TestEstimate:
         assert (rep["mean"], rep["stderr"]) == (0.0, 0.0)
 
     # SHA-256 of report.json, pinned before the cloud keys took one rule;
-    # 20 clouds at x = t = 100 hold 17 points below the floor x_max * 2**-14
+    # 20 clouds at x = t = 100 hold 17 points below x_max * 2**-14, which
+    # were ranked until every drawn point keyed by its float bits
     @pytest.mark.parametrize("mode, digest", [
         (["--n", "50", "--k", "4", "--order", "strict"],
          "88a5afd1a5cbfc3945a4a05230b92a93e99c2a3dc3651546465c74331c07727b"),

@@ -346,21 +346,17 @@ class TestEqualX:
 @st.composite
 def crowded_clouds(draw):
     """(cloud, boundary): rows 0..t_max of up to 60 distinct x each, all
-    within 2000 ulps of one base, x shared across rows, with sources in row
-    0 (at 0.0 too when the base is 0.0) and sink units, under an x_max at
-    the largest x or far above it, so that many or all points lie below the
-    floor x_max * 2**-14."""
+    within 2000 ulps of one base, x shared across rows (heavy equal-x ties),
+    with sources in row 0 and sink units, under an x_max at the largest x
+    or far above it."""
     t_max = draw(st.integers(min_value=1, max_value=5))
-    base = draw(st.sampled_from([1.0, 3.5, 1e-300, 0.0]))
-    least = 0 if base else 1  # a cloud's x is positive; a source may be 0.0
-    rows = [sorted(draw(st.sets(st.integers(min_value=0 if i == 0 else least,
-                                             max_value=2000), max_size=60)))
+    base = draw(st.sampled_from([1.0, 3.5]))
+    rows = [sorted(draw(st.sets(st.integers(min_value=0 if i == 0 else 1, max_value=2000),
+                                max_size=60)))
             for i in range(t_max + 1)]
     x = [base + np.asarray(r, dtype=float) * np.spacing(base) for r in rows]
     top = max((float(r[-1]) for r in x if r.size), default=0.0)
-    x_max = draw(st.sampled_from([top, 1.0, 4.0]))
-    if not 0.0 < x_max >= top:
-        x_max = max(top, 1.0)
+    x_max = max(top, draw(st.sampled_from([top, 1.0, 4.0]))) or 1.0
     sinks = draw(st.lists(st.integers(min_value=0, max_value=2),
                           min_size=t_max, max_size=t_max))
     return (cloud_from_rows(x[1:], x_max),
@@ -381,11 +377,18 @@ def chain_keys(cloud, boundary=None):
     return np.concatenate(sinks), np.concatenate(points)
 
 
+LOW = int(np.iinfo(np.int64).min)
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 class TestChainKeys:
-    """A cloud's keys follow one rule: equal x, equal key.  Sink units come
-    first, then the points below the floor x_max * 2**-14, each the total
-    sinks plus its dense rank by x, then every other point, read off the
-    float bits of x."""
+    """A cloud's keys follow one rule: equal x, equal key.  Above low =
+    iinfo(int64).min, sink units take 1..total, and every point, sources
+    included, 2**32 + bits(x) - bits(f), with f = fl(x_max * 2**-53), the
+    least x the samplers draw."""
 
     @staticmethod
     def check(cloud, boundary=None):
@@ -393,18 +396,17 @@ class TestChainKeys:
         x = np.concatenate((sources, cloud.xs))
         sinks, keys = chain_keys(cloud, boundary)
         total = 0 if boundary is None else boundary.total_sinks
-        assert sinks.tolist() == list(range(total))
-        assert keys.dtype == np.int64 and (keys < 1 << 56).all()
-        # keys order as x does, at any floor, and are equal exactly where x is
+        assert keys.dtype == np.int64
+        assert (sinks - LOW).tolist() == list(range(1, total + 1))
+        values = keys - LOW
+        f = bits(cloud.x_max * 2.0 ** -53)
+        assert values.tolist() == ((1 << 32) + bits(x) - f).tolist()
+        assert ((1 << 32 <= values) & (values < (1 << 32) + 54 * (1 << 52))).all()
+        # keys order as x does, and are equal exactly where x is
         order = np.argsort(x, kind="stable")
         step = np.diff(keys[order])
         assert (step >= 0).all()
         assert ((step == 0) == (np.diff(x[order]) == 0)).all()
-        below = x < cloud.x_max * 2.0 ** -14
-        ranks = np.unique(x[below], return_inverse=True)[1]
-        assert keys[below].tolist() == (total + ranks).tolist()
-        assert ((total <= keys[below]) & (keys[below] < 1 << 32)).all()
-        assert (keys[~below] >= 1 << 32).all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(grid_cloud, sampled_cloud))
@@ -425,63 +427,66 @@ class TestChainKeys:
     @settings(max_examples=100, deadline=None)
     @given(crowded_clouds(), st.sampled_from(["strict", "weak"]))
     def test_crowded_clouds_chain_as_the_oracle(self, crowded, variant):
-        # equal keys below the floor too: the slab's search sides order the ties
+        # equal keys across rows: the slab's search sides order the ties
         cloud, b = crowded
         if variant == "strict":
             b = BoundarySample(b.sources, np.minimum(b.sinks, 1))
         count = boundary_counts([(cloud, b)], variant)[0]
         assert count + b.total_sinks == longest_chain_with_boundary(cloud, b, variant)
 
-    def test_points_below_the_floor_rank_exactly(self):
-        # x_max = 1: the floor is 2**-14, about 6.1e-5
-        cloud = cloud_from_rows([[1e-5, 3e-5, 0.5], [3e-5, 0.7]], 1.0)
-        boundary = BoundarySample(np.asarray([0.0, 3e-5, 0.5]), np.asarray([1, 0]))
+    def test_keys_read_off_the_float_bits(self):
+        # x_max = 1: f = 2**-53, the least x a sampler draws, keys as 2**32
+        f = 2.0 ** -53
+        cloud = cloud_from_rows([[f, 3e-5, 0.5], [3e-5, 1.0]], 1.0)
+        boundary = BoundarySample(np.asarray([f, 0.5]), np.asarray([1, 2]))
         sinks, keys = chain_keys(cloud, boundary)
-        assert sinks.tolist() == [0]
-        bits = lambda v: (1 << 32) + int(np.float64(v).view(np.int64)) - int(  # noqa: E731
-            np.float64(2.0 ** -14).view(np.int64))
-        # sources 0.0, 3e-5, 0.5; row 1 1e-5, 3e-5, 0.5; row 2 3e-5, 0.7:
-        # below the floor 0.0, 1e-5 and 3e-5 rank 0, 1 and 2 after the one
-        # sink unit, and x = 3e-5 in the sources, row 1 and row 2 shares a key
-        assert keys.tolist() == [1, 3, bits(0.5), 2, 3, bits(0.5), 3, bits(0.7)]
+        assert (sinks - LOW).tolist() == [1, 2, 3]
+        key = lambda v: (1 << 32) + int(bits(v) - bits(f))  # noqa: E731
+        # sources f, 0.5; row 1 f, 3e-5, 0.5; row 2 3e-5, 1.0: x_max is 53
+        # binades above f, and equal x share a key across rows
+        assert (keys - LOW).tolist() == [1 << 32, key(0.5), 1 << 32, key(3e-5), key(0.5),
+                                         key(3e-5), (1 << 32) + (53 << 52)]
         self.check(cloud, boundary)
 
     @pytest.mark.parametrize("x_max", [5e-324, 1e-305, 1.0, 1.7e308])
-    def test_every_key_below_2_56(self, x_max):
-        # the least positive x, x_max itself and a source at 0.0 bound the
-        # keys from both sides; at 5e-324 the floor is 0.0
-        xs = sorted({5e-324, x_max / 3 or 5e-324, x_max})
+    def test_64_clouds_fill_int64(self, x_max):
+        # f, x_max / 3 and x_max itself bound the keys from both sides; at
+        # 5e-324 f is 0.0, at 1e-305 a subnormal; the 64th cloud's pad is
+        # iinfo(int64).max and the first cloud's left edge iinfo(int64).min
+        f = x_max * 2.0 ** -53
+        xs = sorted({f or 5e-324, x_max / 3 or 5e-324, x_max})
         cloud = cloud_from_rows([xs, xs[-1:]], x_max)
-        boundary = BoundarySample(np.asarray(sorted({0.0, x_max})), np.asarray([1, 1]))
+        boundary = BoundarySample(np.asarray(sorted({f, x_max})), np.asarray([1, 1]))
         self.check(cloud, boundary)
-        clouds = [cloud] * 127
-        rows, _, shift, *_ = hammersley._chain_keys(clouds, [boundary] * 127)
+        rows, _, shift, *_ = hammersley._chain_keys([cloud] * 64, [boundary] * 64)
         top = max(int(row.max()) for row in rows if row.size)
-        assert shift == 56 and top >> 56 == 126  # the 127th cloud's keys, not past them
+        assert shift == 58 and (top - LOW) >> 58 == 63 and top < np.iinfo(np.int64).max
         for variant in ("strict", "weak"):
             expected = longest_chain_with_boundary(cloud, boundary, variant)
-            assert boundary_counts([(cloud, boundary)] * 127, variant).tolist() == [
-                expected - boundary.total_sinks] * 127
+            assert boundary_counts([(cloud, boundary)] * 64, variant).tolist() == [
+                expected - boundary.total_sinks] * 64
+        with pytest.raises(ValueError, match="at most 64 clouds, got 65$"):
+            hammersley._chain_keys([cloud] * 65, [boundary] * 65)
 
     def test_refused_batches_name_their_counts(self):
         empty = cloud_from_rows([()], 1.0)
-        with pytest.raises(ValueError, match="at most 127 clouds, got 128$"):
-            hammersley._chain_keys([empty] * 128)
-        # 2**31 sink units and 2**31 points below the floor, the points a
-        # read-only view of one value: 2**32 keys, refused before a key is
-        # written, with nothing copied
-        low = object.__new__(PlanarPointSet)
-        low.__dict__.update(xs=np.broadcast_to(1e-300, (1 << 31,)),
+        with pytest.raises(ValueError, match="at most 64 clouds, got 65$"):
+            hammersley._chain_keys([empty] * 65)
+        # 2**31 sink units and 2**31 points, the points a read-only view of
+        # one value: 2**32 keys, refused before a key is written, with
+        # nothing copied
+        big = object.__new__(PlanarPointSet)
+        big.__dict__.update(xs=np.broadcast_to(0.5, (1 << 31,)),
                             offsets=np.asarray([0, 1 << 31]), x_max=1.0)
         sinks = BoundarySample(np.empty(0), np.asarray([1 << 31]))
         with pytest.raises(ValueError, match="^a cloud of 2\\*\\*32 keys or more cannot be keyed: "
                                              "2147483648 points, 0 sources and 2147483648 "
                                              "sink units$"):
-            hammersley._chain_keys([low], [sinks])
-        low.__dict__.update(xs=np.broadcast_to(1e-300, (1 << 32,)),
+            hammersley._chain_keys([big], [sinks])
+        big.__dict__.update(xs=np.broadcast_to(0.5, (1 << 32,)),
                             offsets=np.asarray([0, 1 << 32]))
         with pytest.raises(ValueError, match=": 4294967296 points, 0 sources and 0 sink units$"):
-            hammersley._chain_keys([low])
+            hammersley._chain_keys([big])
 
     @pytest.mark.parametrize("order, rates", [
         ("strict", None), ("weak", None),
@@ -541,14 +546,14 @@ class TestBatchParticleCounts:
         assert slab_counts([cloud], variant).tolist() == [chain(cloud)]
 
     def test_int64_keys_when_int32_cannot_hold_them(self):
-        # cloud keys are int64 whatever the batch: replica << 56 is past
-        # int32 from the second replica on
+        # cloud keys are int64 whatever the batch: replica << 58 is past
+        # int32 from the first replica on
         big = sample_poisson_cloud(22_000.0, 3, 1.0, make_rng(33))
         assert 1 << 16 <= big.size < 1 << 17
-        clouds = [cloud_from_rows((), 1.0)] * 126 + [big]
+        clouds = [cloud_from_rows((), 1.0)] * 63 + [big]
         for batch in (clouds[-1:], clouds[-2:], clouds):
             rows, _, shift, _, dtype, _ = hammersley._chain_keys(batch)
-            assert shift == 56 and dtype == np.int64
+            assert shift == 58 and dtype == np.int64
             assert {row.dtype for row in rows} == {np.dtype(np.int64)}
         for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
             counts = slab_counts(clouds, variant)
@@ -762,6 +767,44 @@ class TestWordCounts:
 
     def test_empty_batch(self):
         assert hammersley._word_counts(iter(()), 0, 3, 2, "weak").tolist() == []
+
+    @pytest.mark.parametrize("n, k", [(127, 1), (5, 51)])
+    def test_words_of_size_two_to_the_m_less_one(self, n, k):
+        # positions 1..2**m - 1 need shift m + 1: at shift m the last
+        # position would key as its replica's pad
+        rng = np.random.default_rng(43)
+        words = [rng.permutation(np.repeat(np.arange(1, n + 1), k)) for _ in range(6)]
+        expected = word_oracles(n, k, words)
+        for variant in ("strict", "weak"):
+            counts = hammersley._word_counts(iter(words), len(words), n, k, variant)
+            assert counts.tolist() == expected[variant]
+
+    @pytest.mark.parametrize("variant", ["strict", "weak"])
+    def test_int32_keys_up_to_the_last_replica(self, variant):
+        # words of 2**16 - 1 letters in replicas 0 and R - 1 of a batch of
+        # R = 2**15, so R << 17 = 2**32: int32 keys, whose first cell edge
+        # is iinfo(int32).min and last pad iinfo(int32).max.  Laid out here,
+        # as `_word_counts` lays out a word, since its full batch would hold
+        # 2**31 letters.
+        n, k = 255, 257
+        shift = (n * k + 1).bit_length()
+        reps = (1 << 32) >> shift
+        assert (shift, hammersley._key_dtype(reps, shift)) == (17, np.int32)
+        assert hammersley._key_dtype(reps + 1, shift) == np.int64
+        rng = np.random.default_rng(44)
+        words = [rng.permutation(np.repeat(np.arange(1, n + 1), k)) for _ in range(2)]
+        low = int(np.iinfo(np.int32).min) + 1
+        keys = [np.argsort(w, kind="stable").reshape(n, k) + low + (r << shift)
+                for w, r in zip(words, (0, reps - 1))]
+        rows = [np.empty(0, np.int32), *(np.concatenate(pair).astype(np.int32)
+                                         for pair in zip(*keys))]
+        assert min(int(row.min()) for row in rows[1:]) == np.iinfo(np.int32).min + 1
+        sizes = np.zeros(reps, np.int64)
+        sizes[[0, -1]] = n * k
+        counts = hammersley._slab_counts(iter(rows), sizes, shift, [0] + [k] * n, np.int32,
+                                         variant)
+        assert counts[[0, -1]].tolist() == word_oracles(n, k, words)[variant]
+        assert not counts[1:-1].any()
 
 
 class TestParticleSide:

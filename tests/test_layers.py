@@ -55,6 +55,34 @@ def test_montecarlo_counts_chains_only_through_the_slab():
     assert "subsequences" not in package_imports(PACKAGE / "montecarlo.py")
 
 
+def callers(name: str) -> list[str]:
+    """``module.function`` for each call of ``name`` in the package, by its
+    bare name or as an attribute, with nested functions dotted."""
+    found = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.append(scope)
+            visit(child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_the_cloud_chunk_worker_keys_clouds():
+    # `_chain_keys` keys exactly only positions at or above x_max * 2**-53,
+    # which every sampled position is: its one caller keys only what the
+    # samplers draw
+    assert callers("_chain_keys") == ["montecarlo._poisson_chunk"]
+
+
 def test_every_export_resolves_once():
     assert len(ulam.__all__) == len(set(ulam.__all__))
     missing = [name for name in ulam.__all__ if not hasattr(ulam, name)]

@@ -249,18 +249,27 @@ class TestChunkMemory:
     def test_tall_thin_chunk_within_the_budget(self, monkeypatch):
         # x = 0.01, t = 5000: about 50 points in 5001 rows a replica, whose
         # row sizes, layout and sinks outweigh the keys; what the replicas of
-        # a planned chunk add to one replica's peak stays within the budget
-        x, t, lam, rates = 0.01, 5000, 1.0, BoundaryRates.weak_from_beta(1.0, 2.0)
-        planned = []
+        # a planned chunk add to one replica's peak stays within the budget,
+        # and what each adds beyond its planned keys and slab within the
+        # planner's 48 bytes a row
+        x, t, lam = 0.01, 5000, 1.0
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 20)
-        monkeypatch.setattr(montecarlo, "_parallel_map", lambda fn, argses, jobs: (
-            planned.extend(argses) or [np.zeros((2, 0))]))
-        montecarlo._poisson_counts(x, t, lam, "weak", 16, 7, 1, 3, rates)
-        args = planned[0]
-        assert len(args[1]) >= 2
-        one = _peak_traced_bytes(montecarlo._poisson_chunk, (args[0], range(1), *args[2:]))
-        full = _peak_traced_bytes(montecarlo._poisson_chunk, args)
-        assert full - one <= montecarlo._CHUNK_BYTES
+        for rates in (None, BoundaryRates.weak_from_beta(1.0, 2.0)):
+            planned = []
+            monkeypatch.setattr(montecarlo, "_parallel_map", lambda fn, argses, jobs: (
+                planned.extend(argses) or [np.zeros((2, 0))]))
+            montecarlo._poisson_counts(x, t, lam, "weak", 16, 7, 1, 3, rates)
+            args = planned[0]
+            reps = len(args[1])
+            assert reps >= 2
+            one = _peak_traced_bytes(montecarlo._poisson_chunk, (args[0], range(1), *args[2:]))
+            full = _peak_traced_bytes(montecarlo._poisson_chunk, args)
+            assert full - one <= montecarlo._CHUNK_BYTES
+            keys, row, chain = montecarlo._expected_keys(x, t, lam, rates)
+            rest = montecarlo._replica_bytes(keys, row, 0, 8, chain)
+            assert montecarlo._replica_bytes(keys, row, t + 1, 8, chain) - rest == (
+                pytest.approx(48 * (t + 1)))
+            assert (full - one) / (reps - 1) - rest <= 48 * (t + 1)
 
     def test_sink_units_count_in_the_plan(self, monkeypatch):
         # a weak source rate a hair above lam draws about 1e6 sink units a
@@ -537,7 +546,8 @@ class TestStationarity:
 
     # pinned before the cloud keys took one rule; the 20 replicas at
     # x = t = 100 hold 7 (strict) and 8 (weak) points and sources below
-    # the floor x_max * 2**-14
+    # x_max * 2**-14, which were ranked until every drawn point keyed by
+    # its float bits
     @pytest.mark.parametrize("variant, rate, counts", [
         ("strict", 0.5, [42, 49, 44, 43, 52, 54, 40, 51, 67, 54,
                          45, 43, 52, 47, 48, 54, 54, 41, 44, 49]),

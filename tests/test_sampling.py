@@ -306,6 +306,56 @@ class TestBoundarySampling:
             sample_boundary(1.0, 0, rates, make_rng(0))
 
 
+class EdgeRng(QuantizedRng):
+    """A `QuantizedRng` whose grid holds both ends of numpy's uniforms, 0 and
+    1 - 2**-53, so that draws x (1 - u) reach x and x * 2**-53 and rows tie."""
+
+    def random(self, size):
+        u = super().random(size)
+        u[u == 63 / 64] = 1.0 - 2.0 ** -53
+        return u
+
+    def geometric(self, *args, **kwargs):
+        return self.rng.geometric(*args, **kwargs)
+
+
+class TestKeyFloor:
+    """Every position the samplers draw, x (1 - u) with u < 1 a multiple of
+    2**-53, lies in [fl(x * 2**-53), x], the range `hammersley._chain_keys`
+    keys exactly."""
+
+    @staticmethod
+    def check(x, positions):
+        assert ((x * 2.0 ** -53 <= positions) & (positions <= x)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-300, 1e300), st.floats(0.5, 4.0), st.floats(1.0, 3.0),
+           st.sampled_from(["strict", "weak"]), st.integers(0, 2**32), st.booleans())
+    def test_draws_lie_at_or_above_the_key_floor(self, x, mean, over, variant, seed, edges):
+        # lam and the source rate of order 1/x: a few points a row at any x
+        rng = make_rng(seed, 13)
+        if edges:
+            rng = EdgeRng(rng)
+        lam = mean / x
+        rates = (BoundaryRates.strict_from_alpha(lam, over * lam) if variant == "strict"
+                 else BoundaryRates.weak_from_beta(lam, (1.0 + over) * lam))
+        self.check(x, sample_poisson_cloud(x, 4, lam, rng).xs)
+        self.check(x, sample_boundary(x, 4, rates, rng).sources)
+
+    def test_forced_ties_replay_within_the_range(self):
+        # the edge grid ties rows, so the sampler replays its per-row draws,
+        # and reaches both ends of the range
+        for x in (1e-300, 1.0, 1e300):
+            replayed, ends = 0, set()
+            for seed in range(20):
+                rng = EdgeRng(make_rng(seed, 14))
+                xs = sample_poisson_cloud(x, 5, 4.0 / x, rng).xs
+                self.check(x, xs)
+                replayed += rng.random_calls > 1
+                ends.update({x * 2.0 ** -53, x} & set(xs.tolist()))
+            assert replayed > 0 and ends == {x * 2.0 ** -53, x}
+
+
 class TestPoissonCeiling:
     """A Poisson mean numpy's sampler refuses is rejected, naming both of its
     factors, before anything is drawn or planned."""
