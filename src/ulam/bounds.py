@@ -1,6 +1,6 @@
 """Closed-form rates, first-order means, and exact tail-inequality certificates.
 
-The tail validators compare closed-form exponential bounds against exact
+The tail validators compare the exponents of closed-form bounds with exact log
 Poisson / Binomial / negative-binomial tail probabilities computed by a
 log-space recurrence over pmf terms, so a passing certificate is an exact
 statement, not a sampled one.
@@ -142,42 +142,6 @@ def augmented_tail_rate(eps: float) -> float:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     return eps * eps / 12.0
-
-
-# ---------------------------------------------------------------------------
-# Closed-form tail bounds
-
-def poisson_tail_bound(lam: float, a: float) -> float:
-    """exp(-a^2 / (4*lam)), the bound for both Poisson tails at lam -/+ a."""
-    _check_positive(lam=lam, a=a)
-    return math.exp(-a * a / (4.0 * lam))
-
-
-def binomial_upper_bound(n: int, p: float, eps: float) -> float:
-    """exp(-eps^2*n*p/3) bounding P(X >= (1+eps)*n*p) for 0 < eps < 1."""
-    _check_eps(eps)
-    return math.exp(-eps * eps * n * p / 3.0)
-
-
-def binomial_lower_bound(n: int, p: float, eps: float) -> float:
-    """exp(-eps^2*n*p/2) bounding P(X <= (1-eps)*n*p) for 0 < eps < 1."""
-    _check_eps(eps)
-    return math.exp(-eps * eps * n * p / 2.0)
-
-
-def geomsum_tail_bound(k: int, alpha: float, eps: float) -> float:
-    """exp(-eps^2*k*alpha/(1-alpha)/4) for both tails of a sum of k
-    Geometric_{>=0}(1-alpha) variables at (1 -/+ eps) times the mean."""
-    _check_eps(eps)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    mu = alpha / (1.0 - alpha)
-    return math.exp(-0.25 * eps * eps * k * mu)
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +308,47 @@ def _product_family(names: tuple[str, ...], *axes: tuple) -> tuple:
     return names, lambda: [dict(zip(names, point)) for point in itertools.product(*axes)]
 
 
-# The parameter names and default grid of each family of kinds.
+def _geometric_rate(alpha: float, a: float) -> float:
+    """Cramér rate I(a) of one Geometric_{>=0}(1 - alpha) variable at a > 0: a
+    sum of k of them lies beyond k*a, on the side away from its mean, with
+    probability at most exp(-k I(a)).
+
+    By Chernoff that probability is at most exp(-k (s a - log M(s))) for every s
+    of the tail's sign, where M(s) = (1 - alpha) / (1 - alpha e^s).  The exponent
+    is greatest at e^s = a / (alpha (1 + a)), where 1 - alpha e^s = 1 / (1 + a),
+    so I(a) = a log(a / (alpha (1 + a))) - log((1 - alpha) (1 + a)); that s is
+    >= 0 exactly when a is at least the mean alpha / (1 - alpha).
+    """
+    return a * math.log(a / (alpha * (1.0 + a))) - math.log((1.0 - alpha) * (1.0 + a))
+
+
+# The parameter names, default grid and (Poisson) log bound of each family.
 _ODD_TENTHS = (0.1, 0.3, 0.5, 0.7, 0.9)
-_POISSON = (("lam", "a"), _poisson_grid)
+_POISSON = (("lam", "a"), _poisson_grid, lambda lam, a: -a * a / (4.0 * lam))
 _BINOMIAL = _product_family(("n", "p", "eps"), (10, 20, 50, 100, 300, 1000),
                             _ODD_TENTHS, _ODD_TENTHS)
 _GEOMSUM = _product_family(("k", "alpha", "eps"), (1, 2, 5, 10, 50, 100, 200),
                            _ODD_TENTHS, _ODD_TENTHS)
 
 # Every certificate kind, in the order ``ulam tails --kind all`` writes them:
-# kind -> (parameter names, default grid, closed-form bound, exact log tail),
-# the last two taking the parameters in the order named.
+# kind -> (parameter names, default grid, log bound, exact log tail), the last
+# two taking the parameters in the order named.  The bounds are Chernoff's,
+# the binomial ones for 0 < eps < 1, at lam -/+ a and (1 -/+ eps) times the mean.
 _KINDS: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable]] = {
-    "poisson_lower": (*_POISSON, poisson_tail_bound,
-                      lambda lam, a: log_poisson_lower(lam, lam - a)),
-    "poisson_upper": (*_POISSON, poisson_tail_bound,
-                      lambda lam, a: log_poisson_upper(lam, lam + a)),
-    "binomial_upper": (*_BINOMIAL, binomial_upper_bound,
+    "poisson_lower": (*_POISSON, lambda lam, a: log_poisson_lower(lam, lam - a)),
+    "poisson_upper": (*_POISSON, lambda lam, a: log_poisson_upper(lam, lam + a)),
+    "binomial_upper": (*_BINOMIAL, lambda n, p, eps: -eps * eps * n * p / 3.0,
                        lambda n, p, eps: log_binomial_upper(n, p, (1.0 + eps) * n * p)),
-    "binomial_lower": (*_BINOMIAL, binomial_lower_bound,
+    "binomial_lower": (*_BINOMIAL, lambda n, p, eps: -eps * eps * n * p / 2.0,
                        lambda n, p, eps: log_binomial_lower(n, p, (1.0 - eps) * n * p)),
-    "geomsum_upper": (*_GEOMSUM, geomsum_tail_bound, lambda k, alpha, eps: log_geomsum_upper(
-        k, alpha, (1.0 + eps) * k * alpha / (1.0 - alpha))),
-    "geomsum_lower": (*_GEOMSUM, geomsum_tail_bound, lambda k, alpha, eps: log_geomsum_lower(
-        k, alpha, (1.0 - eps) * k * alpha / (1.0 - alpha))),
+    "geomsum_upper": (*_GEOMSUM,
+        lambda k, alpha, eps: -k * _geometric_rate(alpha, (1.0 + eps) * alpha / (1.0 - alpha)),
+        lambda k, alpha, eps: log_geomsum_upper(
+            k, alpha, (1.0 + eps) * k * alpha / (1.0 - alpha))),
+    "geomsum_lower": (*_GEOMSUM,
+        lambda k, alpha, eps: -k * _geometric_rate(alpha, (1.0 - eps) * alpha / (1.0 - alpha)),
+        lambda k, alpha, eps: log_geomsum_lower(
+            k, alpha, (1.0 - eps) * k * alpha / (1.0 - alpha))),
 }
 TAIL_KINDS = tuple(_KINDS)
 _FAMILY = {kind: kind.partition("_")[0] for kind in TAIL_KINDS}
@@ -389,12 +370,11 @@ def verify_tail_inequality(kind: str) -> TailCertificate:
     """
     if kind not in TAIL_KINDS:
         raise ValueError(f"kind must be one of {TAIL_KINDS}")
-    names, grid, bound, log_exact = _KINDS[kind]
+    names, grid, log_bound, log_exact = _KINDS[kind]
     records = []
     for params in grid():
         args = [params[name] for name in names]
-        records.append(TailRecord(kind, dict(params), log_exact(*args),
-                                  math.log(bound(*args))))
+        records.append(TailRecord(kind, dict(params), log_exact(*args), log_bound(*args)))
     return TailCertificate(tuple(records))
 
 

@@ -118,16 +118,17 @@ def _replica_bytes(points: float, row: float, rows: float = 0.0, key: int = 4,
     ``rows`` rows and a chain of ``chain`` keys (about 2 sqrt(points) if not
     given), in a chunk: a ``key``-byte key per point, a slab row of at most
     4 (chain + row) cells of that width (the slab doubles when half full),
-    and 48 bytes a row for a cloud's row sizes as drawn, its int32 segment
+    and 40 bytes a row for a cloud's row sizes as drawn, its int32 segment
     table, the table's cumulative sums and the int64 row offsets taken from
     them (33 bytes a row a cloud measured with tracemalloc at x = 0.01,
-    t = 1e5, 20 clouds; a word's rows are shared, so it passes none).  A
-    word's keys are int32 within the budget (R replicas of p points have
+    t = 1e5, 20 clouds, and 32 a further replica of a chunk at t = 5000; a
+    word's rows are shared, so it passes none).  A word's keys are int32
+    within the budget (R replicas of p points have
     R << shift <= 2 R (p + 1), far below 2**32); a cloud's are int64,
     ``key`` = 8."""
     if chain is None:
         chain = 2.0 * math.sqrt(max(points, 0.0))
-    return key * (1.0 + points + 4.0 * (chain + row)) + 48.0 * rows
+    return key * (1.0 + points + 4.0 * (chain + row)) + 40.0 * rows
 
 
 def _chunks(reps: int, points: float, row: float, rows: float = 0.0,

@@ -192,11 +192,6 @@ def test_criterion_10b_binomial_tail_certificates():
 
 
 def test_criterion_10c_geomsum_tail_certificates():
-    # The stated closed form is provably violated in the heavy-parameter
-    # corner (large alpha with large eps): the moment generating function of
-    # the geometric summand is infinite at the exponent the bound implies.
-    # The certificate reports the violations rather than hiding them, so
-    # this criterion is honestly red; see the certificate CSV for the map.
     certs = [verify_tail_inequality(k) for k in ("geomsum_upper", "geomsum_lower")]
     n_fail = sum(len(c.failures()) for c in certs)
     n = sum(len(c.records) for c in certs)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from ulam.bounds import (BoundaryRates, _log_poisson_pmf, binomial_lower_bound,
-                         binomial_upper_bound, geomsum_tail_bound, log_binomial_lower,
+from ulam.bounds import (BoundaryRates, CERTIFICATE_COLUMNS, _KINDS, _PARAMS,
+                         _log_poisson_pmf, certificate_rows, log_binomial_lower,
                          log_binomial_upper, log_chi2_upper, log_geomsum_lower,
                          log_geomsum_upper, log_poisson_lower, log_poisson_upper,
                          mean_bound, optimal_rates_strict,
-                         optimal_rates_weak, poisson_tail_bound, predicted_mean,
+                         optimal_rates_weak, predicted_mean,
                          regime_diagnostics, TAIL_KINDS, verify_tail_inequality)
 from ulam.montecarlo import deviation_profile, estimate_mean_subsequence
 from ulam.sampling import (MultisetWord, make_rng, sample_boundary, sample_poisson_cloud,
@@ -122,29 +124,73 @@ class TestPredictedMean:
         assert mean_bound(1e-200, 1, 1e-120, order) > 0.0
 
 
+def _log_bound(kind: str, **params) -> float:
+    names, _, log_bound, _ = _KINDS[kind]
+    return log_bound(*(params[name] for name in names))
+
+
+def _log_exact(kind: str, **params) -> float:
+    names, _, _, log_exact = _KINDS[kind]
+    return log_exact(*(params[name] for name in names))
+
+
+def _geometric_rate(alpha: float, a: float) -> float:
+    """I(a) = a log(a / (alpha (1 + a))) - log((1 - alpha) (1 + a))."""
+    return a * math.log(a / (alpha * (1.0 + a))) - math.log((1.0 - alpha) * (1.0 + a))
+
+
+# Each kind's closed-form exponent, written out here as the table must state it.
+_CLOSED_FORMS = {
+    "poisson_lower": lambda lam, a: -a * a / (4.0 * lam),
+    "poisson_upper": lambda lam, a: -a * a / (4.0 * lam),
+    "binomial_upper": lambda n, p, eps: -eps * eps * n * p / 3.0,
+    "binomial_lower": lambda n, p, eps: -eps * eps * n * p / 2.0,
+    "geomsum_upper": lambda k, alpha, eps: -k * _geometric_rate(
+        alpha, (1.0 + eps) * alpha / (1.0 - alpha)),
+    "geomsum_lower": lambda k, alpha, eps: -k * _geometric_rate(
+        alpha, (1.0 - eps) * alpha / (1.0 - alpha)),
+}
+
+
 class TestTailBoundFormulas:
     def test_poisson(self):
-        assert poisson_tail_bound(4.0, 4.0) == pytest.approx(math.exp(-1.0))
+        assert _log_bound("poisson_lower", lam=4.0, a=4.0) == -1.0
+        assert _log_bound("poisson_upper", lam=4.0, a=4.0) == -1.0
 
     def test_binomial(self):
         # upper tail carries the /3 exponent, lower tail the /2 exponent
-        assert binomial_upper_bound(100, 0.5, 0.2) == pytest.approx(math.exp(-0.04 * 50 / 3))
-        assert binomial_lower_bound(100, 0.5, 0.2) == pytest.approx(math.exp(-1.0))
+        assert _log_bound("binomial_upper", n=100, p=0.5, eps=0.2) == pytest.approx(
+            -0.04 * 50 / 3, rel=1e-12)
+        assert _log_bound("binomial_lower", n=100, p=0.5, eps=0.2) == pytest.approx(
+            -1.0, rel=1e-12)
 
     def test_geomsum(self):
-        assert geomsum_tail_bound(100, 0.5, 0.5) == pytest.approx(math.exp(-6.25))
+        # -k I(a) at a = (1 -/+ eps) alpha / (1 - alpha): 1.5 above, 0.5 below
+        assert _log_bound("geomsum_upper", k=100, alpha=0.5, eps=0.5) == pytest.approx(
+            -100 * (1.5 * math.log(1.2) - math.log(1.25)), rel=1e-12)
+        assert _log_bound("geomsum_upper", k=100, alpha=0.5, eps=0.5) == pytest.approx(
+            -5.033878, abs=1e-6)
+        assert _log_bound("geomsum_lower", k=100, alpha=0.5, eps=0.5) == pytest.approx(
+            -100 * (0.5 * math.log(2.0 / 3.0) - math.log(0.75)), rel=1e-12)
+
+    def test_every_log_bound_is_its_closed_form(self):
+        # compared as stated, not through exp and log, which move 238 of them
+        for kind in TAIL_KINDS:
+            for r in verify_tail_inequality(kind).records:
+                assert r.log_bound == _CLOSED_FORMS[kind](**r.params), (kind, r.params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 300), alpha=st.floats(0.02, 0.98), eps=st.floats(0.02, 0.98))
+    def test_geomsum_chernoff_bound_holds(self, k, alpha, eps):
+        for kind in ("geomsum_upper", "geomsum_lower"):
+            params = {"k": k, "alpha": alpha, "eps": eps}
+            assert _log_exact(kind, **params) <= _log_bound(kind, **params), (kind, params)
 
     def test_unknown_kind_raises(self):
         assert TAIL_KINDS == ("poisson_lower", "poisson_upper", "binomial_upper",
                               "binomial_lower", "geomsum_upper", "geomsum_lower")
         with pytest.raises(ValueError, match="kind must be one of"):
             verify_tail_inequality("bogus")
-
-    def test_eps_range(self):
-        with pytest.raises(ValueError):
-            binomial_upper_bound(10, 0.5, 1.5)
-        with pytest.raises(ValueError):
-            geomsum_tail_bound(10, 0.5, 0.0)
 
 
 class TestExactTails:
@@ -266,9 +312,9 @@ class TestCertificates:
         assert rec.passed
 
     def test_binomial_example(self):
-        # eps = 0.2 lies off the default grid: check the two sides directly
-        exact = math.exp(log_binomial_upper(100, 0.5, (1.0 + 0.2) * 100 * 0.5))
-        bound = binomial_upper_bound(100, 0.5, 0.2)
+        # eps = 0.2 lies off the default grid: check the table's two sides directly
+        exact = math.exp(_log_exact("binomial_upper", n=100, p=0.5, eps=0.2))
+        bound = math.exp(_log_bound("binomial_upper", n=100, p=0.5, eps=0.2))
         assert exact == pytest.approx(0.02844, abs=2e-4)
         assert bound == pytest.approx(math.exp(-2.0 / 3.0), rel=1e-12)
         assert exact <= bound
@@ -281,11 +327,24 @@ class TestCertificates:
             assert verify_tail_inequality(kind).all_pass, kind
 
     def test_geomsum_known_violation_is_reported(self):
-        # high multiplicity of a heavy geometric: the closed-form bound
-        # undershoots the true tail, and the certificate must say so
+        # high multiplicity of a heavy geometric: exp(-eps^2 k alpha / (4 (1 - alpha)))
+        # = exp(-3.645) lies below the exact tail here, and the certificate must
+        # catch a bound like it; the Cramér-Chernoff bound exp(-2 I(17.1)) holds
         rec = _default_record("geomsum_upper", k=2, alpha=0.9, eps=0.9)
         assert rec.exact == pytest.approx(0.11264, abs=2e-4)
-        assert not rec.passed
+        assert rec.log_bound == pytest.approx(-0.47297, abs=1e-5)
+        assert rec.passed
+
+    def test_every_kind_fills_exactly_its_csv_columns(self):
+        # a parameter missing from _PARAMS would be dropped from the CSV unseen
+        for kind in TAIL_KINDS:
+            assert set(_KINDS[kind][0]) <= set(_PARAMS), kind
+        rows = certificate_rows(verify_tail_inequality(kind) for kind in TAIL_KINDS)
+        assert len(rows) == 778
+        for row in rows:
+            assert len(row) == len(CERTIFICATE_COLUMNS)
+            named = dict(zip(CERTIFICATE_COLUMNS, row))
+            assert {name for name in _PARAMS if named[name] != ""} == set(_KINDS[row[0]][0])
 
 
 class TestRegimeDiagnostics:
@@ -315,7 +374,6 @@ _CHECKED = {
                       {"lam": 1.0, "source_rate": 1.0}),
     "strict_from_alpha": (BoundaryRates.strict_from_alpha, {"lam": 1.0, "alpha": 1.0}),
     "weak_from_beta": (BoundaryRates.weak_from_beta, {"lam": 1.0, "beta": 2.0}),
-    "poisson_tail_bound": (poisson_tail_bound, {"lam": 4.0, "a": 4.0}),
     "predicted_mean": (lambda n, k: predicted_mean(n, k, "weak"), {"n": 4, "k": 2}),
     "regime_diagnostics": (regime_diagnostics, {"n": 4, "k": 2}),
     "MultisetWord": (lambda n, k: MultisetWord(n, k, [1, 1]), {"n": 1, "k": 2}),

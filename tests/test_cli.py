@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ulam
+from ulam import bounds
 from ulam.cli import main
 
 
@@ -412,10 +413,10 @@ class TestVerifyAndTails:
 
     def test_tails_all_bytes_are_pinned(self, tmp_path, capsys):
         out = tmp_path / "tails.csv"
-        assert main(["tails", "--kind", "all", "--out", str(out)]) == 1
-        assert capsys.readouterr().out == "tail certificates: 713/778 grid points passed\n"
+        assert main(["tails", "--kind", "all", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "tail certificates: 778/778 grid points passed\n"
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
-                == "270ecf90c96f0c6ad08427f39eb5bf417921cc454ff06a7705d67433a7c3a59a")
+                == "96fd5fe46a4de7989bd586413d415650519055e764e7c0b1e19662ee34617143")
 
     @pytest.mark.parametrize("kind, selected", [
         ("all", ["poisson_lower", "poisson_upper", "binomial_upper", "binomial_lower",
@@ -446,13 +447,21 @@ class TestVerifyAndTails:
         assert "'kind'" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
-    def test_tails_geomsum_reports_violations(self, tmp_path):
-        # the geometric-sum closed form genuinely fails in the heavy corner;
-        # the certificate must say so and exit nonzero
+    def test_tails_geomsum_reports_violations(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "cert.csv"
+        assert main(["tails", "--kind", "geomsum", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "tail certificates: 350/350 grid points passed\n"
+        assert ",False" not in out.read_text()
+        # a log-bound below its exact tail is reported row by row, and exits 1
+        names, grid, _, log_exact = bounds._KINDS["geomsum_upper"]
+        monkeypatch.setitem(bounds._KINDS, "geomsum_upper", (
+            names, grid, lambda *args: log_exact(*args) - 1.0, log_exact))
         assert main(["tails", "--kind", "geomsum", "--out", str(out)]) == 1
-        body = out.read_text()
-        assert ",False" in body and ",True" in body
+        assert capsys.readouterr().out == "tail certificates: 175/350 grid points passed\n"
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(row["kind"], row["pass"]) for row in rows} == {
+            ("geomsum_upper", "False"), ("geomsum_lower", "True")}
 
 
 class TestReproducibility:
