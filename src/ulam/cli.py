@@ -4,9 +4,9 @@ Subcommands: sample, lis, simulate, estimate, verify, tails.  The commands
 that draw (sample, simulate, estimate, verify) accept --seed (default from
 ULAM_SEED, then 0); every command accepts --config with key=value lines, each
 key an option of that command set at most once (flags override config).
-Commands that write files record a RunManifest next to their outputs before
-the results are written; ``ulam --manifest FILE`` replays a recorded run and
-reproduces its outputs byte for byte.
+Commands that write files write a ``manifest.json`` next to their outputs
+before the results are written; ``ulam --manifest FILE`` replays a recorded run
+and reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 verification or certificate failure, 2 usage or
 domain error, or an input too large for memory.
@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,42 +38,25 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    tool_version: str
-    started: str
-    finished: str | None
-    output_paths: list[str] = field(default_factory=list)
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    path.write_text(json.dumps(asdict(manifest), indent=2) + "\n")
-
-
-def _manifest_params(args: argparse.Namespace) -> dict:
-    skip = {"func", "config", "manifest"}
-    return {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")}
 
 
 @contextmanager
 def _manifest(args, outputs: list[Path]):
     """Write the run's manifest beside its outputs before the block writes
-    them, and again with the finish time once it has."""
+    them, and again with the finish time once it has.  Its parameters are the
+    command's options, and any value the command derived from them."""
     path = outputs[0].parent / "manifest.json"
-    man = RunManifest(command=args._command, parameters=_manifest_params(args),
-                      seed=getattr(args, "seed", None), tool_version=__version__,
-                      started=_now(), finished=None, output_paths=[str(p) for p in outputs])
-    _write_manifest(path, man)
+    man = {"command": args._command,
+           "parameters": {k: v for k, v in vars(args).items()
+                          if k not in ("func", "config", "manifest") and not k.startswith("_")},
+           "seed": getattr(args, "seed", None), "tool_version": __version__,
+           "started": _now(), "finished": None, "output_paths": [str(p) for p in outputs]}
+    path.write_text(json.dumps(man, indent=2) + "\n")
     yield
-    man.finished = _now()
-    _write_manifest(path, man)
+    man["finished"] = _now()
+    path.write_text(json.dumps(man, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -126,10 +108,9 @@ def cmd_sample(args) -> int:
 # --- lis ---------------------------------------------------------------------
 
 def _parse_word_text(text: str):
-    """A single CSV line of integers is a word; x,row lines are a point list."""
+    """A single CSV line of integers is a word; x,row lines are a point list;
+    blank text is the empty word."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        return None
     if len(lines) == 1:
         cells = [c.strip() for c in lines[0].split(",")]
         try:
@@ -156,9 +137,7 @@ def cmd_lis(args) -> int:
         parsed = _parse_word_text(text)
     except (ValueError, UsageError) as exc:
         raise UsageError(f"parse failure: {exc}")
-    if parsed is None:
-        length = 0
-    elif parsed and isinstance(parsed[0], tuple):
+    if parsed and isinstance(parsed[0], tuple):
         xs, rows = zip(*parsed)
         # a chain sees only the order of the rows: ranks keep large rows cheap
         distinct, rank = np.unique(rows, return_inverse=True)

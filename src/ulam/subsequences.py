@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numbers
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -202,9 +202,7 @@ def exact_expected_lis(row_counts) -> Fraction:
     return _exact_mean(tuple(counts))
 
 
-# Tuples of positive counts summing to at most _ENUM_CAP = 9 number
-# 1 + 1 + 2 + ... + 2**8 = 512, so this cache holds every key.
-@lru_cache(maxsize=512)
+@cache
 def _exact_mean(counts: tuple[int, ...]) -> Fraction:
     from fractions import Fraction  # it loads decimal; only exact means need either
     if not counts:

@@ -3,12 +3,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 import ulam
-from ulam import bounds
+from ulam import bounds, cli
 from ulam.cli import main
 
 
@@ -110,6 +111,14 @@ class TestLis:
         res = run_cli("lis", stdin="")
         assert res.returncode == 0
         assert res.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("order", ["strict", "weak"])
+    def test_blank_input_is_the_empty_word(self, tmp_path, capsys, order):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("")
+        for source in (["--word", ""], ["--word", " \n\t "], ["--input", str(blank)]):
+            assert main(["lis", *source, "--order", order]) == 0
+            assert capsys.readouterr().out == "0\n"
 
     def test_point_file(self, tmp_path, capsys):
         f = tmp_path / "pts.csv"
@@ -613,6 +622,61 @@ class TestReproducibility:
                   "--reps", "16", "--seed", "21", "--jobs", jobs,
                   "--out-dir", str(d)])
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
+
+
+class TestManifestFormat:
+    """The manifest a command writes: seven keys in order, UTC timestamps,
+    and every option of the command as a parameter, in parser order."""
+
+    KEYS = ["command", "parameters", "seed", "tool_version", "started", "finished",
+            "output_paths"]
+
+    @pytest.mark.parametrize("argv, outputs, parameters", [
+        (["sample", "--n", "2", "--k", "2", "--count", "2", "--seed", "3", "--out", "w.csv"],
+         ["w.csv"], ["seed", "n", "k", "count", "format", "out"]),
+        (["simulate", "--x", "3", "--t", "4", "--lambda", "1", "--alpha", "0.5", "--trace",
+          "--seed", "5", "--out-dir", "."], ["counts.csv", "trace.csv"],
+         ["seed", "x", "t", "lam", "variant", "alpha", "beta", "trace", "out_dir",
+          "sink_param"]),
+        (["estimate", "--n", "6", "--k", "2", "--reps", "4", "--seed", "2", "--out-dir", "."],
+         ["report.json", "plot.csv"],
+         ["seed", "mode", "n", "k", "x", "t", "lam", "order", "reps", "jobs", "out_dir"]),
+        (["estimate", "--mode", "poisson", "--x", "2", "--t", "4", "--lambda", "1",
+          "--reps", "4", "--seed", "2", "--out-dir", "."], ["report.json", "plot.csv"],
+         ["seed", "mode", "n", "k", "x", "t", "lam", "order", "reps", "jobs", "out_dir"]),
+        (["tails", "--kind", "poisson", "--out", "tails.csv"], ["tails.csv"],
+         ["kind", "out"]),
+    ], ids=["sample", "simulate", "estimate-word", "estimate-poisson", "tails"])
+    def test_keys_timestamps_and_parameters(self, tmp_path, monkeypatch, capsys, argv,
+                                            outputs, parameters):
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        during = []  # the manifest as each CSV file is written
+        original = cli._write_csv
+
+        def write_csv(path, header, rows):
+            during.append(json.loads((path.parent / "manifest.json").read_text()))
+            original(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", write_csv)
+        assert main(argv) == 0
+        man = json.loads((run / "manifest.json").read_text())
+        assert list(man) == self.KEYS
+        assert man["command"] == argv[0]
+        assert man["tool_version"] == ulam.__version__
+        assert all(man[key].endswith("+00:00") for key in ("started", "finished"))
+        assert datetime.fromisoformat(man["started"]) <= datetime.fromisoformat(man["finished"])
+        assert list(man["parameters"]) == parameters
+        assert man["seed"] == man["parameters"].get("seed")
+        assert (man["seed"] is None) == (argv[0] == "tails")
+        assert [Path(p).name for p in man["output_paths"]] == outputs
+        # sample writes its words itself; every other command writes a CSV file
+        assert bool(during) == (argv[0] != "sample")
+        for inner in during:
+            assert list(inner) == self.KEYS
+            assert inner["finished"] is None
+            assert {**inner, "finished": man["finished"]} == man
 
 
 class TestUnusableFiles:

@@ -1,7 +1,7 @@
 """The package's modules form layers: each imports only the modules before
 it in LAYERS (the package's ``__init__`` re-exports them all and is exempt),
-``ulam.__all__`` names each export once, none of them stale, and no module
-imports scipy."""
+``ulam.__all__`` names each export once, none of them stale, no function
+of the library or the CLI is dead, and no module imports scipy."""
 import ast
 from pathlib import Path
 
@@ -153,14 +153,28 @@ def mentioned(tree: ast.AST) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def module_names(node: ast.AST) -> list[str]:
+    """The names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def reached(roots: set[str]) -> set[str]:
-    """``roots`` and every function, method or class of the library modules,
-    by its bare name, that they reach through the names the bodies mention."""
+    """``roots`` and every function, method, class or module-level name of the
+    library modules, by its bare name, that they reach through the names the
+    bodies and the assigned values mention."""
     refs: dict[str, set[str]] = {}
     for name in CHECKED:
-        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 refs.setdefault(node.name, set()).update(mentioned(node))
+        for node in tree.body:
+            for bound in module_names(node):
+                refs.setdefault(bound, set()).update(mentioned(node.value))
     seen, todo = set(), list(roots)
     while todo:
         name = todo.pop()
@@ -170,10 +184,27 @@ def reached(roots: set[str]) -> set[str]:
     return seen
 
 
+def entry_mentions() -> set[str]:
+    """The names that the commands, the criteria and the workloads mention."""
+    return set().union(*(mentioned(ast.parse(path.read_text())) for path in ENTRIES))
+
+
 def test_every_export_is_reached():
-    entries = set().union(*(mentioned(ast.parse(path.read_text())) for path in ENTRIES))
+    entries = entry_mentions()
     missing = sorted(set(ulam.__all__) - reached(entries | UNREACHED.keys()))
     assert not missing, f"no command, criterion, workload or library function reaches {missing}"
     # a listed name that something now reaches leaves the list
     stale = sorted(reached(entries) & UNREACHED.keys())
     assert not stale, f"{stale} are reached now: take them off UNREACHED"
+
+
+def test_every_function_is_reached():
+    # a function, method or class of the library or the CLI that no command,
+    # criterion or workload reaches is dead code; dunder methods are called
+    # by Python itself
+    defined = {node.name for name in [*CHECKED, "cli"]
+               for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    dead = sorted(defined - reached(entry_mentions() | UNREACHED.keys()))
+    assert not dead, f"no command, criterion, workload or library function reaches {dead}"
