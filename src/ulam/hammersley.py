@@ -332,26 +332,24 @@ def _slab_counts(rows, sizes: np.ndarray, shift: int, most, dtype,
     return counts
 
 
-def _chain_keys(clouds, boundaries=(), reserve: int = 0) -> tuple:
+def _chain_keys(draws, reserve: int = 0) -> tuple:
     """The slab layout of a batch of clouds (its rows, each cloud's number
     of keys, the shift, the most keys of one cloud in each row and the
-    dtype) and each cloud's total sinks.  Each of ``boundaries``, if given,
-    is taken after its cloud and has a sink for each of its rows; its
-    sources are row 0 and its sink units points below them.  Every point
-    and source lies in [x_max * 2**-53, x_max], as every drawn one does
-    (unchecked).  Each cloud's
-    keys are appended to one buffer, as the cloud is drawn, and the cloud is
-    dropped; the buffer takes ``reserve`` keys once the first cloud is
+    dtype) and each cloud's total sinks.  ``draws`` yields one
+    ``(cloud, boundary)`` pair a replica, the boundary None or with a sink
+    for each row of its cloud; its sources are row 0 and its sink units
+    points below them.  Every point and source lies in
+    [x_max * 2**-53, x_max], as every drawn one does (unchecked).  Each
+    pair's keys are appended to one buffer as it is drawn, and the pair is
+    dropped; the buffer takes ``reserve`` keys once the first pair is
     accepted, and a quarter more whenever it overflows.  The rows are
     gathered from it one at a time, as the slab steps them."""
     buf = np.empty(0, np.int64)
     used, placed = 0, []
-    boundaries = iter(boundaries)
-    for r, cloud in enumerate(clouds):
+    for r, (cloud, b) in enumerate(draws):
         if r == _CLOUD_REPLICAS:
             raise ValueError(f"a batch of cloud keys holds at most {_CLOUD_REPLICAS} clouds, "
                              f"got {r + 1}")
-        b = next(boundaries, None)
         sources = np.empty(0) if b is None else b.sources
         units = np.empty(0, np.int64) if b is None else b.sinks
         total = int(units.sum())

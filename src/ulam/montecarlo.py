@@ -171,17 +171,18 @@ def _word_chunk(args) -> np.ndarray:
 def _poisson_chunk(args) -> np.ndarray:
     """Final particle counts and total sinks of a chunk of replicas: the
     slab's chain lengths, less each boundary's total sinks if ``rates`` are
-    given (the line identity).  The key buffer is reserved for the chunk's
-    expected keys and four standard deviations more (as if they were
-    Poisson)."""
+    given (the line identity).  Each replica is drawn as one (cloud,
+    boundary or None) pair and keyed before the next is drawn.  The key
+    buffer is reserved for the chunk's expected keys and four standard
+    deviations more (as if they were Poisson)."""
     seed, reps, x, t, lam, order, tag, rates = args
-    rngs = [make_rng(seed, _stream(tag, r)) for r in reps]
-    clouds = (sample_poisson_cloud(x, t, lam, rng) for rng in rngs)
-    # each boundary is drawn after its cloud, as in run_process
-    boundaries = (sample_boundary(x, t, rates, rng) for rng in rngs) if rates else ()
+    rngs = (make_rng(seed, _stream(tag, r)) for r in reps)
+    # a replica's cloud, then its boundary, from its own stream, as in run_process
+    draws = ((sample_poisson_cloud(x, t, lam, rng),
+              sample_boundary(x, t, rates, rng) if rates else None) for rng in rngs)
     expected = len(reps) * _expected_keys(x, t, lam, rates)[0]
     reserve = int(expected + 4.0 * math.sqrt(expected)) + 1
-    *layout, sinks = _chain_keys(clouds, boundaries, reserve)
+    *layout, sinks = _chain_keys(draws, reserve)
     return np.stack((_slab_counts(*layout, order) - sinks, sinks))
 
 

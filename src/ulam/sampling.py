@@ -127,9 +127,6 @@ class PlanarPointSet:
         """Positions on row ``i`` (1-based)."""
         return self.xs[self.offsets[i - 1]:self.offsets[i]]
 
-    def points(self) -> list[tuple[float, int]]:
-        return list(zip(self.xs.tolist(), self._row_of(np.arange(self.size)).tolist()))
-
     def chain_rows(self) -> np.ndarray:
         """Row indices sorted by x ascending, ties broken by row descending.
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import numbers
 from bisect import bisect_left, bisect_right
 from functools import cache
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -33,7 +35,7 @@ def _row_sequence(obj) -> np.ndarray:
     integer array: a cast would truncate a fraction.
     """
     if isinstance(obj, MultisetWord):
-        return np.asarray(obj.letters, dtype=np.int64)
+        return obj.letters
     if isinstance(obj, PlanarPointSet):
         return obj.chain_rows()
     rows = np.asarray(obj)
@@ -98,19 +100,18 @@ def longest_chain_with_boundary(points: PlanarPointSet, boundary: BoundarySample
 # Independent quadratic oracle
 
 def _as_nodes(obj, boundary: BoundarySample | None, order: str):
+    """Positions, rows and kinds (0 a point, 1 a source, 2 a sink unit) of
+    every element, read off the stored arrays: a word's letters at x = 1..size,
+    a cloud's xs with each row label repeated as often as its row holds points."""
     if isinstance(obj, MultisetWord):
-        xs = np.arange(1, obj.size + 1, dtype=float)
-        ys = np.asarray(obj.letters, dtype=np.int64)
-        kinds = np.zeros(obj.size, dtype=np.int64)
+        xs, ys = np.arange(1.0, obj.size + 1), obj.letters
         x_max, t_max = obj.size, obj.n
     elif isinstance(obj, PlanarPointSet):
-        pts = obj.points()
-        xs = np.asarray([p[0] for p in pts])
-        ys = np.asarray([p[1] for p in pts], dtype=np.int64)
-        kinds = np.zeros(len(pts), dtype=np.int64)
+        xs, ys = obj.xs, np.repeat(np.arange(1, obj.t_max + 1), np.diff(obj.offsets))
         x_max, t_max = obj.x_max, obj.t_max
     else:
         raise TypeError("expected MultisetWord or PlanarPointSet")
+    sx, sink_rows = np.empty(0), np.empty(0, np.int64)
     if boundary is not None:  # checked by its own code: the oracle shares none
         sx = boundary.sources.astype(float)
         if boundary.sinks.size != t_max:
@@ -120,11 +121,9 @@ def _as_nodes(obj, boundary: BoundarySample | None, order: str):
         if order == "strict" and np.any(boundary.sinks > 1):
             raise ValueError("strict variant admits sink multiplicities 0 or 1 only")
         sink_rows = np.repeat(np.arange(1, t_max + 1, dtype=np.int64), boundary.sinks)
-        xs = np.concatenate([xs, sx, np.zeros(sink_rows.size)])
-        ys = np.concatenate([ys, np.zeros(sx.size, dtype=np.int64), sink_rows])
-        kinds = np.concatenate([kinds, np.ones(sx.size, dtype=np.int64),
-                                np.full(sink_rows.size, 2, dtype=np.int64)])
-    return xs, ys, kinds
+    kinds = np.repeat(np.arange(3), (xs.size, sx.size, sink_rows.size))
+    return (np.concatenate((xs, sx, np.zeros(sink_rows.size))),
+            np.concatenate((ys, np.zeros(sx.size, np.int64), sink_rows)), kinds)
 
 
 def brute_force_longest_chain(obj, boundary: BoundarySample | None = None,
@@ -165,31 +164,15 @@ def brute_force_longest_chain(obj, boundary: BoundarySample | None = None,
 _ENUM_CAP = 9
 
 
-def _multiset_words(counts: list[int]):
-    """All distinct words over letters 1..len(counts) with the given
-    multiplicities, in lexicographic order."""
-    total = sum(counts)
-    word = [0] * total
-    def rec(pos: int):
-        if pos == total:
-            yield word
-            return
-        for letter in range(len(counts)):
-            if counts[letter]:
-                counts[letter] -= 1
-                word[pos] = letter + 1
-                yield from rec(pos + 1)
-                counts[letter] += 1
-    yield from rec(0)
-
-
 def exact_expected_lis(row_counts) -> Fraction:
     """Exact E[longest strictly increasing chain] for row multiplicities.
 
-    Enumerates every relative x-ordering: with row i carrying row_counts[i]
-    points, the uniform relative order is the uniform word with those letter
-    multiplicities, and each distinct word is equally likely.  Capped at a
-    total of 9 points.
+    With row i carrying row_counts[i] points, the relative x-order of the
+    points is uniform over the total! orderings of the labelled points, so
+    the mean is the strict patience length averaged over them; each distinct
+    word occurs prod(row_counts[i]!) times among the orderings, so this is
+    also its mean over the equally likely distinct words.  Capped at a total
+    of 9 points.
     """
     counts = list(row_counts)
     bad = [c for c in counts if not isinstance(c, numbers.Integral) or c < 0]
@@ -205,11 +188,6 @@ def exact_expected_lis(row_counts) -> Fraction:
 @cache
 def _exact_mean(counts: tuple[int, ...]) -> Fraction:
     from fractions import Fraction  # it loads decimal; only exact means need either
-    if not counts:
-        return Fraction(0)
-    n_words = 0
-    acc = 0
-    for word in _multiset_words(list(counts)):
-        n_words += 1
-        acc += _patience_length(word, strict=True)
-    return Fraction(acc, n_words)
+    letters = [row for row, c in enumerate(counts, start=1) for _ in range(c)]
+    acc = sum(_patience_length(word, strict=True) for word in permutations(letters))
+    return Fraction(acc, factorial(len(letters)))

@@ -366,7 +366,7 @@ def crowded_clouds(draw):
 def chain_keys(cloud, boundary=None):
     """The keys of one cloud laid out alone: its sink units in row order,
     and its points (sources, then xs row by row), read off the rows."""
-    rows, *_ = hammersley._chain_keys([cloud], () if boundary is None else [boundary])
+    rows, *_ = hammersley._chain_keys([(cloud, boundary)])
     units = np.zeros(cloud.t_max + 1, np.int64)
     if boundary is not None:
         units[1:] = boundary.sinks
@@ -458,7 +458,7 @@ class TestChainKeys:
         cloud = cloud_from_rows([xs, xs[-1:]], x_max)
         boundary = BoundarySample(np.asarray(sorted({f, x_max})), np.asarray([1, 1]))
         self.check(cloud, boundary)
-        rows, _, shift, *_ = hammersley._chain_keys([cloud] * 64, [boundary] * 64)
+        rows, _, shift, *_ = hammersley._chain_keys([(cloud, boundary)] * 64)
         top = max(int(row.max()) for row in rows if row.size)
         assert shift == 58 and (top - LOW) >> 58 == 63 and top < np.iinfo(np.int64).max
         for variant in ("strict", "weak"):
@@ -466,12 +466,12 @@ class TestChainKeys:
             assert boundary_counts([(cloud, boundary)] * 64, variant).tolist() == [
                 expected - boundary.total_sinks] * 64
         with pytest.raises(ValueError, match="at most 64 clouds, got 65$"):
-            hammersley._chain_keys([cloud] * 65, [boundary] * 65)
+            hammersley._chain_keys([(cloud, boundary)] * 65)
 
     def test_refused_batches_name_their_counts(self):
         empty = cloud_from_rows([()], 1.0)
         with pytest.raises(ValueError, match="at most 64 clouds, got 65$"):
-            hammersley._chain_keys([empty] * 65)
+            hammersley._chain_keys([(empty, None)] * 65)
         # 2**31 sink units and 2**31 points, the points a read-only view of
         # one value: 2**32 keys, refused before a key is written, with
         # nothing copied
@@ -482,11 +482,11 @@ class TestChainKeys:
         with pytest.raises(ValueError, match="^a cloud of 2\\*\\*32 keys or more cannot be keyed: "
                                              "2147483648 points, 0 sources and 2147483648 "
                                              "sink units$"):
-            hammersley._chain_keys([big], [sinks])
+            hammersley._chain_keys([(big, sinks)])
         big.__dict__.update(xs=np.broadcast_to(0.5, (1 << 32,)),
                             offsets=np.asarray([0, 1 << 32]))
         with pytest.raises(ValueError, match=": 4294967296 points, 0 sources and 0 sink units$"):
-            hammersley._chain_keys([big])
+            hammersley._chain_keys([(big, None)])
 
     @pytest.mark.parametrize("order, rates", [
         ("strict", None), ("weak", None),
@@ -518,7 +518,7 @@ def recording_slab(seen: list):
 def slab_counts(clouds, variant: str) -> np.ndarray:
     """The slab's final particle counts of boundary-free clouds, laid out in
     one batch as the chunk workers lay out theirs."""
-    *layout, _ = hammersley._chain_keys(clouds)
+    *layout, _ = hammersley._chain_keys((c, None) for c in clouds)
     return hammersley._slab_counts(*layout, variant)
 
 
@@ -552,7 +552,7 @@ class TestBatchParticleCounts:
         assert 1 << 16 <= big.size < 1 << 17
         clouds = [cloud_from_rows((), 1.0)] * 63 + [big]
         for batch in (clouds[-1:], clouds[-2:], clouds):
-            rows, _, shift, _, dtype, _ = hammersley._chain_keys(batch)
+            rows, _, shift, _, dtype, _ = hammersley._chain_keys([(c, None) for c in batch])
             assert shift == 58 and dtype == np.int64
             assert {row.dtype for row in rows} == {np.dtype(np.int64)}
         for variant, chain in (("strict", lis_strict), ("weak", lnds_weak)):
@@ -614,7 +614,7 @@ def grid_cloud_on(t: int):
 def boundary_counts(runs, variant: str) -> np.ndarray:
     """The slab's final particle counts of (cloud, boundary) pairs: each
     boundary chain length less its total sinks."""
-    *layout, sinks = hammersley._chain_keys((c for c, _ in runs), (b for _, b in runs))
+    *layout, sinks = hammersley._chain_keys(runs)
     return hammersley._slab_counts(*layout, variant) - sinks
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,16 @@ class TestExactExpectation:
             profile[_patience_length(list(p), strict=True)] += 1
         assert profile == {1: 1, 2: 13, 3: 9, 4: 1}
 
+    def test_permutations_up_to_the_cap_total_oeis_a003316(self):
+        # A003316: the sum of the longest increasing subsequence lengths
+        # over all permutations of m
+        totals = [1, 3, 12, 58, 335, 2261, 17465, 152020, 1473057]
+        for m, total in enumerate(totals, start=1):
+            assert exact_expected_lis((1,) * m) * math.factorial(m) == total
+
+    def test_value_of_a_mixed_content(self):
+        assert exact_expected_lis((2, 1, 3, 1, 1)) == Fraction(5429, 1680)
+
     def test_cap(self):
         with pytest.raises(ValueError):
             exact_expected_lis((5, 5))
@@ -249,7 +260,8 @@ class TestProperties:
     def test_monotone_under_point_addition(self, cloud, x, row):
         if np.any(np.abs(cloud.row(row) - x) < 1e-12):
             return
-        pts = cloud.points() + [(x, row)]
+        pts = [(float(p), i) for i in range(1, cloud.t_max + 1) for p in cloud.row(i)]
+        pts.append((x, row))
         bigger = PlanarPointSet.from_points(pts, cloud.x_max, cloud.t_max)
         assert lis_strict(bigger) >= lis_strict(cloud)
         assert lnds_weak(bigger) >= lnds_weak(cloud)
