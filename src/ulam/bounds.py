@@ -148,8 +148,9 @@ def augmented_tail_rate(eps: float) -> float:
 # Exact tail probabilities (log space)
 
 def _log_tail_sum(log_first: float, ratios: Iterable[float]) -> float:
-    """log of sum of terms t_0 >= t_1 >= ... given log t_0 and successive
-    ratios t_{j+1}/t_j; stops once a term drops below 1e-18 of the total."""
+    """log of sum of terms t_0, t_1, ... given log t_0 and the positive
+    ratios t_{j+1}/t_j; the terms may rise before they fall.  Stops at the
+    first zero ratio, or once a term drops below 1e-18 of the running sum."""
     if log_first == -math.inf:
         return -math.inf
     acc = 0.0  # log(sum / first)

@@ -44,9 +44,11 @@ def _now() -> str:
 
 @contextmanager
 def _manifest(args, outputs: list[Path]):
-    """Write the run's manifest beside its outputs before the block writes
-    them, and again with the finish time once it has.  Its parameters are the
-    command's options, and any value the command derived from them."""
+    """Write the run's manifest beside its outputs, making their directory,
+    before the block writes them, and again with the finish time once it has.
+    Its parameters are the command's options, and any value the command
+    derived from them."""
+    outputs[0].parent.mkdir(parents=True, exist_ok=True)
     path = outputs[0].parent / "manifest.json"
     man = {"command": args._command,
            "parameters": {k: v for k, v in vars(args).items()
@@ -97,7 +99,6 @@ def cmd_sample(args) -> int:
         text = json.dumps([w.letters.tolist() for w in words]) + "\n"
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         with _manifest(args, [out]):
             out.write_text(text)
     else:
@@ -143,16 +144,14 @@ def cmd_lis(args) -> int:
         distinct, rank = np.unique(rows, return_inverse=True)
         if distinct[0] < 1:
             raise UsageError(f"row {distinct[0]} is not a positive integer")
-        ps = PlanarPointSet.from_points(np.column_stack((xs, rank + 1)), max(xs),
-                                        distinct.size)
-        length = lis_strict(ps) if args.order == "strict" else lnds_weak(ps)
+        chain = PlanarPointSet.from_points(np.column_stack((xs, rank + 1)), max(xs),
+                                           distinct.size)
     else:
         big = [v for v in parsed if not -2**63 <= v < 2**63]
         if big:
             raise UsageError(f"letter {big[0]} does not fit in a 64-bit integer")
-        rows = np.asarray(parsed, dtype=np.int64)
-        length = int(lis_strict(rows) if args.order == "strict" else lnds_weak(rows))
-    print(length)
+        chain = np.asarray(parsed, dtype=np.int64)
+    print(int(lis_strict(chain) if args.order == "strict" else lnds_weak(chain)))
     return 0
 
 
@@ -175,9 +174,7 @@ def cmd_simulate(args) -> int:
                       make_rng(args.seed, 0), trace=args.trace)
     if rates is not None:
         args.sink_param = rates.sink_param  # record the derived rate
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    counts_path, trace_path = out_dir / "counts.csv", out_dir / "trace.csv"
+    counts_path, trace_path = Path(args.out_dir, "counts.csv"), Path(args.out_dir, "trace.csv")
     with _manifest(args, [counts_path, trace_path] if args.trace else [counts_path]):
         _write_csv(counts_path, ("step", "count", "exits"),
                    [(s + 1, int(c), int(e))
@@ -207,10 +204,7 @@ def cmd_estimate(args) -> int:
     geometry = [getattr(args, name) for name in names]
     estimate = estimate_mean_subsequence if args.mode == "word" else estimate_poissonized
     report = estimate(*geometry, args.order, args.reps, args.seed, args.jobs)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    plot_path = out_dir / "plot.csv"
+    report_path, plot_path = Path(args.out_dir, "report.json"), Path(args.out_dir, "plot.csv")
     with _manifest(args, [report_path, plot_path]):
         report_path.write_text(report.to_json(command="estimate") + "\n")
         _write_csv(plot_path, (*names, "mean", "stderr", "predicted"),
@@ -255,7 +249,6 @@ def cmd_verify(args) -> int:
 def cmd_tails(args) -> int:
     certs = [verify_tail_inequality(kind) for kind in TAIL_SELECTIONS[args.kind]]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     with _manifest(args, [out]):
         _write_csv(out, CERTIFICATE_COLUMNS, certificate_rows(certs))
     n_fail = sum(len(c.failures()) for c in certs)
@@ -421,8 +414,9 @@ def _manifest_value(action, key: str, value):
 _DERIVED = {"simulate": ("sink_param",), "tails": ("seed",)}
 
 
-def _replay(manifest_path: str) -> int:
-    data = json.loads(Path(manifest_path).read_text())
+def _recorded(parser: argparse.ArgumentParser, path: str) -> tuple[str, dict]:
+    """The command of a recorded run manifest and its options' values."""
+    data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise UsageError(f"manifest must be a JSON object, got {type(data).__name__}")
     for key, kind in (("command", str), ("parameters", dict)):
@@ -431,42 +425,44 @@ def _replay(manifest_path: str) -> int:
         if not isinstance(data[key], kind):
             raise UsageError(f"manifest key {key!r} must be a JSON "
                              f"{'string' if kind is str else 'object'}")
-    commands = _subcommands(build_parser())
+    commands = _subcommands(parser)
     command = data["command"]
     if command not in commands:
         raise UsageError(f"manifest names unknown command {command!r}")
-    sub = commands[command]
-    args = sub.parse_args([])
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    actions = {a.dest: a for a in commands[command]._actions
+               if a.dest not in ("help", "config")}
+    values = {}
     for key, val in data["parameters"].items():
         if key in _DERIVED.get(command, ()):
             continue
         if key not in actions:
             raise UsageError(f"manifest parameter {key!r} is not an option of {command!r}")
-        setattr(args, key, _manifest_value(actions[key], key, val))
-    args._command = command
-    return args.func(args)
+        values[key] = _manifest_value(actions[key], key, val)
+    return command, values
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        parser = build_parser()
         if argv[:1] == ["--manifest"]:
             if len(argv) != 2:
                 raise UsageError("--manifest takes exactly one file argument")
-            return _replay(argv[1])
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if getattr(args, "_command", None) is None:
-            parser.print_usage(sys.stderr)
-            return 2
-        sub = _subcommands(parser)[args._command]
-        defaults = {"seed": _env_seed()} if "seed" in vars(args) else {}
-        if args.config is not None:
-            defaults.update(_config_defaults(sub, args._command, args.config))
-        if defaults:
-            sub.set_defaults(**defaults)
+            # the recorded values stand in for the seed, the config and the flags
+            command, defaults = _recorded(parser, argv[1])
+            argv = [command]
+        else:
             args = parser.parse_args(argv)
+            command = args._command
+            if command is None:
+                parser.print_usage(sys.stderr)
+                return 2
+            defaults = {"seed": _env_seed()} if "seed" in vars(args) else {}
+            if args.config is not None:
+                defaults.update(_config_defaults(_subcommands(parser)[command], command,
+                                                 args.config))
+        _subcommands(parser)[command].set_defaults(**defaults)
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

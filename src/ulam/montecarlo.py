@@ -229,15 +229,9 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
 
 @dataclass(frozen=True, eq=False)
 class StationarityReport:
-    """Particle-count sample versus the exact stationary Poisson law."""
+    """Particle-count sample versus the exact stationary Poisson law; the
+    sample size is ``counts.size``."""
 
-    variant: str
-    x: float
-    t: int
-    lam: float
-    source_rate: float
-    reps: int
-    seed: int
     target_mean: float
     mean: float
     variance: float
@@ -302,8 +296,7 @@ def stationarity_test(x: float, lam: float, source_rate: float, variant: str,
     # Var(S^2) for a Poisson sample: (mu + 2 mu^2) / reps to first order
     z_var = (var - mu) / math.sqrt((mu + 2 * mu * mu) / reps)
     stat, dof, p = _poisson_chi_square(sample, mu)
-    return StationarityReport(variant, x, t, lam, source_rate, reps, seed,
-                              mu, mean, var, z_mean, z_var, stat, dof, p, sample)
+    return StationarityReport(mu, mean, var, z_mean, z_var, stat, dof, p, sample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,18 +309,12 @@ class DeviationProfile:
     for the weak order where no explicit rate is available.
     """
 
-    x: float
-    t: int
-    lam: float
-    order: str
-    augmented: bool
     center: float
     eps_grid: tuple[float, ...]
     upper_freq: tuple[float, ...]
     lower_freq: tuple[float, ...]
     bound_upper: tuple[float, ...]
     reps: int
-    seed: int
 
 
 def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
@@ -358,8 +345,7 @@ def deviation_profile(x: float, t: int, lam: float, order: str, eps_grid,
                       for e in eps_grid)
     else:
         bound = tuple(math.nan for _ in eps_grid)
-    return DeviationProfile(x, t, lam, order, augmented, center, eps_grid,
-                            upper, lower, bound, reps, seed)
+    return DeviationProfile(center, eps_grid, upper, lower, bound, reps)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ulam.bounds import (BoundaryRates, CERTIFICATE_COLUMNS, _KINDS, _PARAMS,
-                         _log_poisson_pmf, certificate_rows, log_binomial_lower,
-                         log_binomial_upper, log_chi2_upper, log_geomsum_lower,
-                         log_geomsum_upper, log_poisson_lower, log_poisson_upper,
-                         mean_bound, optimal_rates_strict,
+                         _log_poisson_pmf, augmented_tail_rate, certificate_rows,
+                         log_binomial_lower, log_binomial_upper, log_chi2_upper,
+                         log_geomsum_lower, log_geomsum_upper, log_poisson_lower,
+                         log_poisson_upper, mean_bound, optimal_rates_strict,
                          optimal_rates_weak, predicted_mean,
                          regime_diagnostics, TAIL_KINDS, verify_tail_inequality)
 from ulam.montecarlo import deviation_profile, estimate_mean_subsequence
@@ -46,6 +46,12 @@ class TestBoundaryRates:
         with pytest.raises(ValueError, match=f"^weak variant requires beta > lam and beta "
                                              f"finite, got beta={value}, lam=1.0$"):
             BoundaryRates.weak_from_beta(1.0, value)
+
+    def test_rates_off_their_constraint_are_named(self):
+        with pytest.raises(ValueError, match=r"^sink_param must lie in \(0, 1\)"):
+            BoundaryRates("strict", 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^weak variant requires source_rate > lam"):
+            BoundaryRates("weak", 0.5, 0.5, 1.0)
 
 
 class TestOptimalRates:
@@ -173,6 +179,10 @@ class TestTailBoundFormulas:
         assert _log_bound("geomsum_lower", k=100, alpha=0.5, eps=0.5) == pytest.approx(
             -100 * (0.5 * math.log(2.0 / 3.0) - math.log(0.75)), rel=1e-12)
 
+    def test_augmented_rate_rejects_negative_eps(self):
+        with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+            augmented_tail_rate(-0.1)
+
     def test_every_log_bound_is_its_closed_form(self):
         # compared as stated, not through exp and log, which move 238 of them
         for kind in TAIL_KINDS:
@@ -234,6 +244,15 @@ class TestExactTails:
                 ref = stats.nbinom.sf(math.ceil(thr) - 1, k, 1 - alpha)
                 if ref > 0:
                     assert hi == pytest.approx(math.log(ref), rel=1e-9, abs=1e-10)
+
+    def test_threshold_below_zero_is_impossible(self):
+        assert log_binomial_lower(10, 0.5, -1) == -math.inf
+        assert log_geomsum_lower(3, 0.5, -0.5) == -math.inf
+
+    def test_upper_tail_stops_at_a_zero_ratio(self):
+        # lam / 2 underflows to 0: the sum is its first term, P(X = 1) = lam e^-lam,
+        # which scipy's logsf(0, 5e-324) gives as -inf
+        assert log_poisson_upper(5e-324, 1) == math.log(5e-324) == -744.4400719213812
 
     def test_deep_tail_no_underflow(self):
         # far beyond double range in linear space, still finite in log space

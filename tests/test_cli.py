@@ -759,6 +759,44 @@ class TestManifestReplay:
         assert main(["--manifest", str(d / "manifest.json")]) == 0
         assert [(d / n).read_bytes() for n in ("counts.csv", "trace.csv")] == first
 
+    @pytest.mark.parametrize("argv, config, outputs", [
+        (["sample", "--n", "3", "--k", "2", "--count", "4", "--seed", "8",
+          "--out", "{d}/w.csv"], None, ["w.csv"]),
+        (["simulate", "--x", "3", "--t", "6", "--lambda", "1", "--alpha", "0.5", "--trace",
+          "--seed", "5", "--out-dir", "{d}"], None, ["counts.csv", "trace.csv"]),
+        (["simulate", "--x", "3", "--t", "6", "--lambda", "1", "--variant", "weak",
+          "--beta", "2", "--seed", "6", "--out-dir", "{d}"], None, ["counts.csv"]),
+        (["estimate", "--n", "6", "--k", "2", "--reps", "4", "--seed", "2",
+          "--out-dir", "{d}"], None, ["report.json", "plot.csv"]),
+        (["estimate", "--mode", "poisson", "--x", "2", "--t", "4", "--lambda", "1",
+          "--order", "weak", "--reps", "4", "--seed", "3", "--out-dir", "{d}"], None,
+         ["report.json", "plot.csv"]),
+        (["estimate", "--config", "{d}.cfg", "--seed", "9"],
+         "n = 5\nk = 3\norder = weak\nreps = 6\nout-dir = {d}\n", ["report.json", "plot.csv"]),
+        (["tails", "--kind", "binomial", "--out", "{d}/tails.csv"], None, ["tails.csv"]),
+    ], ids=["sample", "simulate-alpha-trace", "simulate-weak-beta", "estimate-word",
+            "estimate-poisson", "estimate-config", "tails"])
+    def test_every_command_replays_byte_for_byte(self, tmp_path, monkeypatch, argv, config,
+                                                 outputs):
+        d = tmp_path / "run"
+        argv = [a.format(d=d) for a in argv]
+        if config is not None:
+            Path(f"{d}.cfg").write_text(config.format(d=d))
+        assert main(argv) == 0
+        paths = [d / name for name in outputs]
+        first = [p.read_bytes() for p in paths]
+        man = json.loads((d / "manifest.json").read_text())
+        for p in paths:
+            p.unlink()
+        # a replay reads neither the environment's seed nor the config file
+        monkeypatch.setenv("ULAM_SEED", "not a seed")
+        Path(f"{d}.cfg").unlink(missing_ok=True)
+        assert main(["--manifest", str(d / "manifest.json")]) == 0
+        assert [p.read_bytes() for p in paths] == first
+        again = json.loads((d / "manifest.json").read_text())
+        times = {"started": None, "finished": None}
+        assert {**again, **times} == {**man, **times}
+
     def test_tails_manifest_with_a_recorded_seed_replays(self, tmp_path):
         out = tmp_path / "t" / "tails.csv"
         assert main(["tails", "--kind", "binomial", "--out", str(out)]) == 0

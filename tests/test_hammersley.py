@@ -191,6 +191,15 @@ class TestRunDynamics:
                     with pytest.raises(ValueError, match="positions must lie"):
                         engine(cloud, b, variant)
 
+    @pytest.mark.parametrize("positions, exits, message", [
+        ([0.6, 0.2], 0, "strictly increasing"), ([0.2, 0.2], 0, "strictly increasing"),
+        ([-0.1], 0, "lie in"), ([1.5], 0, "lie in"), ([np.nan], 0, "lie in"),
+        ([0.2], -1, "exits must be nonnegative"),
+    ])
+    def test_particle_state_rejects_bad_input(self, positions, exits, message):
+        with pytest.raises(ValueError, match=message):
+            ParticleState(np.asarray(positions, dtype=float), exits, 1.0)
+
     def test_input_checked_once_per_run(self, monkeypatch):
         # the rows step on plain arrays: a state is built for the result
         # only, and no row is re-checked
@@ -778,6 +787,10 @@ class TestWordCounts:
         for variant in ("strict", "weak"):
             counts = hammersley._word_counts(iter(words), len(words), n, k, variant)
             assert counts.tolist() == expected[variant]
+
+    def test_keys_past_int64_are_refused(self):
+        with pytest.raises(ValueError, match="too many points in one batch for int64 keys"):
+            hammersley._key_dtype(2, 64)
 
     @pytest.mark.parametrize("variant", ["strict", "weak"])
     def test_int32_keys_up_to_the_last_replica(self, variant):
