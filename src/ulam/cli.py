@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (TAIL_SELECTIONS, BoundaryRates, certificate_rows,
+from .bounds import (TAIL_SELECTIONS, VARIANTS, BoundaryRates, certificate_rows,
                      CERTIFICATE_COLUMNS, verify_tail_inequality)
 from .hammersley import run_process, verify_line_identity
 from .montecarlo import estimate_mean_subsequence, estimate_poissonized
@@ -204,9 +204,13 @@ def cmd_estimate(args) -> int:
     geometry = [getattr(args, name) for name in names]
     estimate = estimate_mean_subsequence if args.mode == "word" else estimate_poissonized
     report = estimate(*geometry, args.order, args.reps, args.seed, args.jobs)
+    # no run yields a non-finite value (README, "report.json"); allow_nan refuses one
+    params = {**dict(zip(names, geometry)), "order": args.order}
+    text = json.dumps({"command": args._command, "params": params, "seed": args.seed,
+                       **vars(report)}, indent=2, allow_nan=False)
     report_path, plot_path = Path(args.out_dir, "report.json"), Path(args.out_dir, "plot.csv")
     with _manifest(args, [report_path, plot_path]):
-        report_path.write_text(report.to_json(command="estimate") + "\n")
+        report_path.write_text(text + "\n")
         _write_csv(plot_path, (*names, "mean", "stderr", "predicted"),
                    [(*geometry, report.mean, report.stderr, report.predicted)])
     return 0
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--input")
     p.add_argument("--word")
-    p.add_argument("--order", choices=("strict", "weak"), default="strict")
+    p.add_argument("--order", choices=VARIANTS, default="strict")
     p.set_defaults(func=cmd_lis)
 
     p = sub.add_parser("simulate", help="run a particle process")
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float)
     p.add_argument("--t", type=int)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--variant", choices=("strict", "weak"), default="strict")
+    p.add_argument("--variant", choices=VARIANTS, default="strict")
     p.add_argument("--alpha", type=float, help="strict source rate (p is derived)")
     p.add_argument("--beta", type=float, help="weak source rate (beta* is derived)")
     p.add_argument("--trace", action="store_true")
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float)
     p.add_argument("--t", type=int)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--order", choices=("strict", "weak"), default="strict")
+    p.add_argument("--order", choices=VARIANTS, default="strict")
     p.add_argument("--reps", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", default="ulam-estimate")
@@ -388,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# JSON types a recorded parameter may take, by its option's type; a flag
-# records true/false, or 0/1 from a config file.
+# JSON types a recorded value may take, by the option's type that then reads it
+# (2 for a float is 2.0); a flag records true/false, or 0/1 from a config file.
 _MANIFEST_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 
@@ -405,6 +409,10 @@ def _manifest_value(action, key: str, value):
     if isinstance(value, bool) or not isinstance(value, types):
         raise UsageError(f"{what} must be {' or '.join(t.__name__ for t in types)}, "
                          f"got {value!r}")
+    try:
+        value = (action.type or str)(value)
+    except OverflowError:
+        raise UsageError(f"{what} is too large for a {action.type.__name__}") from None
     return _check_choice(action, what, value)
 
 

@@ -19,10 +19,10 @@ from .sampling import (MultisetWord, RngStream, _chain_order, _uniform_positions
 class CoupledSample:
     """One draw of a coupled construction.
 
-    ``objects`` maps names ("cloud", "word", "grouped", ...) to the coupled
-    objects; ``event_flag`` reports whether the good event (enough / few
-    enough points per row) holds, in which case the construction's
-    inequality is guaranteed on this very sample.
+    ``objects`` maps "cloud" and "word" to the coupled objects; ``event_flag``
+    reports whether the good event (enough / few enough points per row)
+    holds, in which case the construction's inequality is guaranteed on
+    this very sample, and otherwise the word is None.
     """
 
     objects: dict
@@ -62,12 +62,10 @@ def poissonized_coupling_upper(n: int, k: int, lam: float, rng: RngStream) -> Co
     skews the interleaving (for n=k=2 the two block words would appear with
     probability 1/4 instead of 1/6).  A uniform subset of i.i.d. uniform
     positions is again i.i.d. uniform, so uniformity of the word survives.
-    When the event fails the word is absent and the worst-case value n*k
-    stands in for it.
     """
     cloud = sample_poisson_cloud(n * k, n, lam, rng)
     flag = bool(np.all(np.diff(cloud.offsets) >= k))
-    objects: dict = {"cloud": cloud, "word": None, "worst_case": n * k}
+    objects: dict = {"cloud": cloud, "word": None}
     if flag:
         kept = [row[rng.choice(row.size, size=k, replace=False)]
                 for row in map(cloud.row, range(1, n + 1))]

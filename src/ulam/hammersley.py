@@ -70,9 +70,10 @@ class ParticleState:
         if self.exits < 0:
             raise ValueError("exits must be nonnegative")
         p = self.positions
-        if p.size and not (p[0] >= 0 and p[-1] <= self.x_max):
-            raise ValueError("positions must lie in [0, x_max]")
-        if p.size > 1 and not np.all(np.diff(p) > 0):
+        # sorted with both ends inside lies inside: only a fault pays the full check
+        if p.size and not (p[0] >= 0 and p[-1] <= self.x_max and np.all(np.diff(p) > 0)):
+            if not np.all((p >= 0) & (p <= self.x_max)):
+                raise ValueError("positions must lie in [0, x_max]")
             raise ValueError("positions must be strictly increasing")
 
     @property

@@ -63,42 +63,23 @@ def _check_reps(reps: int) -> None:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Monte Carlo mean with its standard error and provenance."""
+    """Monte Carlo mean with its standard error, against ``predicted``."""
 
     mean: float
     stderr: float
     reps: int
-    seed: int
-    params: dict
     predicted: float | None = None
     rel_error: float | None = None
 
     @staticmethod
-    def from_values(values: np.ndarray, seed: int, params: dict,
-                    predicted: float | None = None) -> "EstimateReport":
+    def from_values(values: np.ndarray, predicted: float | None = None) -> "EstimateReport":
         values = np.asarray(values, dtype=float)
         reps = values.size
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(reps))
         predicted = None if predicted is None else float(predicted)  # float32: no JSON form
         rel = None if predicted is None else abs(mean - predicted) / predicted
-        return EstimateReport(mean, stderr, reps, int(seed), dict(params), predicted, rel)
-
-    def to_json(self, command: str | None = None) -> str:
-        """The report as JSON; a non-finite float (a NaN mean, say) is null."""
-        import json  # not at module level: a library call that writes no JSON skips it
-        def finite(v):
-            return None if isinstance(v, float) and not math.isfinite(v) else v
-        return json.dumps({
-            "command": command,
-            "params": {key: finite(v) for key, v in self.params.items()},
-            "seed": self.seed,
-            "mean": finite(self.mean),
-            "stderr": finite(self.stderr),
-            "reps": self.reps,
-            "predicted": finite(self.predicted),
-            "rel_error": finite(self.rel_error),
-        }, indent=2, allow_nan=False)
+        return EstimateReport(mean, stderr, reps, predicted, rel)
 
 
 def _parallel_map(fn, argses: list, jobs: int) -> list:
@@ -209,10 +190,10 @@ def estimate_mean_subsequence(n: int, k: int, order: str, reps: int, seed: int,
     _check_word(n, k)
     predicted = predicted_mean(n, k, order)  # checks the order
     _check_reps(reps)
-    n, k = int(n), int(k)  # a numpy integer count has no bit_length and no JSON form
+    n, k = int(n), int(k)  # a numpy integer count has no bit_length
     argses = [(seed, chunk, n, k, order) for chunk in _chunks(reps, n * k, k)]
     vals = np.concatenate(_parallel_map(_word_chunk, argses, parallelism)).astype(float)
-    return EstimateReport.from_values(vals, seed, {"n": n, "k": k, "order": order}, predicted)
+    return EstimateReport.from_values(vals, predicted)
 
 
 def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
@@ -223,8 +204,7 @@ def estimate_poissonized(x: float, t: int, lam: float, order: str, reps: int,
     _check_variant(order)
     _check_reps(reps)
     vals = _poisson_counts(x, t, lam, order, reps, seed, parallelism)[0]  # checks t
-    params = {"x": float(x), "t": int(t), "lam": float(lam), "order": order}
-    return EstimateReport.from_values(vals, seed, params, mean_bound(x, t, lam, order))
+    return EstimateReport.from_values(vals, mean_bound(x, t, lam, order))
 
 
 @dataclass(frozen=True, eq=False)

@@ -797,6 +797,37 @@ class TestManifestReplay:
         times = {"started": None, "finished": None}
         assert {**again, **times} == {**man, **times}
 
+    @pytest.mark.parametrize("argv, outputs", [
+        (["estimate", "--mode", "poisson", "--x", "2", "--t", "4", "--lambda", "1",
+          "--reps", "4", "--seed", "3"], ["report.json", "plot.csv"]),
+        (["simulate", "--x", "3", "--t", "6", "--lambda", "1", "--alpha", "0.5", "--trace",
+          "--seed", "5"], ["counts.csv", "trace.csv"]),
+    ], ids=["estimate-poisson", "simulate-alpha-trace"])
+    def test_recorded_values_are_read_through_their_types(self, tmp_path, capsys, argv,
+                                                          outputs):
+        d = tmp_path / "run"
+        assert main([*argv, "--out-dir", str(d)]) == 0
+        paths = [d / name for name in outputs]
+        first = [p.read_bytes() for p in paths]
+        path = d / "manifest.json"
+        man = json.loads(path.read_text())
+        whole = {key: int(v) for key, v in man["parameters"].items()
+                 if isinstance(v, float) and v.is_integer()}
+        assert {"x", "lam"} <= whole.keys()
+        # a whole number recorded for a float replays as that float
+        path.write_text(json.dumps({**man, "parameters": {**man["parameters"], **whole}}))
+        assert main(["--manifest", str(path)]) == 0
+        assert [p.read_bytes() for p in paths] == first
+        times = {"started": None, "finished": None}
+        assert {**json.loads(path.read_text()), **times} == {**man, **times}
+        # one too large for a float exits 2 naming it, before any output
+        path.write_text(json.dumps({**man, "parameters": {**man["parameters"], "x": 10**400}}))
+        for p in paths:
+            p.unlink()
+        assert main(["--manifest", str(path)]) == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not any(p.exists() for p in paths)
+
     def test_tails_manifest_with_a_recorded_seed_replays(self, tmp_path):
         out = tmp_path / "t" / "tails.csv"
         assert main(["tails", "--kind", "binomial", "--out", str(out)]) == 0

@@ -84,7 +84,6 @@ class TestUpperCoupling:
         s = poissonized_coupling_upper(2, 2, 1e-6, make_rng(34))
         assert not s.event_flag
         assert s.objects["word"] is None
-        assert s.objects["worst_case"] == 4
 
     @pytest.mark.statistical
     def test_word_marginal_uniform_given_event(self):

@@ -194,7 +194,7 @@ class TestRunDynamics:
     @pytest.mark.parametrize("positions, exits, message", [
         ([0.6, 0.2], 0, "strictly increasing"), ([0.2, 0.2], 0, "strictly increasing"),
         ([-0.1], 0, "lie in"), ([1.5], 0, "lie in"), ([np.nan], 0, "lie in"),
-        ([0.2], -1, "exits must be nonnegative"),
+        ([0.2], -1, "exits must be nonnegative"), ([0.1, np.nan, 0.5], 0, "lie in"),
     ])
     def test_particle_state_rejects_bad_input(self, positions, exits, message):
         with pytest.raises(ValueError, match=message):

@@ -49,6 +49,14 @@ def test_no_module_imports_scipy():
         assert not scipy, f"{path.name} imports {scipy}"
 
 
+def test_only_the_cli_reads_and_writes_file_formats():
+    # the library returns values; the command line and every file format the
+    # commands read or write belong to the CLI
+    for path in sorted(PACKAGE.glob("*.py")):
+        formats = sorted(imported_names(path) & {"argparse", "csv", "json"})
+        assert path.stem == "cli" or not formats, f"{path.name} imports {formats}"
+
+
 def test_montecarlo_counts_chains_only_through_the_slab():
     # its replicas reach a chain length by the slab alone, never by the
     # patience pass or the exact enumeration of `subsequences`

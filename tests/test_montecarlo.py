@@ -38,7 +38,7 @@ class TestEstimateMeanSubsequence:
 
     def test_report_fields(self):
         rep = estimate_mean_subsequence(10, 2, "strict", 100, seed=51)
-        assert rep.reps == 100 and rep.seed == 51
+        assert rep.reps == 100
         assert rep.predicted == pytest.approx(2 * math.sqrt(20) - 2)
         assert rep.rel_error == pytest.approx(abs(rep.mean - rep.predicted) / rep.predicted)
 
@@ -345,35 +345,22 @@ class TestChunkMemory:
 
 
 class TestReportJson:
-    def test_non_finite_values_are_null(self):
-        with np.errstate(invalid="ignore"):  # the spread of inf and 1 is NaN
-            rep = montecarlo.EstimateReport.from_values(
-                np.asarray([math.inf, 1.0]), 3, {"x": math.nan, "n": 2}, predicted=math.inf)
-
-        def reject(token):
-            raise AssertionError(f"non-standard JSON constant {token}")
-
-        data = json.loads(rep.to_json("estimate"), parse_constant=reject)
-        assert data["mean"] is None and data["stderr"] is None
-        assert data["predicted"] is None and data["params"] == {"x": None, "n": 2}
-        assert data["reps"] == 2 and data["command"] == "estimate"
-
     def test_numpy_integer_counts_serialize(self):
-        # the counts and the seed are held as int where they enter
+        # numpy counts and seed give the reports that Python ints give
         n, k, t, seed = np.int64(3), np.int32(2), np.int64(4), np.int64(5)
         pairs = [(estimate_mean_subsequence(n, k, "strict", 4, seed),
                   estimate_mean_subsequence(3, 2, "strict", 4, 5)),
                  (estimate_poissonized(1.0, t, 1.0, "weak", 4, seed),
                   estimate_poissonized(1.0, 4, 1.0, "weak", 4, 5))]
         for numpy_rep, int_rep in pairs:
-            assert numpy_rep.to_json("estimate") == int_rep.to_json("estimate")
+            assert numpy_rep == int_rep
 
     def test_numpy_float32_geometry_serializes(self):
         # mean_bound returns a float32 for float32 input; the report holds floats
         rep = estimate_poissonized(np.float32(4.0), 4, np.float32(1.0), "weak", 4, 0)
         same = estimate_poissonized(4.0, 4, 1.0, "weak", 4, 0)
-        assert rep.to_json("estimate") == same.to_json("estimate")
-        assert {type(v) for v in (rep.params["x"], rep.params["lam"], rep.predicted)} == {float}
+        assert rep == same
+        assert {type(v) for v in (rep.predicted, rep.rel_error)} == {float}
 
 
 class TestEstimatePoissonized:
@@ -777,9 +764,9 @@ class TestBoundaryEstimators:
 class TestDepoissonization:
     @pytest.mark.statistical
     def test_matched_geometry_within_budget(self):
-        rep = depoissonization_report(100, 4, reps=300, seed=65)
-        assert rep.poissonized.params == {"x": 4.0, "t": 100, "lam": 1.0,
-                                          "order": "strict"}
+        n, k, reps, seed = 100, 4, 300, 65
+        rep = depoissonization_report(n, k, reps=reps, seed=seed)
+        assert rep.poissonized == estimate_poissonized(float(k), n, 1.0, "strict", reps, seed)
         assert rep.within_budget
 
     @pytest.mark.statistical
@@ -804,7 +791,7 @@ class TestDepoissonization:
         # the matched x*lam is k exactly, so at k = n both estimates predict;
         # 93 is the least n at which float(n*n) * (1/n) rounds above n
         rep = depoissonization_report(93, 93, reps=4, seed=69)
-        assert rep.poissonized.params["x"] * rep.poissonized.params["lam"] == 93
+        assert rep.poissonized == estimate_poissonized(93.0, 93, 1.0, "strict", 4, 69)
         assert rep.word.predicted == 2 * math.sqrt(93 * 93) - 93
         assert rep.poissonized.predicted == rep.word.predicted
         assert rep.diff >= 0 and rep.budget > 0
